@@ -287,20 +287,23 @@ def _cmd_solution(args, run):
     if not args.tau or set(args.tau) - {"0", "1"}:
         raise ValueError("--tau must be a non-empty string of 0s and 1s")
     tau = [ch == "1" for ch in args.tau]
+    if art.kind not in ("sat3", "planar3sat"):
+        raise ValueError("artifact kind %r has no assignment-driven solution" % art.kind)
+    if "formula" not in art.meta:
+        raise ParseError("%s.roles.json: %s sidecar has no meta.formula"
+                         % (args.artifact, art.kind))
     if art.kind == "sat3":
         decomp = decomposition_from_assignment(art, tau)
         run.verdict("kind", "decomposition")
         run.verdict("independent_side_size", len(decomp.a))
         run.witness("independent_side", _ids(decomp.a))
         run.say("valid decomposition; |A|=%d |B|=%d" % (len(decomp.a), len(decomp.b)))
-    elif art.kind == "planar3sat":
+    else:
         a = deletion_set_from_assignment(art, tau)
         run.verdict("kind", "deletion-set")
         run.verdict("size", len(a))
         run.witness("deleted", _ids(a))
         run.say("valid independent deletion set of size %d" % len(a))
-    else:
-        raise ValueError("artifact kind %r has no assignment-driven solution" % art.kind)
 
 
 def _cmd_verify(args, run):

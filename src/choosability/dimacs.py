@@ -14,10 +14,10 @@ from .reductions import CnfFormula, ReductionArtifact
 
 
 class ParseError(ValueError):
-    """Malformed input; ``line`` is the 1-based offending line number."""
+    """Malformed input; ``line`` is the 1-based offending line number, if any."""
 
-    def __init__(self, message, line):
-        super().__init__("line %d: %s" % (line, message))
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else "line %d: %s" % (line, message))
         self.line = line
 
 
@@ -172,9 +172,16 @@ def write_artifact(art, base_path):
 
 
 def read_artifact(base_path):
+    """Inverse of :func:`write_artifact`; raises ParseError on a malformed sidecar."""
     with open(str(base_path) + ".graph") as fh:
         g = parse_graph(fh.read())
-    with open(str(base_path) + ".roles.json") as fh:
+    sidecar_path = str(base_path) + ".roles.json"
+    with open(sidecar_path) as fh:
         sidecar = json.load(fh)
+    if not (isinstance(sidecar, dict) and isinstance(sidecar.get("kind"), str)
+            and isinstance(sidecar.get("roles"), dict)
+            and isinstance(sidecar.get("meta", {}), dict)):
+        raise ParseError("%s: need an object with a string 'kind', an object 'roles' "
+                         "and an optional object 'meta'" % sidecar_path)
     roles = {int(v): rec for v, rec in sidecar["roles"].items()}
     return ReductionArtifact(sidecar["kind"], g, roles, sidecar.get("meta", {}))

@@ -1,16 +1,19 @@
 """Desk-scale exact solvers for the deletion and decomposition problems.
 
-All searches are budgeted by node-expansion counters (never wall clock) and
-break ties deterministically.  Size caps guard the combinatorial blow-up;
-callers may raise them explicitly.
+Minimum vertex cover, minimum 2-choosable deletion and minimum
+near-3-choosability are hitting-set problems, and one bounded search tree,
+:func:`_hitting_set`, solves all three; each solver supplies only the
+obstruction to branch on.  Searches are budgeted by node-expansion counters
+(never wall clock), break ties deterministically, and refuse graphs above a
+size cap that callers may raise.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import Budget
-from .graphs import CountedMultiGraph, delete_vertices, induced_subgraph, shortest_cycle
-from .recognition import KIND_OUTSIDE, classify_core, compute_core, is_2_choosable
+from .graphs import delete_vertices, induced_subgraph
+from .recognition import is_2_choosable
 
 DEFAULT_NEAR3_CAP = 25
 DEFAULT_DEL_CAP = 20
@@ -36,141 +39,146 @@ def decomposition_is_valid(g, decomp):
 def near_3_decide(g, budget=None, cap=DEFAULT_NEAR3_CAP):
     """Find a decomposition (A, B) with A independent and G[B] 2-choosable.
 
-    Only maximal independent sets are tried: removing more vertices keeps
-    the remainder 2-choosable, so if any (A, B) works then every maximal
-    independent superset of A works too.  Returns a Decomposition or None.
+    A is the minimum-size, lexicographically first independent set that
+    works, as found by :func:`min_near_3`.  Returns a Decomposition or None.
     """
-    if g.n > cap:
-        raise ValueError("n=%d exceeds cap %d" % (g.n, cap))
-    bud = Budget.ensure(budget)
-    for mis in _maximal_independent_sets(g, bud):
-        bud.charge(stage="near3-check")
-        rest = tuple(v for v in range(g.n) if v not in set(mis))
-        if is_2_choosable(induced_subgraph(g, rest)[0])[0]:
-            return Decomposition(tuple(mis), rest)
-    return None
+    found = min_near_3(g, budget, cap)
+    if found is None:
+        return None
+    a = set(found[1])
+    return Decomposition(found[1], tuple(v for v in range(g.n) if v not in a))
 
 
 def maximal_independent_sets(g, budget=None):
     """All maximal independent sets, each sorted, in lexicographic order."""
-    return list(_maximal_independent_sets(g, Budget.ensure(budget)))
-
-
-def _maximal_independent_sets(g, bud):
-    """Yield all maximal independent sets, each sorted, in lexicographic order."""
+    bud = Budget.ensure(budget)
     adj = g.adj_sets()
+    out = []
 
     def extend(chosen, candidates, excluded):
         bud.charge(stage="mis-enumeration")
         if not candidates and not excluded:
-            yield tuple(chosen)
+            out.append(tuple(chosen))
             return
-        cands = sorted(candidates)
-        for v in cands:
-            yield from extend(chosen + [v],
-                              {u for u in candidates if u > v and u not in adj[v]},
-                              {u for u in excluded if u not in adj[v]})
+        for v in sorted(candidates):
+            extend(chosen + [v],
+                   {u for u in candidates if u > v and u not in adj[v]},
+                   {u for u in excluded if u not in adj[v]})
             candidates.discard(v)
             excluded.add(v)
 
-    yield from extend([], set(range(g.n)), set())
+    extend([], set(range(g.n)), set())
+    return out
+
+
+def _hitting_set(obstruction, bud, stage):
+    """Minimum vertex set hitting every obstruction, as ``(size, sorted tuple)``.
+
+    ``obstruction(chosen)`` is None when ``chosen`` is a solution, else the
+    vertices one of which every solution containing ``chosen`` must contain
+    (empty when none can).  Only a strictly larger size is pruned, so every
+    minimum solution is reached and the lexicographically first is returned;
+    None when there is no solution.
+    """
+    best = None
+    seen = set()
+
+    def rec(chosen):
+        nonlocal best
+        bud.charge(stage=stage)
+        if chosen in seen:
+            return
+        seen.add(chosen)
+        obs = obstruction(chosen)
+        if obs is None:
+            cand = (len(chosen), tuple(sorted(chosen)))
+            if best is None or cand < best:
+                best = cand
+            return
+        if best is not None and len(chosen) + 1 > best[0]:
+            return
+        for v in obs:
+            rec(chosen | {v})
+
+    rec(frozenset())
+    return best
+
+
+def _minimal_obstruction(g, removed):
+    """Vertex-minimal non-2-choosable induced subgraph of g minus ``removed``.
+
+    Shrinks the offending core component: each vertex, in ascending order,
+    goes when the rest is still not 2-choosable, and then only the rest's
+    offending core component is kept.  Returns the sorted vertex tuple in
+    g's ids, or None when g minus ``removed`` is 2-choosable.
+    """
+    rest, kept = delete_vertices(g, removed)
+    ok, core = is_2_choosable(rest)
+    if ok:
+        return None
+    current = tuple(kept[v] for v in core)
+    for v in current:
+        if v not in current:
+            continue
+        sub, sub_kept = induced_subgraph(g, (u for u in current if u != v))
+        ok, core = is_2_choosable(sub)
+        if not ok:
+            current = tuple(sub_kept[u] for u in core)
+    return current
+
+
+def _obstruction_cache(g):
+    """Minimal-obstruction callback; reuses any earlier find disjoint from ``chosen``."""
+    found = []
+
+    def obstruction(chosen):
+        for obs in found:
+            if chosen.isdisjoint(obs):
+                return obs
+        obs = _minimal_obstruction(g, chosen)
+        if obs is not None:
+            found.append(obs)
+        return obs
+
+    return obstruction
 
 
 def min_near_3(g, budget=None, cap=DEFAULT_NEAR3_CAP):
     """Minimum-size independent A with G minus A 2-choosable.
 
-    Sizes are tried ascending and, within a size, candidate sets in
-    lexicographic order, so the first hit is the lexicographically smallest
-    optimum.  Returns (size, A) or None when no independent set works.
+    Branches on the minimal obstruction's vertices with no chosen
+    neighbour.  Returns the lexicographically smallest optimum as
+    (size, A), or None when no independent set works.
     """
     if g.n > cap:
         raise ValueError("n=%d exceeds cap %d" % (g.n, cap))
-    bud = Budget.ensure(budget)
     adj = g.adj_sets()
+    hit = _obstruction_cache(g)
 
-    def independent_sets_of_size(t):
-        def extend(chosen, start):
-            bud.charge(stage="independent-set-enumeration")
-            if len(chosen) == t:
-                yield tuple(chosen)
-                return
-            for v in range(start, g.n - (t - len(chosen)) + 1):
-                if all(v not in adj[u] for u in chosen):
-                    chosen.append(v)
-                    yield from extend(chosen, v + 1)
-                    chosen.pop()
+    def obstruction(chosen):
+        obs = hit(chosen)
+        if obs is None:
+            return None
+        return tuple(v for v in obs if chosen.isdisjoint(adj[v]))
 
-        yield from extend([], 0)
-
-    for t in range(g.n + 1):
-        any_candidate = False
-        for cand in independent_sets_of_size(t):
-            any_candidate = True
-            bud.charge(stage="near3-check")
-            rest = tuple(v for v in range(g.n) if v not in set(cand))
-            if is_2_choosable(induced_subgraph(g, rest)[0])[0]:
-                return t, cand
-        if not any_candidate:
-            break
-    return None
-
-
-def _branch_cycle(g, removed):
-    """Shortest cycle of the first outside-family core component, in g's ids.
-
-    Returns None when the remainder is 2-choosable.
-    """
-    rest, kept = delete_vertices(g, removed)
-    core, core_kept = compute_core(rest)
-    for verdict in classify_core(core):
-        if verdict.kind == KIND_OUTSIDE:
-            comp_graph, comp_kept = induced_subgraph(core, verdict.vertices)
-            cycle = shortest_cycle(CountedMultiGraph.from_graph(comp_graph))
-            return sorted(kept[core_kept[comp_kept[v]]] for v in cycle)
-    return None
+    return _hitting_set(obstruction, Budget.ensure(budget), "near3-check")
 
 
 def min_2_del_exact(g, budget=None, cap=DEFAULT_DEL_CAP):
     """Minimum-size vertex set whose removal leaves a 2-choosable graph.
 
-    Branch and bound: branch on the vertices of a shortest cycle of the
-    first offending core component (deterministic order), keep the best
-    (size, lexicographic) answer seen.  Returns (size, A).
+    Branches on a minimal obstruction.  Returns the lexicographically
+    smallest optimum as (size, A).
     """
     if g.n > cap:
         raise ValueError("n=%d exceeds cap %d" % (g.n, cap))
-    bud = Budget.ensure(budget)
-    best = [None]
-    seen = set()
-
-    def rec(removed):
-        bud.charge(stage="del2-branch")
-        key = frozenset(removed)
-        if key in seen:
-            return
-        seen.add(key)
-        cycle = _branch_cycle(g, removed)
-        if cycle is None:
-            cand = (len(removed), tuple(sorted(removed)))
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
-            return
-        if best[0] is not None and len(removed) + 1 > best[0][0]:
-            return
-        for v in cycle:
-            rec(removed | {v})
-
-    rec(frozenset())
-    return best[0]
+    return _hitting_set(_obstruction_cache(g), Budget.ensure(budget), "del2-branch")
 
 
 def min_vertex_cover_exact(g, budget=None, cap=DEFAULT_DEL_CAP):
-    """Minimum vertex cover via branch and bound on the first uncovered edge."""
+    """Minimum vertex cover via hitting-set search on the first uncovered edge."""
     if g.n > cap:
         raise ValueError("n=%d exceeds cap %d" % (g.n, cap))
-    bud = Budget.ensure(budget)
-    best = [None]
-    seen = set()
 
     def first_uncovered(chosen):
         for u, v in g.edges:
@@ -178,25 +186,7 @@ def min_vertex_cover_exact(g, budget=None, cap=DEFAULT_DEL_CAP):
                 return u, v
         return None
 
-    def rec(chosen):
-        bud.charge(stage="vc-branch")
-        key = frozenset(chosen)
-        if key in seen:
-            return
-        seen.add(key)
-        edge = first_uncovered(chosen)
-        if edge is None:
-            cand = (len(chosen), tuple(sorted(chosen)))
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
-            return
-        if best[0] is not None and len(chosen) + 1 > best[0][0]:
-            return
-        for v in edge:
-            rec(chosen | {v})
-
-    rec(frozenset())
-    return best[0]
+    return _hitting_set(first_uncovered, Budget.ensure(budget), "vc-branch")
 
 
 def min_2_del_bruteforce(g, budget=None):

@@ -37,6 +37,24 @@ def theta_graph(a, b, c):
     return Graph(nxt, edges)
 
 
+def spider_graph(k):
+    """k four-cycles, each joined by one edge to the centre vertex 4k."""
+    edges = []
+    for i in range(k):
+        b = 4 * i
+        edges += [(b, b + 1), (b + 1, b + 2), (b + 2, b + 3), (b + 3, b), (b, 4 * k)]
+    return Graph(4 * k + 1, edges)
+
+
+def dumbbell_graph(a, b, length):
+    """Cycles C_a on 0..a-1 and C_b on a..a+b-1 joined by a 0-a path of ``length`` edges."""
+    edges = [(i, (i + 1) % a) for i in range(a)]
+    edges += [(a + i, a + (i + 1) % b) for i in range(b)]
+    path = [0] + list(range(a + b, a + b + length - 1)) + [a]
+    edges += list(zip(path, path[1:]))
+    return Graph(a + b + length - 1, edges)
+
+
 def petersen_graph():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -136,6 +154,18 @@ def brute_min_vertex_cover(g):
             if all(u in chosen or v in chosen for u, v in g.edges):
                 return t
     return g.n
+
+
+def brute_min_near_3(g):
+    """Lexicographically first minimum independent A with G - A 2-choosable, or None."""
+    from choosability.graphs import delete_vertices
+    from choosability.recognition import is_2_choosable
+
+    for t in range(g.n + 1):
+        for cand in itertools.combinations(range(g.n), t):
+            if is_independent(g, cand) and is_2_choosable(delete_vertices(g, cand)[0])[0]:
+                return t, cand
+    return None
 
 
 def is_independent(g, vertices):

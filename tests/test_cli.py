@@ -160,6 +160,23 @@ class TestReduceAndSolve:
         assert code == 0
         assert report["verdicts"]["size"] <= 42
 
+    @pytest.mark.parametrize("drop", ["meta.formula", "kind", "roles"])
+    def test_solution_sidecar_missing_key(self, tmp_path, capsys, drop):
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 -3 0\n")
+        base = str(tmp_path / "art")
+        assert main(["reduce", "sat3", str(cnf), "--out", base]) == 0
+        sidecar_path = tmp_path / "art.roles.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        if drop == "meta.formula":
+            del sidecar["meta"]["formula"]
+        else:
+            del sidecar[drop]
+        sidecar_path.write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        assert main(["solution-from-assignment", base, "--tau", "110"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_vc_reduction_to_stdout(self, c5_file, capsys):
         code = main(["reduce", "vc", c5_file])
         assert code == 0

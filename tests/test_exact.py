@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from choosability.errors import BudgetExceededError
-from choosability.exact import (Decomposition, decomposition_is_valid,
+from choosability.exact import (Decomposition, _minimal_obstruction, decomposition_is_valid,
                                 maximal_independent_sets, min_2_del_bruteforce,
                                 min_2_del_exact, min_near_3,
                                 min_vertex_cover_exact, near_3_decide)
@@ -14,8 +14,24 @@ from choosability.recognition import is_2_choosable
 from choosability.reductions import (build_forbidden_gadget, constraint_graph_P,
                                      triangle_reduction)
 
-from conftest import (brute_min_vertex_cover, complete_bipartite, complete_graph,
-                      cycle_graph, graph_classes, is_independent)
+from conftest import (brute_min_near_3, brute_min_vertex_cover, complete_bipartite,
+                      complete_graph, cycle_graph, dumbbell_graph, graph_classes,
+                      is_independent, spider_graph, theta_graph)
+
+
+def structured_graphs():
+    """Structured families for the exact solvers.
+
+    Branching on a shortest cycle missed the optimum on the first three:
+    (2, (0, 4)) on the three-C4 spider against (1, (12,)), and size 3 on the
+    G(10, 0.3) draw against 2.
+    """
+    figure_eight = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
+    return ([spider_graph(3), spider_graph(4), gen_gnp(10, 0.3, seed=159),
+             dumbbell_graph(3, 3, 2), dumbbell_graph(3, 5, 1), dumbbell_graph(5, 5, 3),
+             figure_eight]
+            + [complete_bipartite(2, n) for n in (3, 4, 5)]
+            + [theta_graph(1, 3, 5), theta_graph(2, 3, 3), theta_graph(2, 2, 5)])
 
 
 class TestMaximalIndependentSets:
@@ -62,6 +78,17 @@ class TestNear3Decide:
         with pytest.raises(ValueError, match="cap"):
             near_3_decide(Graph(26, []))
 
+    def test_matches_bruteforce(self):
+        graphs = [g for n in range(1, 7) for g in graph_classes(n)] + structured_graphs()
+        for g in graphs:
+            best = brute_min_near_3(g)
+            decomp = near_3_decide(g)
+            if best is None:
+                assert decomp is None
+            else:
+                assert decomp == Decomposition(best[1], tuple(v for v in range(g.n)
+                                                              if v not in best[1]))
+
     def test_maximal_superset_monotonicity(self):
         # every valid (A, B) stays valid for every maximal independent superset
         for n in range(1, 7):
@@ -95,6 +122,10 @@ class TestMinNear3:
 
     def test_none_for_complete_graph(self):
         assert min_near_3(complete_graph(5)) is None
+
+    def test_matches_bruteforce(self):
+        for g in structured_graphs():
+            assert min_near_3(g) == brute_min_near_3(g)
 
     def test_result_revalidates(self):
         rng = random.Random(3)
@@ -134,13 +165,29 @@ class TestMin2Del:
     def test_matches_bruteforce_small(self):
         for n in range(1, 7):
             for g in graph_classes(n):
-                assert min_2_del_exact(g)[0] == min_2_del_bruteforce(g)[0]
+                assert min_2_del_exact(g) == min_2_del_bruteforce(g)
+
+    def test_matches_bruteforce_structured(self):
+        for g in structured_graphs():
+            assert min_2_del_exact(g) == min_2_del_bruteforce(g)
 
     def test_matches_bruteforce_random(self):
         rng = random.Random(23)
         for trial in range(60):
             g = gen_gnp(rng.randrange(4, 10), rng.choice([0.3, 0.5]), seed=900 + trial)
-            assert min_2_del_exact(g)[0] == min_2_del_bruteforce(g)[0]
+            assert min_2_del_exact(g) == min_2_del_bruteforce(g)
+
+    def test_minimal_obstruction(self):
+        for n in range(1, 7):
+            for g in graph_classes(n):
+                if is_2_choosable(g)[0]:
+                    assert _minimal_obstruction(g, frozenset()) is None
+                    continue
+                obs = _minimal_obstruction(g, frozenset())
+                assert not is_2_choosable(induced_subgraph(g, obs)[0])[0]
+                for v in obs:
+                    rest = [u for u in obs if u != v]
+                    assert is_2_choosable(induced_subgraph(g, rest)[0])[0]
 
     def test_min_near3_dominates(self):
         for n in range(1, 7):
