@@ -1,9 +1,10 @@
 """Contraction-based 2-choosability test and the short-cycle deletion heuristic.
 
-``preprocess`` peels degree-1 vertices and replaces every maximal chain of
-two or more adjacent degree-2 vertices by a single counted vertex (a cycle
-component contracts all but one of its vertices, yielding a two-vertex
-parallel pair).  After preprocessing, a connected graph is 2-choosable
+``preprocess`` peels degree-1 vertices with the routine ``compute_core``
+uses, then in one linear sweep replaces every maximal chain of two or more
+adjacent degree-2 vertices by a single counted vertex (a cycle component
+contracts all but one of its vertices, yielding a two-vertex parallel
+pair).  After preprocessing, a connected graph is 2-choosable
 exactly when it lands in one of three counted shapes; ``approx_2_del``
 repeatedly deletes a shortest cycle of the contracted graph until nothing
 is left, then expands each contracted vertex back to the first original
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError
 from .graphs import (CountedMultiGraph, connected_components, delete_vertices,
-                     multigraph_delete, multigraph_restrict, shortest_cycle)
+                     multigraph_delete, multigraph_restrict, peel_degree_one,
+                     shortest_cycle)
 from .recognition import is_2_choosable
 
 KIND_K1_COUNTED = "K1-counted"
@@ -34,144 +36,64 @@ class CPrimeVerdict:
 
 
 def preprocess(mg):
-    """Peel degree-1 vertices and contract degree-2 chains to a fixpoint.
+    """Peel degree-1 vertices, then contract every maximal degree-2 run.
 
-    Contracted vertices carry the summed count and the concatenated
-    provenance of their chain in path order.  Chains are located by
-    ascending seed id; a path is oriented from its smaller-id endpoint; a
-    cycle component is traversed from its smallest vertex towards that
-    vertex's smaller neighbour and the last vertex is left out.
+    A run is a maximal chain of two or more adjacent degree-2 vertices.  It
+    becomes one counted vertex carrying the run's summed count and its
+    provenance concatenated in path order.  A path run is oriented from its
+    smaller-id endpoint; a cycle component is walked from its smallest
+    vertex towards that vertex's smaller neighbour, and its last vertex is
+    left out, so the cycle becomes a parallel pair.  Contracting a run
+    changes no other vertex's degree, so one peel and one sweep over the
+    runs reach the fixpoint.  Uncontracted vertices come first in ascending
+    order, then one vertex per run in ascending order of its smallest id.
     """
-    state = _MutableMulti(mg)
-    state.peel_degree_one()
-    while True:
-        if not state.contract_one_chain():
-            break
-        state.peel_degree_one()
-    return state.freeze()
+    core = multigraph_restrict(mg, peel_degree_one(mg))
+    adj = core.adj
+    walked = [False] * core.n
+    runs = []
+    for v in range(core.n):
+        if walked[v] or len(adj[v]) != 2 or adj[v][0] == adj[v][1]:
+            continue
+        ahead, closed = _degree_two_walk(adj, v, adj[v][0])
+        if closed:
+            walked[ahead[-1]] = True
+            run = [v] + ahead[:-1]
+        else:
+            run = _degree_two_walk(adj, v, adj[v][1])[0][::-1] + [v] + ahead
+            if run[0] > run[-1]:
+                run.reverse()
+        for u in run:
+            walked[u] = True
+        if len(run) > 1:
+            runs.append(run)
+    in_run = {u for run in runs for u in run}
+    kept = [v for v in range(core.n) if v not in in_run]
+    new_id = {v: i for i, v in enumerate(kept)}
+    for r, run in enumerate(runs, len(kept)):
+        new_id.update(dict.fromkeys(run, r))
+    edges = [(new_id[u], new_id[v]) for u, v in core.edges if new_id[u] != new_id[v]]
+    return CountedMultiGraph(
+        len(kept) + len(runs), edges,
+        counts=[core.counts[v] for v in kept]
+        + [sum(core.counts[u] for u in run) for run in runs],
+        provenance=[core.provenance[v] for v in kept]
+        + [tuple(x for u in run for x in core.provenance[u]) for run in runs])
 
 
-class _MutableMulti:
-    """Working representation for preprocessing; ids grow, then compact."""
+def _degree_two_walk(adj, start, cur):
+    """Degree-2 vertices met going from ``start`` through ``cur``.
 
-    def __init__(self, mg):
-        self.adj = {v: sorted(mg.adj[v]) for v in range(mg.n)}
-        self.counts = {v: mg.counts[v] for v in range(mg.n)}
-        self.prov = {v: mg.provenance[v] for v in range(mg.n)}
-        self.next_id = mg.n
-
-    def remove_vertex(self, v):
-        for u in self.adj[v]:
-            self.adj[u].remove(v)
-        del self.adj[v], self.counts[v], self.prov[v]
-
-    def peel_degree_one(self):
-        queue = [v for v in sorted(self.adj) if len(self.adj[v]) == 1]
-        while queue:
-            v = queue.pop(0)
-            if v not in self.adj or len(self.adj[v]) != 1:
-                continue
-            u = self.adj[v][0]
-            self.remove_vertex(v)
-            if len(self.adj[u]) == 1:
-                queue.append(u)
-
-    def contract_one_chain(self):
-        skip = set()
-        for v in sorted(self.adj):
-            if v in skip or len(self.adj[v]) != 2:
-                continue
-            a, b = self.adj[v]
-            if a == b:
-                continue    # member of a parallel pair, never contracted
-            path = self._chain_or_cycle_path(v)
-            if path is None or len(path) < 2:
-                skip.update(path or [v])
-                continue
-            self._contract(path)
-            return True
-        return False
-
-    def _chain_or_cycle_path(self, v):
-        """Maximal run of degree-2 vertices through v, oriented canonically.
-
-        Returns the path to contract, or None when the run is a single
-        vertex.  For a cycle component the path spans all vertices but one.
-        """
-        comp = self._component(v)
-        if all(len(self.adj[u]) == 2 for u in comp):
-            # the component is a cycle (or a parallel pair when len == 2)
-            if len(comp) < 3:
-                return None
-            start = min(comp)
-            nxt = min(self.adj[start])
-            order = [start, nxt]
-            while True:
-                prev, cur = order[-2], order[-1]
-                a, b = self.adj[cur]
-                step = b if a == prev else a
-                if step == start:
-                    break
-                order.append(step)
-            return order[:-1]
-        run = [v]
-        for direction, side in enumerate(self.adj[v]):
-            prev, cur = v, side
-            while len(self.adj[cur]) == 2:
-                a, b = self.adj[cur]
-                if a == b:
-                    break
-                if direction == 0:
-                    run.insert(0, cur)
-                else:
-                    run.append(cur)
-                prev, cur = cur, (b if a == prev else a)
-        if len(run) < 2:
-            return None
-        if run[0] > run[-1]:
-            run.reverse()
-        return run
-
-    def _component(self, v):
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    def _contract(self, path):
-        first, last = path[0], path[-1]
-        in_path = set(path)
-        w = [u for u in self.adj[first] if u not in in_path][0]
-        z = [u for u in self.adj[last] if u not in in_path][0]
-        s = self.next_id
-        self.next_id += 1
-        self.counts[s] = sum(self.counts[u] for u in path)
-        self.prov[s] = tuple(x for u in path for x in self.prov[u])
-        for u in path:
-            self.remove_vertex(u)
-        self.adj[s] = sorted((w, z))
-        self.adj[w].append(s)
-        self.adj[w].sort()
-        self.adj[z].append(s)
-        self.adj[z].sort()
-
-    def freeze(self):
-        kept = sorted(self.adj)
-        index = {v: i for i, v in enumerate(kept)}
-        edges = []
-        for v in kept:
-            for u in self.adj[v]:
-                if v < u:
-                    edges.append((index[v], index[u]))
-        return CountedMultiGraph(
-            len(kept), edges,
-            counts=tuple(self.counts[v] for v in kept),
-            provenance=tuple(self.prov[v] for v in kept))
+    Stops before the first vertex of another degree or on coming back to
+    ``start``; returns the vertices and whether the walk came back.
+    """
+    out = []
+    prev = start
+    while cur != start and len(adj[cur]) == 2:
+        out.append(cur)
+        a, b = adj[cur]
+        prev, cur = cur, (b if a == prev else a)
+    return out, cur == start
 
 
 def classify_c_prime(component):

@@ -27,7 +27,7 @@ from .reductions import (build_G_phi_p, build_H_phi, build_forbidden_gadget,
                          build_clause_gadget_planar, build_edge_gadget,
                          constraint_graph_P, decomposition_from_assignment,
                          deletion_set_from_assignment, triangle_reduction,
-                         verify_lemma_2_2)
+                         verify_lemma_2_2, CnfFormula)
 
 
 def build_parser():
@@ -281,6 +281,41 @@ def _cmd_reduce(args, run):
         run.say(write_graph(art.graph).rstrip("\n"))
 
 
+#: the sidecar ``meta`` entries that the solution of each artifact kind reads
+_SOLUTION_META = {
+    "sat3": ("formula",),
+    "planar3sat": ("formula", "forbidden_gadgets", "edge_gadgets"),
+}
+
+
+def _check_solution_meta(art, sidecar):
+    """Raise ParseError unless ``art.meta`` holds well-formed solution inputs."""
+    for key in _SOLUTION_META[art.kind]:
+        if key not in art.meta:
+            raise ParseError("%s: %s sidecar has no meta.%s" % (sidecar, art.kind, key))
+    num_vars = CnfFormula.from_dict(art.meta["formula"]).num_vars
+    if art.kind != "planar3sat":
+        return
+
+    def vertex(x):
+        return isinstance(x, int) and 0 <= x < art.graph.n
+
+    def var_of(x):
+        role = art.roles.get(x) if vertex(x) else None
+        return role.get("var") if isinstance(role, dict) else None
+
+    forbidden, edge = art.meta["forbidden_gadgets"], art.meta["edge_gadgets"]
+    if not (isinstance(forbidden, list) and isinstance(edge, list)
+            and all(isinstance(rec, dict) and vertex(rec.get("core")) for rec in forbidden)
+            and all(isinstance(rec, dict) and rec.get("kind") in ("positive", "negative")
+                    and var_of(rec.get("x")) in range(1, num_vars + 1)
+                    and all(isinstance(rec.get(side), list) and all(map(vertex, rec[side]))
+                            for side in ("blue", "red"))
+                    for rec in edge)):
+        raise ParseError("%s: malformed meta.forbidden_gadgets or meta.edge_gadgets record"
+                         % sidecar)
+
+
 def _cmd_solution(args, run):
     art = read_artifact(args.artifact)
     run.report["input_digest"] = _digest(_read(args.artifact + ".graph"))
@@ -289,9 +324,7 @@ def _cmd_solution(args, run):
     tau = [ch == "1" for ch in args.tau]
     if art.kind not in ("sat3", "planar3sat"):
         raise ValueError("artifact kind %r has no assignment-driven solution" % art.kind)
-    if "formula" not in art.meta:
-        raise ParseError("%s.roles.json: %s sidecar has no meta.formula"
-                         % (args.artifact, art.kind))
+    _check_solution_meta(art, args.artifact + ".roles.json")
     if art.kind == "sat3":
         decomp = decomposition_from_assignment(art, tau)
         run.verdict("kind", "decomposition")

@@ -196,6 +196,30 @@ def multigraph_delete(mg, drop):
     return multigraph_restrict(mg, (v for v in range(mg.n) if v not in dropped))
 
 
+def peel_degree_one(g):
+    """Vertices left after repeatedly deleting degree-1 vertices, ascending.
+
+    Reads only ``g.n`` and ``g.adj``, so it works for both containers; a
+    parallel pair counts as degree 2.  Degree-1 vertices are deleted last in,
+    first out.  The surviving edges do not depend on that order, but which
+    single vertex of a tree component survives does.
+    """
+    degree = [len(a) for a in g.adj]
+    alive = [True] * g.n
+    stack = [v for v in range(g.n) if degree[v] == 1]
+    while stack:
+        v = stack.pop()
+        if not alive[v] or degree[v] != 1:
+            continue
+        alive[v] = False
+        for u in g.adj[v]:
+            if alive[u]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    stack.append(u)
+    return [v for v in range(g.n) if alive[v]]
+
+
 def connected_components(g):
     """Maximal connected vertex sets, each sorted, ordered by smallest member.
 
@@ -368,26 +392,25 @@ def _lex_smallest_cycle(g, length):
         dist = _bfs_dist_from(adj, v0, v0)
         path = [v0]
         on_path = {v0}
-
-        def extend(u, depth):
-            remaining = length - depth
-            for w in adj[u]:
+        # depth-first with an explicit stack: one neighbour iterator per
+        # path vertex, so long cycles cannot exhaust the recursion limit
+        stack = [iter(adj[v0])]
+        while stack:
+            remaining = length - len(path)
+            for w in stack[-1]:
                 if w == v0 and remaining == 0:
-                    return True
+                    return path
                 if w <= v0 or w in on_path:
                     continue
                 if remaining < 1 or dist.get(w, length + 1) > remaining:
                     continue
                 path.append(w)
                 on_path.add(w)
-                if extend(w, depth + 1):
-                    return True
-                on_path.discard(w)
-                path.pop()
-            return False
-
-        if extend(v0, 1):
-            return path
+                stack.append(iter(adj[w]))
+                break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
     return None
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import Budget, BudgetExceededError
-from .graphs import connected_components, induced_subgraph
+from .graphs import connected_components, induced_subgraph, peel_degree_one
 
 KIND_K1 = "K1"
 KIND_EVEN_CYCLE = "even-cycle"
@@ -45,23 +45,12 @@ def compute_core(g):
     """Repeatedly delete degree-1 vertices.
 
     Returns ``(core, kept)`` where ``kept`` maps the core's dense ids back
-    to ``g``'s ids.  The result is independent of removal order; isolated
-    vertices survive as K1 components.
+    to ``g``'s ids.  The core's edges are independent of removal order; a
+    tree component leaves one vertex, and which one depends on the order
+    of :func:`~choosability.graphs.peel_degree_one`.  Isolated vertices
+    survive as K1 components.
     """
-    degree = [len(a) for a in g.adj]
-    alive = [True] * g.n
-    stack = [v for v in range(g.n) if degree[v] == 1]
-    while stack:
-        v = stack.pop()
-        if not alive[v] or degree[v] != 1:
-            continue
-        alive[v] = False
-        for u in g.adj[v]:
-            if alive[u]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    stack.append(u)
-    return induced_subgraph(g, (v for v in range(g.n) if alive[v]))
+    return induced_subgraph(g, peel_degree_one(g))
 
 
 def classify_core(core):
@@ -145,20 +134,22 @@ def is_L_colorable(g, lists):
         ordered.append(tuple(sorted(set(lists[v]))))
     earlier = [[u for u in g.adj[v] if u < v] for v in range(g.n)]
     chosen = [0] * g.n
-
-    def place(v):
-        if v == g.n:
-            return True
-        for c in ordered[v]:
+    tried = [0] * g.n       # list entries of each vertex tried so far
+    v = 0
+    while 0 <= v < g.n:
+        for i in range(tried[v], len(ordered[v])):
+            c = ordered[v][i]
             if all(chosen[u] != c for u in earlier[v]):
                 chosen[v] = c
-                if place(v + 1):
-                    return True
-        return False
-
-    if place(0):
-        return True, {v: chosen[v] for v in range(g.n)}
-    return False, None
+                tried[v] = i + 1
+                v += 1
+                break
+        else:
+            tried[v] = 0
+            v -= 1
+    if v < 0:
+        return False, None
+    return True, {u: chosen[u] for u in range(g.n)}
 
 
 def is_k_choosable_exhaustive(g, k, budget=None, cap=None):

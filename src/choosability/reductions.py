@@ -65,9 +65,13 @@ class CnfFormula:
 
     @classmethod
     def from_dict(cls, data):
-        rot = data.get("rotation")
-        return cls(data["num_vars"], tuple(tuple(c) for c in data["clauses"]),
-                   None if rot is None else tuple(tuple(r) for r in rot))
+        """Inverse of :meth:`to_dict`; raises ValueError on a malformed record."""
+        try:
+            rot = data.get("rotation")
+            return cls(data["num_vars"], tuple(tuple(c) for c in data["clauses"]),
+                       None if rot is None else tuple(tuple(r) for r in rot))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError("malformed formula record: %r" % (exc,)) from exc
 
     def satisfies(self, tau):
         tau = normalize_assignment(self, tau)
@@ -475,11 +479,8 @@ class _ArtifactBuilder:
 
     def artifact(self, kind, **meta):
         g = Graph(len(self.roles), sorted(self.edges))
-        meta = dict(meta)
-        if self.edge_records:
-            meta["edge_gadgets"] = self.edge_records
-        if self.gadget_records:
-            meta["forbidden_gadgets"] = self.gadget_records
+        meta = dict(meta, edge_gadgets=self.edge_records,
+                    forbidden_gadgets=self.gadget_records)
         return ReductionArtifact(kind, g, self.roles, meta)
 
 

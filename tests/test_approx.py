@@ -8,8 +8,9 @@ from choosability.approx import (KIND_K1_COUNTED, KIND_K23_ONE_ODD,
                                  is_2_choosable_via_preprocessing, preprocess,
                                  preprocessed_components)
 from choosability.generators import gen_gnp
-from choosability.graphs import CountedMultiGraph, delete_vertices
-from choosability.recognition import is_2_choosable
+from choosability.graphs import (CountedMultiGraph, Graph, delete_vertices,
+                                 multigraph_delete, shortest_cycle)
+from choosability.recognition import compute_core, is_2_choosable
 
 from conftest import (cycle_graph, graph_classes, path_graph, petersen_graph,
                       theta_graph)
@@ -82,6 +83,29 @@ class TestPreprocess:
                     a, b = out.adj[v]
                     if a != b:
                         assert out.degree(a) >= 3 and out.degree(b) >= 3
+
+    def test_survivors_match_compute_core(self):
+        # both peel with the same routine, so even the vertex a tree
+        # component leaves behind agrees
+        rng = random.Random(17)
+        for s in range(150):
+            n = rng.randrange(1, 40)
+            g = gen_gnp(n, rng.choice([0.03, 0.06, 0.1, 0.2]), seed=9000 + s)
+            out = preprocess(lift(g))
+            assert {x for p in out.provenance for x in p} == set(compute_core(g)[1])
+
+    def test_second_round_chain_through_counted_vertices(self):
+        # a theta on hubs 0 and 1 with three 3-edge paths; vertex 4, the
+        # middle of one path, carries a pendant triangle 12-13-14 via 11-12
+        g = Graph(15, [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (0, 7), (7, 8),
+                       (8, 1), (0, 9), (9, 10), (10, 1), (4, 11), (11, 12), (12, 13),
+                       (13, 14), (14, 12)])
+        first = preprocess(lift(g))
+        second = multigraph_delete(first, shortest_cycle(first))
+        assert second.provenance == ((0,), (1,), (4,), (11,), (2, 3), (5, 6), (7, 8), (9, 10))
+        out = preprocess(second)
+        assert out.provenance == ((0,), (1,), (7, 8), (9, 10), (2, 3, 4, 5, 6))
+        assert out.counts == (1, 1, 2, 2, 5)
 
 
 class TestCPrimeClassification:

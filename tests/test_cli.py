@@ -160,22 +160,39 @@ class TestReduceAndSolve:
         assert code == 0
         assert report["verdicts"]["size"] <= 42
 
-    @pytest.mark.parametrize("drop", ["meta.formula", "kind", "roles"])
+    @pytest.mark.parametrize("drop", ["meta.formula", "kind", "roles", "meta.formula.num_vars",
+                                      "planar3sat/meta.edge_gadgets",
+                                      "planar3sat/meta.forbidden_gadgets",
+                                      "planar3sat/meta.edge_gadgets.0.blue",
+                                      "planar3sat/roles.0.var"])
     def test_solution_sidecar_missing_key(self, tmp_path, capsys, drop):
+        kind, _, drop = drop.rpartition("/")
         cnf = tmp_path / "phi.cnf"
         cnf.write_text("p cnf 3 1\n1 2 -3 0\n")
         base = str(tmp_path / "art")
-        assert main(["reduce", "sat3", str(cnf), "--out", base]) == 0
+        options = ["--p", "1"] if kind else []
+        assert main(["reduce", kind or "sat3", str(cnf), "--out", base] + options) == 0
         sidecar_path = tmp_path / "art.roles.json"
         sidecar = json.loads(sidecar_path.read_text())
-        if drop == "meta.formula":
-            del sidecar["meta"]["formula"]
-        else:
-            del sidecar[drop]
+        *path, last = drop.split(".")
+        record = sidecar
+        for key in path:
+            record = record[int(key)] if isinstance(record, list) else record[key]
+        del record[last]
         sidecar_path.write_text(json.dumps(sidecar))
         capsys.readouterr()
         assert main(["solution-from-assignment", base, "--tau", "110"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_planar3sat_without_clauses(self, tmp_path, capsys):
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text("p cnf 2 0\n")
+        base = str(tmp_path / "gart")
+        assert main(["reduce", "planar3sat", str(cnf), "--p", "1", "--out", base]) == 0
+        capsys.readouterr()
+        code, report = run_json(capsys, ["solution-from-assignment", base, "--tau", "10"])
+        assert code == 0
+        assert report["verdicts"]["size"] == 0
 
     def test_vc_reduction_to_stdout(self, c5_file, capsys):
         code = main(["reduce", "vc", c5_file])

@@ -124,6 +124,10 @@ class TestShortestCycle:
 
     def test_acyclic(self):
         assert shortest_cycle(CountedMultiGraph.from_graph(path_graph(4))) is None
+
+    def test_long_cycle_within_recursion_limit(self):
+        g = CountedMultiGraph.from_graph(cycle_graph(1200))
+        assert shortest_cycle(g) == list(range(1200))
         assert shortest_cycle(CountedMultiGraph(0, [])) is None
 
     def test_matches_bruteforce_girth_small(self):

@@ -156,6 +156,10 @@ class TestListColoring:
     def test_triangle_same_lists(self):
         assert not is_L_colorable(cycle_graph(3), {v: {1, 2} for v in range(3)})[0]
 
+    def test_long_path_within_recursion_limit(self):
+        ok, coloring = is_L_colorable(path_graph(1200), {v: {1, 2} for v in range(1200)})
+        assert ok and coloring == {v: 1 + v % 2 for v in range(1200)}
+
     def test_k24_hard_assignment(self):
         g = complete_bipartite(2, 4)
         lists = {0: {1, 2}, 1: {3, 4}, 2: {1, 3}, 3: {1, 4}, 4: {2, 3}, 5: {2, 4}}
