@@ -75,9 +75,7 @@ def preprocess(mg):
     edges = [(new_id[u], new_id[v]) for u, v in core.edges if new_id[u] != new_id[v]]
     return CountedMultiGraph(
         len(kept) + len(runs), edges,
-        counts=[core.counts[v] for v in kept]
-        + [sum(core.counts[u] for u in run) for run in runs],
-        provenance=[core.provenance[v] for v in kept]
+        [core.provenance[v] for v in kept]
         + [tuple(x for u in run for x in core.provenance[u]) for run in runs])
 
 

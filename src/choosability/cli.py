@@ -19,8 +19,7 @@ from .dimacs import (ParseError, parse_dimacs_cnf, parse_graph, read_artifact,
 from .errors import Budget, BudgetExceededError
 from .exact import min_2_del_exact, min_near_3, near_3_decide
 from .generators import gen_cycle, gen_formula, gen_gnp, gen_theta
-from .graphs import (CountedMultiGraph, diameter, is_bipartite,
-                     is_triangle_free, shortest_cycle)
+from .graphs import diameter, is_bipartite, is_triangle_free, shortest_cycle
 from .recognition import (classify_core, compute_core, format_list_assignment,
                           is_2_choosable, is_k_choosable_exhaustive)
 from .reductions import (build_G_phi_p, build_H_phi, build_forbidden_gadget,
@@ -117,6 +116,13 @@ def _read(path):
         return fh.read()
 
 
+def _load_graph(path, run):
+    """Parse the graph file at ``path`` and record its digest in the report."""
+    text = _read(path)
+    run.report["input_digest"] = _digest(text)
+    return parse_graph(text)
+
+
 def _ids(vertices):
     return [v + 1 for v in vertices]
 
@@ -147,9 +153,7 @@ class _Run:
 
 
 def _cmd_stats(args, run):
-    text = _read(args.graph)
-    run.report["input_digest"] = _digest(text)
-    g = parse_graph(text)
+    g = _load_graph(args.graph, run)
     run.verdict("n", g.n)
     run.verdict("m", len(g.edges))
     bip, bw = is_bipartite(g)
@@ -162,7 +166,7 @@ def _cmd_stats(args, run):
         run.witness("triangle", _ids(tw))
     d = diameter(g)
     run.verdict("diameter", "disconnected" if d is None else d)
-    cyc = shortest_cycle(CountedMultiGraph.from_graph(g))
+    cyc = shortest_cycle(g)
     run.verdict("girth", "acyclic" if cyc is None else len(cyc))
     if cyc is not None:
         run.witness("girth_cycle", _ids(cyc))
@@ -172,9 +176,7 @@ def _cmd_stats(args, run):
 
 
 def _cmd_core(args, run):
-    text = _read(args.graph)
-    run.report["input_digest"] = _digest(text)
-    g = parse_graph(text)
+    g = _load_graph(args.graph, run)
     core, kept = compute_core(g)
     run.verdict("core_size", core.n)
     run.witness("kept", _ids(kept))
@@ -188,9 +190,7 @@ def _cmd_core(args, run):
 
 
 def _cmd_check2(args, run):
-    text = _read(args.graph)
-    run.report["input_digest"] = _digest(text)
-    g = parse_graph(text)
+    g = _load_graph(args.graph, run)
     if args.oracle:
         bud = Budget(args.budget)
         ok, bad = is_k_choosable_exhaustive(g, 2, budget=bud, cap=args.cap)
@@ -208,9 +208,7 @@ def _cmd_check2(args, run):
 
 
 def _cmd_near3(args, run):
-    text = _read(args.graph)
-    run.report["input_digest"] = _digest(text)
-    g = parse_graph(text)
+    g = _load_graph(args.graph, run)
     bud = Budget(args.budget)
     if args.minimize:
         result = min_near_3(g, budget=bud, cap=args.cap)
@@ -240,9 +238,7 @@ def _cmd_near3(args, run):
 
 
 def _cmd_del2(args, run):
-    text = _read(args.graph)
-    run.report["input_digest"] = _digest(text)
-    g = parse_graph(text)
+    g = _load_graph(args.graph, run)
     if args.exact:
         bud = Budget(args.budget)
         size, a = min_2_del_exact(g, budget=bud, cap=args.cap)

@@ -1,15 +1,18 @@
 """Graph containers and the structural queries every other module builds on.
 
 Two containers live here: ``Graph`` (simple, undirected, dense 0-based ids)
-and ``CountedMultiGraph`` (parallel edges allowed, per-vertex counts and
-provenance, used by the contraction pipeline).  All values are immutable
-after construction; every query is a pure function with deterministic
-tie-breaking (ascending vertex ids).
+and ``CountedMultiGraph`` (parallel edges allowed, per-vertex provenance
+whose lengths are the counts, used by the contraction pipeline).  All values
+are immutable after construction; every query is a pure function with
+deterministic tie-breaking (ascending vertex ids).  ``peel_degree_one``,
+``connected_components`` and ``shortest_cycle`` read only ``n`` and ``adj``,
+so they take either container; ``shortest_cycle`` runs one bounded BFS per
+root and one depth-first search at the root that wins.
 """
 
 from collections import deque
 
-from .errors import Budget
+from .errors import Budget, InternalCheckError
 
 
 class Graph:
@@ -19,9 +22,9 @@ class Graph:
     construction time.  ``adj[v]`` is a sorted tuple of neighbours.
     """
 
-    __slots__ = ("n", "edges", "adj", "labels", "_adj_sets", "_adj_bits")
+    __slots__ = ("n", "edges", "adj", "_adj_sets", "_adj_bits")
 
-    def __init__(self, n, edges, labels=None):
+    def __init__(self, n, edges):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         seen = set()
@@ -43,11 +46,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("need one label per vertex")
-        self.labels = labels
         self._adj_sets = None
         self._adj_bits = None
 
@@ -78,10 +76,10 @@ class Graph:
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
-                and self.edges == other.edges and self.labels == other.labels)
+                and self.edges == other.edges)
 
     def __hash__(self):
-        return hash((self.n, self.edges, self.labels))
+        return hash((self.n, self.edges))
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, len(self.edges))
@@ -97,10 +95,7 @@ def induced_subgraph(g, vertices):
     index = {v: i for i, v in enumerate(kept)}
     keep = set(kept)
     edges = [(index[u], index[v]) for u, v in g.edges if u in keep and v in keep]
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[v] for v in kept)
-    return Graph(len(kept), edges, labels), kept
+    return Graph(len(kept), edges), kept
 
 
 def delete_vertices(g, drop):
@@ -112,29 +107,24 @@ def delete_vertices(g, drop):
 class CountedMultiGraph:
     """Undirected multigraph with per-vertex counts and provenance.
 
-    Parallel edges are allowed, self-loops are not.  ``count[v]`` is a
-    positive integer and ``provenance[v]`` the ordered tuple of original
-    vertex ids the vertex stands for; provenance tuples are pairwise
-    disjoint and have length ``count[v]``.
+    Parallel edges are allowed, self-loops are not.  ``provenance[v]`` is
+    the non-empty, ordered tuple of original vertex ids the vertex stands
+    for; provenance tuples are pairwise disjoint, and ``counts[v]`` is the
+    length of ``provenance[v]``.
     """
 
     __slots__ = ("n", "edges", "counts", "provenance", "adj")
 
-    def __init__(self, n, edges, counts=None, provenance=None):
-        if counts is None:
-            counts = (1,) * n
+    def __init__(self, n, edges, provenance=None):
         if provenance is None:
             provenance = tuple((v,) for v in range(n))
-        counts = tuple(counts)
         provenance = tuple(tuple(p) for p in provenance)
-        if len(counts) != n or len(provenance) != n:
-            raise ValueError("need one count and one provenance entry per vertex")
+        if len(provenance) != n:
+            raise ValueError("need one provenance entry per vertex")
         seen_origins = set()
         for v in range(n):
-            if counts[v] < 1:
-                raise ValueError("count of vertex %d must be >= 1" % v)
-            if len(provenance[v]) != counts[v]:
-                raise ValueError("provenance length of vertex %d must equal its count" % v)
+            if not provenance[v]:
+                raise ValueError("provenance of vertex %d is empty" % v)
             for orig in provenance[v]:
                 if orig in seen_origins:
                     raise ValueError("provenance lists must be pairwise disjoint")
@@ -148,7 +138,7 @@ class CountedMultiGraph:
             normalized.append((u, v) if u < v else (v, u))
         self.n = n
         self.edges = tuple(sorted(normalized))
-        self.counts = counts
+        self.counts = tuple(len(p) for p in provenance)
         self.provenance = provenance
         adj = [[] for _ in range(n)]
         for u, v in self.edges:
@@ -169,11 +159,10 @@ class CountedMultiGraph:
 
     def __eq__(self, other):
         return (isinstance(other, CountedMultiGraph) and self.n == other.n
-                and self.edges == other.edges and self.counts == other.counts
-                and self.provenance == other.provenance)
+                and self.edges == other.edges and self.provenance == other.provenance)
 
     def __hash__(self):
-        return hash((self.n, self.edges, self.counts, self.provenance))
+        return hash((self.n, self.edges, self.provenance))
 
     def __repr__(self):
         return "CountedMultiGraph(n=%d, m=%d)" % (self.n, len(self.edges))
@@ -185,10 +174,7 @@ def multigraph_restrict(mg, vertices):
     index = {v: i for i, v in enumerate(kept)}
     keep = set(kept)
     edges = [(index[u], index[v]) for u, v in mg.edges if u in keep and v in keep]
-    return CountedMultiGraph(
-        len(kept), edges,
-        counts=tuple(mg.counts[v] for v in kept),
-        provenance=tuple(mg.provenance[v] for v in kept))
+    return CountedMultiGraph(len(kept), edges, tuple(mg.provenance[v] for v in kept))
 
 
 def multigraph_delete(mg, drop):
@@ -333,98 +319,84 @@ def diameter(g):
 
 
 def shortest_cycle(g):
-    """Shortest cycle of a counted multigraph as a vertex list, or None.
+    """Shortest cycle of a ``Graph`` or ``CountedMultiGraph``, or None.
 
-    A pair of parallel edges counts as a cycle of length 2.  Ties are broken
-    by the lexicographically smallest vertex sequence; the sequence starts at
+    Reads only ``n`` and ``adj``.  A pair of parallel edges counts as a cycle
+    of length 2, and the first such pair ends the search.  Ties are broken by
+    the lexicographically smallest vertex sequence; the sequence starts at
     the smallest vertex of the cycle and closure back to it is implied.
+
+    Otherwise one bounded BFS per root ``v0`` finds the shortest cycle whose
+    smallest vertex is ``v0`` (Itai and Rodeh, 1978): the BFS runs over ids
+    above ``v0`` and labels each vertex with the neighbour of ``v0`` it
+    descends from, so an edge between two labels closes a simple cycle.  The
+    first root to reach the minimum length is the first vertex of the
+    answer, and one depth-first search there lists the cycle.
     """
-    best_pair = None
+    adj = g.adj
     for u in range(g.n):
-        prev = None
-        for v in g.adj[u]:
-            if v == prev and v > u:
-                best_pair = (u, v)
-                break
-            prev = v
-        if best_pair:
-            break
-    if best_pair:
-        return list(best_pair)
+        for a, b in zip(adj[u], adj[u][1:]):
+            if a == b and a > u:
+                return [u, a]
 
-    girth = _simple_girth(g)
-    if girth is None:
-        return None
-    return _lex_smallest_cycle(g, girth)
-
-
-def _simple_girth(g):
-    """Girth of the simple support via BFS from every vertex (no parallels)."""
-    best = None
-    adj = [sorted(set(a)) for a in g.adj]
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
-                break
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v and parent[v] != u:
-                    length = dist[u] + dist[v] + 1
-                    if best is None or length < best:
-                        best = length
-        if best == 3:
-            break
-    return best
-
-
-def _lex_smallest_cycle(g, length):
-    """Lexicographically smallest simple cycle of exactly ``length`` >= 3."""
-    adj = [sorted(set(a)) for a in g.adj]
+    # no parallel pairs from here on: the graph is simple
+    best, root, root_dist = g.n + 1, None, None
     for v0 in range(g.n):
-        # Cycles whose smallest vertex is v0: all other vertices exceed v0.
-        dist = _bfs_dist_from(adj, v0, v0)
-        path = [v0]
-        on_path = {v0}
-        # depth-first with an explicit stack: one neighbour iterator per
-        # path vertex, so long cycles cannot exhaust the recursion limit
-        stack = [iter(adj[v0])]
-        while stack:
-            remaining = length - len(path)
-            for w in stack[-1]:
-                if w == v0 and remaining == 0:
-                    return path
-                if w <= v0 or w in on_path:
-                    continue
-                if remaining < 1 or dist.get(w, length + 1) > remaining:
-                    continue
-                path.append(w)
-                on_path.add(w)
-                stack.append(iter(adj[w]))
-                break
-            else:
-                stack.pop()
-                on_path.discard(path.pop())
-    return None
+        frontier = [w for w in adj[v0] if w > v0]
+        if len(frontier) < 2:
+            continue
+        dist = dict.fromkeys(frontier, 1)
+        branch = {w: w for w in frontier}
+        found = best
+        depth = 1
+        # closures found while expanding depth d have length 2d+1 or more
+        while frontier and 2 * depth + 1 < found:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w <= v0:
+                        continue
+                    if w not in dist:
+                        dist[w] = depth + 1
+                        branch[w] = branch[u]
+                        nxt.append(w)
+                    elif branch[w] != branch[u]:
+                        found = min(found, depth + dist[w] + 1)
+            frontier = nxt
+            depth += 1
+        if found < best:
+            best, root, root_dist = found, v0, dist
+    if root is None:
+        return None
+    return _lex_smallest_cycle(adj, root, best, root_dist)
 
 
-def _bfs_dist_from(adj, v0, floor):
-    """BFS distances to v0 through vertices > floor (v0 itself allowed)."""
-    dist = {v0: 0}
-    queue = deque([v0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v > floor and v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+def _lex_smallest_cycle(adj, v0, length, dist):
+    """Lexicographically smallest cycle of ``length`` whose smallest vertex is v0.
+
+    ``dist`` holds the distance to v0 through ids above v0 of every vertex
+    within ``length // 2`` of it; no vertex further out lies on such a cycle.
+    """
+    path = [v0]
+    on_path = {v0}
+    # depth-first with an explicit stack: one neighbour iterator per
+    # path vertex, so long cycles cannot exhaust the recursion limit
+    stack = [iter(adj[v0])]
+    while stack:
+        remaining = length - len(path)
+        for w in stack[-1]:
+            if w == v0 and remaining == 0:
+                return path
+            if w <= v0 or w in on_path or dist.get(w, length + 1) > remaining:
+                continue
+            path.append(w)
+            on_path.add(w)
+            stack.append(iter(adj[w]))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+    raise InternalCheckError("no cycle of length %d through root %d" % (length, v0))
 
 
 def find_proper_coloring(g, k, budget=None):

@@ -152,7 +152,7 @@ P_INDEX = {label: i for i, label in enumerate(P_LABELS)}
 def constraint_graph_P():
     """The frozen 17-vertex, 31-edge constraint graph with label roles."""
     edges = [(P_INDEX[a], P_INDEX[b]) for a, b in P_EDGES_BY_LABEL]
-    g = Graph(len(P_LABELS), edges, labels=P_LABELS)
+    g = Graph(len(P_LABELS), edges)
     roles = {P_INDEX[lab]: {"role": "constraint-p", "label": lab} for lab in P_LABELS}
     return ReductionArtifact("constraint-p", g, roles)
 

@@ -138,6 +138,29 @@ def brute_girth(g):
     return best[0]
 
 
+def brute_lex_shortest_cycle(g):
+    """Minimum over all cycles by ``(length, sequence)``, or None.
+
+    A parallel pair ``u < v`` is the cycle ``[u, v]`` of length 2; a longer
+    cycle is listed from its smallest vertex, in both directions.  Reads
+    only ``n`` and ``adj``, so it takes either container.
+    """
+    cycles = [[u, v] for u in range(g.n) for v in set(g.adj[u])
+              if v > u and g.adj[u].count(v) > 1]
+    adj = [sorted(set(a)) for a in g.adj]
+
+    def extend(path):
+        for w in adj[path[-1]]:
+            if w == path[0] and len(path) >= 3:
+                cycles.append(list(path))
+            elif w > path[0] and w not in path:
+                extend(path + [w])
+
+    for s in range(g.n):
+        extend([s])
+    return min(cycles, key=lambda c: (len(c), c), default=None)
+
+
 def brute_list_colorable(g, lists):
     """Try every selection from the lists."""
     domains = [sorted(lists[v]) for v in range(g.n)]

@@ -110,37 +110,31 @@ class TestPreprocess:
 
 class TestCPrimeClassification:
     def test_counted_k1(self):
-        mg = CountedMultiGraph(1, [], counts=(7,), provenance=((0, 1, 2, 3, 4, 5, 6),))
+        mg = CountedMultiGraph(1, [], provenance=((0, 1, 2, 3, 4, 5, 6),))
         assert classify_c_prime(mg).kind == KIND_K1_COUNTED
 
     def test_parallel_pair_even_sum(self):
-        mg = CountedMultiGraph(2, [(0, 1), (0, 1)], counts=(5, 1),
-                               provenance=(tuple(range(5)), (9,)))
+        mg = CountedMultiGraph(2, [(0, 1), (0, 1)], provenance=(tuple(range(5)), (9,)))
         assert classify_c_prime(mg).kind == KIND_PARALLEL_PAIR_EVEN
 
     def test_parallel_pair_odd_sum(self):
-        mg = CountedMultiGraph(2, [(0, 1), (0, 1)], counts=(4, 1),
-                               provenance=(tuple(range(4)), (9,)))
+        mg = CountedMultiGraph(2, [(0, 1), (0, 1)], provenance=(tuple(range(4)), (9,)))
         assert classify_c_prime(mg).kind == KIND_NOT_IN_FAMILY
 
     def test_counted_k23(self):
         k23 = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
-        mg = CountedMultiGraph(5, k23, counts=(1, 1, 3, 1, 1),
-                               provenance=((0,), (1,), (2, 3, 4), (5,), (6,)))
+        mg = CountedMultiGraph(5, k23, provenance=((0,), (1,), (2, 3, 4), (5,), (6,)))
         assert classify_c_prime(mg).kind == KIND_K23_ONE_ODD
         all_ones = CountedMultiGraph(5, k23)
         assert classify_c_prime(all_ones).kind == KIND_K23_ONE_ODD
 
     def test_counted_k23_rejections(self):
         k23 = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
-        even = CountedMultiGraph(5, k23, counts=(1, 1, 2, 1, 1),
-                                 provenance=((0,), (1,), (2, 3), (4,), (5,)))
+        even = CountedMultiGraph(5, k23, provenance=((0,), (1,), (2, 3), (4,), (5,)))
         assert classify_c_prime(even).kind == KIND_NOT_IN_FAMILY
-        hub_heavy = CountedMultiGraph(5, k23, counts=(3, 1, 1, 1, 1),
-                                      provenance=((0, 1, 2), (3,), (4,), (5,), (6,)))
+        hub_heavy = CountedMultiGraph(5, k23, provenance=((0, 1, 2), (3,), (4,), (5,), (6,)))
         assert classify_c_prime(hub_heavy).kind == KIND_NOT_IN_FAMILY
-        two_heavy = CountedMultiGraph(5, k23, counts=(1, 1, 3, 3, 1),
-                                      provenance=((0,), (1,), (2, 3, 4), (5, 6, 7), (8,)))
+        two_heavy = CountedMultiGraph(5, k23, provenance=((0,), (1,), (2, 3, 4), (5, 6, 7), (8,)))
         assert classify_c_prime(two_heavy).kind == KIND_NOT_IN_FAMILY
 
     def test_rejects_unpreprocessed(self):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from choosability.errors import BudgetExceededError
@@ -6,9 +8,9 @@ from choosability.graphs import (CountedMultiGraph, Graph, connected_components,
                                  find_proper_coloring, induced_subgraph,
                                  is_bipartite, is_triangle_free, shortest_cycle)
 
-from conftest import (brute_girth, complete_bipartite, complete_graph,
-                      cycle_graph, disjoint_union, graph_classes, mask_to_graph,
-                      path_graph, petersen_graph, vertex_pairs)
+from conftest import (brute_girth, brute_lex_shortest_cycle, complete_bipartite,
+                      complete_graph, cycle_graph, disjoint_union, graph_classes,
+                      mask_to_graph, path_graph, petersen_graph, vertex_pairs)
 
 
 class TestGraphConstruction:
@@ -31,13 +33,13 @@ class TestGraphConstruction:
         assert [g.degree(v) for v in range(4)] == [2, 2, 2, 2]
 
     def test_multigraph_invariants(self):
-        mg = CountedMultiGraph(2, [(0, 1), (0, 1)], counts=(2, 1),
-                               provenance=((4, 5), (6,)))
+        mg = CountedMultiGraph(2, [(0, 1), (0, 1)], provenance=((4, 5), (6,)))
         assert mg.multiplicity(0, 1) == 2
+        assert mg.counts == (2, 1)
         with pytest.raises(ValueError, match="disjoint"):
-            CountedMultiGraph(2, [(0, 1)], counts=(1, 1), provenance=((3,), (3,)))
-        with pytest.raises(ValueError, match="count"):
-            CountedMultiGraph(1, [], counts=(0,), provenance=((),))
+            CountedMultiGraph(2, [(0, 1)], provenance=((3,), (3,)))
+        with pytest.raises(ValueError, match="empty"):
+            CountedMultiGraph(1, [], provenance=((),))
 
 
 class TestBipartite:
@@ -140,7 +142,6 @@ class TestShortestCycle:
                     assert len(got) == expected
 
     def test_matches_bruteforce_girth_7(self):
-        import random
         rng = random.Random(99)
         pairs = vertex_pairs(7)
         for _ in range(120):
@@ -166,6 +167,40 @@ class TestShortestCycle:
         # two triangles; the one through vertex 0 wins
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert shortest_cycle(CountedMultiGraph.from_graph(g)) == [0, 1, 2]
+
+    def test_smaller_root_with_only_longer_cycles(self):
+        # vertex 0 lies on a 4-cycle and a 5-cycle; the triangle avoids it
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (2, 4)])
+        assert shortest_cycle(g) == [1, 2, 4]
+        assert shortest_cycle(CountedMultiGraph.from_graph(g)) == [1, 2, 4]
+
+    def test_parallel_pair_beats_earlier_triangle(self):
+        mg = CountedMultiGraph(5, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 3)])
+        assert shortest_cycle(mg) == [3, 4]
+
+    def test_lex_order_matches_bruteforce_on_relabelled_classes(self, classes_upto_6):
+        rng = random.Random(41)
+        for n, classes in classes_upto_6.items():
+            for g in classes:
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+                    expected = brute_lex_shortest_cycle(h)
+                    assert shortest_cycle(h) == expected
+                    assert shortest_cycle(CountedMultiGraph.from_graph(h)) == expected
+
+    def test_lex_order_matches_bruteforce_on_random_multigraphs(self):
+        rng = random.Random(42)
+        parallel = 0
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 12))
+                     if n > 1]
+            mg = CountedMultiGraph(n, edges)
+            parallel += len(set(mg.edges)) < len(mg.edges)
+            assert shortest_cycle(mg) == brute_lex_shortest_cycle(mg)
+        assert parallel > 500
 
 
 class TestProperColoring:
