@@ -28,7 +28,6 @@ KIND_NOT_IN_FAMILY = "not-in-family"
 @dataclass(frozen=True)
 class CPrimeVerdict:
     kind: str
-    vertices: tuple
 
     @property
     def in_family(self):
@@ -99,16 +98,15 @@ def classify_c_prime(component):
     for v in range(component.n):
         if component.degree(v) == 1:
             raise ValueError("degree-1 vertex %d present; input is not preprocessed" % v)
-    vertices = tuple(range(component.n))
     if component.n == 1:
-        return CPrimeVerdict(KIND_K1_COUNTED, vertices)
+        return CPrimeVerdict(KIND_K1_COUNTED)
     if component.n == 2 and len(component.edges) == 2:
         if sum(component.counts) % 2 == 0:
-            return CPrimeVerdict(KIND_PARALLEL_PAIR_EVEN, vertices)
-        return CPrimeVerdict(KIND_NOT_IN_FAMILY, vertices)
+            return CPrimeVerdict(KIND_PARALLEL_PAIR_EVEN)
+        return CPrimeVerdict(KIND_NOT_IN_FAMILY)
     if _is_counted_k23(component):
-        return CPrimeVerdict(KIND_K23_ONE_ODD, vertices)
-    return CPrimeVerdict(KIND_NOT_IN_FAMILY, vertices)
+        return CPrimeVerdict(KIND_K23_ONE_ODD)
+    return CPrimeVerdict(KIND_NOT_IN_FAMILY)
 
 
 def _is_counted_k23(c):

@@ -78,30 +78,36 @@ def _hitting_set(obstruction, bud, stage):
     vertices one of which every solution containing ``chosen`` must contain
     (empty when none can).  Only a strictly larger size is pruned, so every
     minimum solution is reached and the lexicographically first is returned;
-    None when there is no solution.
+    None when there is no solution.  Depth-first with an explicit stack of
+    (node, untried branch vertices), so deep trees cannot exhaust the
+    recursion limit.
     """
     best = None
     seen = set()
-
-    def rec(chosen):
-        nonlocal best
+    stack = []
+    chosen = frozenset()
+    while True:
         bud.charge(stage=stage)
-        if chosen in seen:
-            return
-        seen.add(chosen)
-        obs = obstruction(chosen)
-        if obs is None:
-            cand = (len(chosen), tuple(sorted(chosen)))
-            if best is None or cand < best:
-                best = cand
-            return
-        if best is not None and len(chosen) + 1 > best[0]:
-            return
-        for v in obs:
-            rec(chosen | {v})
-
-    rec(frozenset())
-    return best
+        branches = ()
+        if chosen not in seen:
+            seen.add(chosen)
+            obs = obstruction(chosen)
+            if obs is None:
+                cand = (len(chosen), tuple(sorted(chosen)))
+                if best is None or cand < best:
+                    best = cand
+            elif best is None or len(chosen) + 1 <= best[0]:
+                branches = obs
+        stack.append((chosen, iter(branches)))
+        while stack:
+            parent, untried = stack[-1]
+            v = next(untried, None)
+            if v is not None:
+                chosen = parent | {v}
+                break
+            stack.pop()
+        else:
+            return best
 
 
 def _minimal_obstruction(g, removed):

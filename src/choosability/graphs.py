@@ -12,7 +12,7 @@ root and one depth-first search at the root that wins.
 
 from collections import deque
 
-from .errors import Budget, InternalCheckError
+from .errors import InternalCheckError
 
 
 class Graph:
@@ -153,9 +153,6 @@ class CountedMultiGraph:
 
     def degree(self, v):
         return len(self.adj[v])
-
-    def multiplicity(self, u, v):
-        return self.adj[u].count(v)
 
     def __eq__(self, other):
         return (isinstance(other, CountedMultiGraph) and self.n == other.n
@@ -397,38 +394,6 @@ def _lex_smallest_cycle(adj, v0, length, dist):
             stack.pop()
             on_path.discard(path.pop())
     raise InternalCheckError("no cycle of length %d through root %d" % (length, v0))
-
-
-def find_proper_coloring(g, k, budget=None):
-    """Backtracking search for a proper k-coloring.
-
-    Vertices are processed in ascending id order, colors tried ascending
-    from 1 to k.  Returns an assignment dict or None.  Raises
-    BudgetExceededError when the node-expansion budget (default 2,000,000)
-    runs out; intended for desk-scale or structured inputs.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    bud = Budget.ensure(2_000_000 if budget is None else budget)
-    earlier = [[u for u in g.adj[v] if u < v] for v in range(g.n)]
-    colors = [0] * g.n
-    v = 0
-    while 0 <= v < g.n:
-        bud.charge(stage="proper-coloring", vertex=v)
-        placed = False
-        for c in range(colors[v] + 1, k + 1):
-            if all(colors[u] != c for u in earlier[v]):
-                colors[v] = c
-                placed = True
-                break
-        if placed:
-            v += 1
-        else:
-            colors[v] = 0
-            v -= 1
-    if v < 0:
-        return None
-    return {u: colors[u] for u in range(g.n)}
 
 
 def coloring_is_proper(g, assignment):

@@ -121,22 +121,28 @@ def is_2_choosable(g):
     return True, None
 
 
-def is_L_colorable(g, lists):
+def is_L_colorable(g, lists, budget=None):
     """Backtracking search for a proper coloring drawing each color from its list.
 
-    ``lists`` maps every vertex to a non-empty collection of colors.
-    Returns ``(True, coloring)`` or ``(False, None)``.
+    The package's one coloring search; a proper k-coloring is the case where
+    every list is ``1..k``.  Vertices are colored in ascending id order,
+    each list tried in ascending order.  ``lists`` maps every vertex to a
+    non-empty collection of colors.  Returns ``(True, coloring)`` or
+    ``(False, None)``; one budget unit is charged per step, forward or back,
+    and BudgetExceededError is raised when the budget runs out.
     """
     ordered = []
     for v in range(g.n):
         if v not in lists or not lists[v]:
             raise ValueError("vertex %d has no color list" % v)
         ordered.append(tuple(sorted(set(lists[v]))))
+    bud = Budget.ensure(budget)
     earlier = [[u for u in g.adj[v] if u < v] for v in range(g.n)]
     chosen = [0] * g.n
     tried = [0] * g.n       # list entries of each vertex tried so far
     v = 0
     while 0 <= v < g.n:
+        bud.charge(stage="list-coloring", vertex=v)
         for i in range(tried[v], len(ordered[v])):
             c = ordered[v][i]
             if all(chosen[u] != c for u in earlier[v]):
@@ -175,50 +181,60 @@ def is_k_choosable_exhaustive(g, k, budget=None, cap=None):
             "hunt for a counterexample anyway" % (g.n, cap))
     stats = {"assignments": 0}
     earlier = [[u for u in g.adj[v] if u < v] for v in range(g.n)]
-    lists = []
-
-    def bad_witness():
-        # complete the current partial assignment with fresh colors
-        used = max((c for lst in lists for c in lst), default=0)
-        witness = {v: lists[v] for v in range(len(lists))}
-        for v in range(len(lists), g.n):
-            witness[v] = tuple(range(used + 1, used + k + 1))
-            used += k
-        return witness
-
-    def enumerate_lists(v, used, colorings):
-        """DFS over canonical lists; ``colorings`` = feasible prefix colorings."""
-        if v == g.n:
+    lists = []      # the list of every vertex before the one being listed
+    candidates_after = {}   # colors used so far -> the next vertex's lists
+    # depth-first with an explicit stack, one frame per listed vertex:
+    # (colors used so far, feasible colorings of the prefix, untried lists)
+    stack = [(0, [()], iter(_canonical_lists(0, k)))] if g.n else []
+    while stack:
+        used, colorings, candidates = stack[-1]
+        nbrs = earlier[len(lists)]
+        for lst in candidates:
+            bud.charge(stage="oracle", **stats)
+            lists.append(lst)
+            extended = []
+            append = extended.append
+            for coloring in colorings:
+                for c in lst:
+                    for u in nbrs:
+                        if coloring[u] == c:
+                            break
+                    else:
+                        append(coloring + (c,))
+            if not extended:
+                stats["assignments"] += 1
+                # the prefix is already uncolorable; complete it with fresh colors
+                used = max(used, lst[-1])
+                witness = dict(enumerate(lists))
+                for v in range(len(lists), g.n):
+                    witness[v] = tuple(range(used + 1, used + k + 1))
+                    used += k
+                return False, witness
+            if len(lists) < g.n:
+                used = max(used, lst[-1])
+                if used not in candidates_after:
+                    candidates_after[used] = _canonical_lists(used, k)
+                stack.append((used, extended, iter(candidates_after[used])))
+                break
             stats["assignments"] += 1
-            return True
-        nbrs = earlier[v]
-        for n_new in range(k + 1):
-            n_old = k - n_new
-            new_part = tuple(range(used + 1, used + n_new + 1))
-            for old_part in combinations(range(1, used + 1), n_old):
-                bud.charge(stage="oracle", **stats)
-                lst = old_part + new_part
-                lists.append(lst)
-                extended = []
-                append = extended.append
-                for coloring in colorings:
-                    for c in lst:
-                        for u in nbrs:
-                            if coloring[u] == c:
-                                break
-                        else:
-                            append(coloring + (c,))
-                if not extended:
-                    stats["assignments"] += 1
-                    return False    # prefix already uncolorable
-                if not enumerate_lists(v + 1, used + n_new, extended):
-                    return False
+            lists.pop()
+        else:
+            stack.pop()
+            if lists:
                 lists.pop()
-        return True
+    return True, None
 
-    if enumerate_lists(0, 0, [()]):
-        return True, None
-    return False, bad_witness()
+
+def _canonical_lists(used, k):
+    """The k-lists of the next vertex up to renaming of the unused colors.
+
+    Old colors come from 1..used, new ones are the smallest unused
+    integers; lists come by ascending count of new colors, then
+    lexicographically.
+    """
+    return [old_part + tuple(range(used + 1, used + n_new + 1))
+            for n_new in range(k + 1)
+            for old_part in combinations(range(1, used + 1), k - n_new)]
 
 
 def format_list_assignment(lists):

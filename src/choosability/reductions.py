@@ -12,7 +12,7 @@ from math import ceil
 from .errors import InternalCheckError
 from .exact import Decomposition, maximal_independent_sets
 from .graphs import Graph, coloring_is_proper, delete_vertices, induced_subgraph
-from .recognition import is_2_choosable
+from .recognition import is_2_choosable, is_L_colorable
 
 
 @dataclass(frozen=True)
@@ -312,103 +312,47 @@ def build_H_phi(phi):
     return ReductionArtifact("sat3", g, roles, meta)
 
 
-_ROW_PAIRS = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
-
-_W_CONTACT = {}
-for _a, _b in P_EDGES_BY_LABEL:
-    for _w, _v in ((_a, _b), (_b, _a)):
-        if _w.startswith("w") and _v.startswith("v"):
-            _W_CONTACT.setdefault(_w, []).append(_v)
-
-
 def H_phi_four_coloring(art):
-    """Search the row-uniform family for a proper 4-coloring.
+    """Row-uniform proper 4-coloring of H_phi.
 
-    Every paired row gets uniform distinct colors from {1, 2, 3} for its
-    true and false sides, the dominating row gets 4, the apex gets 1.  Rows
-    are seeded with the intended rule (a designated row whose label has a
-    single variable contact copies/opposes that contact's color; other
-    designated rows start at (3, 2)) and a small backtracking search settles
-    the rest.  Returns ``(assignment, details)``; failure to find any
-    row-uniform coloring raises InternalCheckError.
+    Every paired row colors its true and false sides uniformly with
+    distinct colors from {1, 2, 3}, the dominating row gets 4 and the apex
+    1.  The row colors are a 3-list coloring of the row graph, which has one
+    vertex per row side (``2 * (row - 1)`` the true side, the next id the
+    false side), an edge between the two sides of each row, and one edge
+    per constraint-graph edge of each gadget.  Returns ``(assignment,
+    details)`` with ``details["row_pairs"]`` mapping each row to its (true,
+    false) colors; failure to find any row-uniform coloring raises
+    InternalCheckError.
     """
     phi = CnfFormula.from_dict(art.meta["formula"])
     n, k = phi.num_vars, phi.num_clauses
     rows, tid, fid, dom, d0 = _h_layout(n, k)
 
-    constraints = [[] for _ in range(rows + 1)]     # row -> [(side, row2, side2)]
-    single_contact = set(SINGLE_CONTACT_LABELS)
-    seed_source = {}
+    edges = [(2 * r, 2 * r + 1) for r in range(rows)]
     for s in range(1, k + 1):
-        vmap = _identified_vertices(phi, s, tid, fid)
-        side_of = {}
-        row_of = {}
-        for lab, vid in vmap.items():
+        side = {}
+        for lab, vid in _identified_vertices(phi, s, tid, fid).items():
             rec = art.roles[vid]
-            side_of[lab] = "true" if rec["role"].endswith("true") else "false"
-            row_of[lab] = rec["row"]
-        for a, b in P_EDGES_BY_LABEL:
-            ra, rb = row_of[a], row_of[b]
-            constraints[ra].append((side_of[a], rb, side_of[b]))
-            constraints[rb].append((side_of[b], ra, side_of[a]))
-        for t in range(1, 15):
-            lab = "w%d" % t
-            if lab in single_contact:
-                contact = _W_CONTACT[lab][0]
-                seed_source[row_of[lab]] = (row_of[contact], side_of[contact])
-
-    chosen = {}
-
-    def seed_for(row):
-        if row <= n:
-            return (1, 2)
-        if row in seed_source:
-            src_row, src_side = seed_source[row]
-            if src_row in chosen:
-                contact_color = chosen[src_row][0 if src_side == "true" else 1]
-                return (1, 2) if contact_color == 2 else (2, 1)
-        return (3, 2)
-
-    def consistent(row, pair):
-        for side, row2, side2 in constraints[row]:
-            if row2 not in chosen:
-                continue
-            mine = pair[0 if side == "true" else 1]
-            theirs = chosen[row2][0 if side2 == "true" else 1]
-            if mine == theirs:
-                return False
-        return True
-
-    rules = {}
-
-    def solve(row):
-        if row > rows:
-            return True
-        seed = seed_for(row)
-        candidates = [seed] + [p for p in _ROW_PAIRS if p != seed]
-        for pair in candidates:
-            if consistent(row, pair):
-                chosen[row] = pair
-                rules[row] = "seed" if pair == seed else "search"
-                if solve(row + 1):
-                    return True
-                del chosen[row], rules[row]
-        return False
-
-    if not solve(1):
+            side[lab] = 2 * (rec["row"] - 1) + rec["role"].endswith("false")
+        edges.extend((side[a], side[b]) for a, b in P_EDGES_BY_LABEL)
+    ok, colors = is_L_colorable(Graph(2 * rows, edges),
+                                dict.fromkeys(range(2 * rows), (1, 2, 3)))
+    if not ok:
         raise InternalCheckError("no row-uniform 4-coloring exists")
+    row_pairs = {row: (colors[2 * row - 2], colors[2 * row - 1])
+                 for row in range(1, rows + 1)}
 
     assignment = {d0: 1}
     for s in range(1, k + 1):
         for c in range(1, 18):
             assignment[dom(s, c)] = 4
-            for row in range(1, rows + 1):
-                y, z = chosen[row]
+            for row, (y, z) in row_pairs.items():
                 assignment[tid(s, row, c)] = y
                 assignment[fid(s, row, c)] = z
     if not coloring_is_proper(art.graph, assignment):
         raise InternalCheckError("row-uniform coloring failed the edge re-check")
-    return assignment, {"row_pairs": dict(chosen), "rules": rules}
+    return assignment, {"row_pairs": row_pairs}
 
 
 def decomposition_from_assignment(art, tau):

@@ -60,6 +60,13 @@ class TestExitCodes:
         k5.write_text(write_graph(Graph(5, edges)))
         assert main(["near3", str(k5)]) == 1
 
+    def test_oracle_budget_on_long_cycle(self, tmp_path, capsys):
+        # a list per vertex on the search path, 3000 deep
+        path = tmp_path / "c3000.graph"
+        path.write_text(write_graph(cycle_graph(3000)))
+        assert main(["check2", str(path), "--oracle", "--budget", "20000"]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+
 
 class TestStats:
     def test_c5(self, c5_file, capsys):

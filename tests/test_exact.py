@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -209,6 +210,24 @@ class TestMin2Del:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             min_2_del_exact(complete_graph(9), budget=20)
+
+    def test_deep_search_within_recursion_limit(self):
+        # 200 disjoint triangles put the first solution 200 levels down; a
+        # recursive search would need a frame per level
+        g = Graph(600, [(3 * i + a, 3 * i + b) for i in range(200)
+                        for a, b in ((0, 1), (1, 2), (0, 2))])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            for solve in (min_2_del_exact, min_near_3, min_vertex_cover_exact):
+                with pytest.raises(BudgetExceededError) as err:
+                    solve(g, budget=400, cap=g.n)
+                assert err.value.stats["expanded"] == 401
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestMinVertexCover:

@@ -5,12 +5,18 @@ import pytest
 from choosability.errors import BudgetExceededError
 from choosability.graphs import (CountedMultiGraph, Graph, connected_components,
                                  coloring_is_proper, delete_vertices, diameter,
-                                 find_proper_coloring, induced_subgraph,
-                                 is_bipartite, is_triangle_free, shortest_cycle)
+                                 induced_subgraph, is_bipartite, is_triangle_free,
+                                 shortest_cycle)
+from choosability.recognition import is_L_colorable
 
 from conftest import (brute_girth, brute_lex_shortest_cycle, complete_bipartite,
                       complete_graph, cycle_graph, disjoint_union, graph_classes,
                       mask_to_graph, path_graph, petersen_graph, vertex_pairs)
+
+
+def k_colorable(g, k, budget=None):
+    """Proper k-coloring search: every list is 1..k."""
+    return is_L_colorable(g, dict.fromkeys(range(g.n), range(1, k + 1)), budget)
 
 
 class TestGraphConstruction:
@@ -34,7 +40,6 @@ class TestGraphConstruction:
 
     def test_multigraph_invariants(self):
         mg = CountedMultiGraph(2, [(0, 1), (0, 1)], provenance=((4, 5), (6,)))
-        assert mg.multiplicity(0, 1) == 2
         assert mg.counts == (2, 1)
         with pytest.raises(ValueError, match="disjoint"):
             CountedMultiGraph(2, [(0, 1)], provenance=((3,), (3,)))
@@ -74,7 +79,7 @@ class TestBipartite:
     def test_agrees_with_two_coloring_search(self):
         for n in range(0, 7):
             for g in graph_classes(n):
-                assert is_bipartite(g)[0] == (find_proper_coloring(g, 2) is not None)
+                assert is_bipartite(g)[0] == k_colorable(g, 2)[0]
 
     def test_agrees_with_two_coloring_search_at_7(self):
         import random
@@ -82,7 +87,7 @@ class TestBipartite:
         pairs = vertex_pairs(7)
         for _ in range(250):
             g = mask_to_graph(7, rng.getrandbits(len(pairs)), pairs)
-            assert is_bipartite(g)[0] == (find_proper_coloring(g, 2) is not None)
+            assert is_bipartite(g)[0] == k_colorable(g, 2)[0]
 
 
 class TestTriangleFree:
@@ -205,13 +210,13 @@ class TestShortestCycle:
 
 class TestProperColoring:
     def test_odd_cycle_needs_three(self):
-        assert find_proper_coloring(cycle_graph(5), 2) is None
-        coloring = find_proper_coloring(cycle_graph(5), 3)
-        assert coloring_is_proper(cycle_graph(5), coloring)
+        assert k_colorable(cycle_graph(5), 2) == (False, None)
+        ok, coloring = k_colorable(cycle_graph(5), 3)
+        assert ok and coloring_is_proper(cycle_graph(5), coloring)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            find_proper_coloring(complete_graph(8), 7, budget=10)
+            k_colorable(complete_graph(8), 7, budget=10)
 
     def test_agrees_with_exhaustive_product(self):
         import itertools
@@ -221,7 +226,7 @@ class TestProperColoring:
                     brute = any(
                         all(ch[u] != ch[v] for u, v in g.edges)
                         for ch in itertools.product(range(k), repeat=g.n))
-                    assert (find_proper_coloring(g, k) is not None) == brute
+                    assert k_colorable(g, k)[0] == brute
 
 
 class TestComponents:

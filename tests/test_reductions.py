@@ -4,10 +4,10 @@ from itertools import product
 import pytest
 
 from choosability.exact import decomposition_is_valid
+from choosability.generators import gen_formula
 from choosability.graphs import (coloring_is_proper, delete_vertices, diameter,
-                                 find_proper_coloring, is_bipartite,
-                                 is_triangle_free)
-from choosability.recognition import is_2_choosable
+                                 is_bipartite, is_triangle_free)
+from choosability.recognition import is_2_choosable, is_L_colorable
 from choosability.reductions import (P_EDGES_BY_LABEL, P_INDEX, P_LABELS,
                                      SINGLE_CONTACT_LABELS,
                                      CnfFormula, build_G_phi_p, build_H_phi,
@@ -144,8 +144,13 @@ class TestHPhi:
             assert induced == expected
 
     def test_four_coloring(self):
-        for clauses in ([(1, 2, 3)], [(-1, -2, -3)], [(1, 2, -3), (-1, 2, 3)]):
-            art = build_H_phi(CnfFormula(3, clauses))
+        # the last clauses repeat a variable with both signs
+        phis = [CnfFormula(3, clauses) for clauses in (
+            [(1, 2, 3)], [(-1, -2, -3)], [(1, 2, -3), (-1, 2, 3)],
+            [(1, -1, 2)], [(1, -1, 2), (-2, 2, 3)])]
+        phis += [gen_formula(4, 3, seed) for seed in (1, 2, 3)]
+        for phi in phis:
+            art = build_H_phi(phi)
             coloring, details = H_phi_four_coloring(art)
             assert coloring_is_proper(art.graph, coloring)
             assert set(coloring.values()) <= {1, 2, 3, 4}
@@ -155,18 +160,16 @@ class TestHPhi:
                 elif rec["role"] == "d0":
                     assert coloring[v] == 1
                 else:
-                    assert coloring[v] in (1, 2, 3)
-            # every row is uniform per side
-            for v, rec in art.roles.items():
-                if rec["role"].endswith("true"):
+                    # every row is uniform per side
                     y, z = details["row_pairs"][rec["row"]]
-                    assert coloring[v] == y
+                    assert coloring[v] == (y if rec["role"].endswith("true") else z)
+                    assert y != z and {y, z} <= {1, 2, 3}
 
     def test_generic_backtracking_finds_a_4_coloring(self):
-        art = build_H_phi(CnfFormula(3, [(1, 2, 3)]))
-        coloring = find_proper_coloring(art.graph, 4, budget=2_000_000)
-        assert coloring is not None
-        assert coloring_is_proper(art.graph, coloring)
+        g = build_H_phi(CnfFormula(3, [(1, 2, 3)])).graph
+        ok, coloring = is_L_colorable(g, dict.fromkeys(range(g.n), (1, 2, 3, 4)),
+                                      budget=2_000_000)
+        assert ok and coloring_is_proper(g, coloring)
 
     def test_decompositions_from_satisfying_assignments(self):
         phi = CnfFormula(3, [(1, 2, -3)])
