@@ -286,10 +286,18 @@ def is_triangle_free(g):
 def diameter(g):
     """Largest shortest-path distance, or None when the graph is disconnected.
 
-    The empty graph is connected by convention and has diameter 0.
+    The empty graph is connected by convention and has diameter 0.  When no
+    degree exceeds 2 the answer is read from the shape: a path on n vertices
+    has diameter n - 1 and the cycle C_n has n // 2.  Otherwise a bitmask
+    BFS runs from every vertex, and the first that misses a vertex returns
+    None.
     """
     if g.n == 0:
         return 0
+    if all(len(a) <= 2 for a in g.adj):
+        if len(connected_components(g)) > 1:
+            return None
+        return g.n // 2 if len(g.edges) == g.n else g.n - 1
     bits = g.adj_bits()
     full = (1 << g.n) - 1
     best = 0

@@ -169,6 +169,19 @@ def is_k_choosable_exhaustive(g, k, budget=None, cap=None):
     A "false" answer short-circuits and therefore scales beyond the size cap;
     a "true" answer requires n within the cap (default 6 for k=2).  Raises
     BudgetExceededError carrying progress statistics when the budget runs out.
+
+    While vertex d is listed, its *frontier* is the set of vertices before d
+    that still have a neighbour at d or later.  Each search frame keeps the
+    feasible colorings of the listed prefix projected onto that frontier, as
+    a set, so colorings that differ only on finished vertices collapse.  A
+    frame whose lists are all tried without a witness records the key
+    ``(depth, used, projected colorings)`` in a per-call set, and a child
+    whose key is recorded is skipped.  This is exact: the subtree below a
+    frame depends only on its key, since ``used`` fixes which lists the
+    later vertices are offered and no later vertex reads a color outside
+    the frontier.  A skipped subtree is therefore one already proven to
+    hold no uncolorable assignment, and since the enumeration order is
+    unchanged the first witness found is the same as without the memo.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -180,27 +193,42 @@ def is_k_choosable_exhaustive(g, k, budget=None, cap=None):
             "n=%d exceeds the cap %d for full enumeration; pass a budget to "
             "hunt for a counterexample anyway" % (g.n, cap))
     stats = {"assignments": 0}
-    earlier = [[u for u in g.adj[v] if u < v] for v in range(g.n)]
+    # per depth d: the positions in d's frontier of d's earlier neighbours
+    # and of the vertices still in the next frontier, and whether d joins it
+    plan = []
+    front = []      # ascending frontier of the vertex being planned
+    for d in range(g.n):
+        last = [g.adj[u][-1] for u in front]
+        joins = bool(g.adj[d]) and g.adj[d][-1] > d
+        plan.append(([front.index(u) for u in g.adj[d] if u < d],
+                     [i for i, w in enumerate(last) if w > d], joins))
+        front = [u for u, w in zip(front, last) if w > d]
+        if joins:
+            front.append(d)
     lists = []      # the list of every vertex before the one being listed
     candidates_after = {}   # colors used so far -> the next vertex's lists
+    done = set()    # keys of frames proven to hold no witness
     # depth-first with an explicit stack, one frame per listed vertex:
-    # (colors used so far, feasible colorings of the prefix, untried lists)
-    stack = [(0, [()], iter(_canonical_lists(0, k)))] if g.n else []
+    # (key, untried lists), the key being (depth, colors used so far,
+    # feasible colorings of the prefix projected onto the frontier)
+    stack = [((0, 0, frozenset([()])), iter(_canonical_lists(0, k)))] if g.n else []
     while stack:
-        used, colorings, candidates = stack[-1]
-        nbrs = earlier[len(lists)]
+        key, candidates = stack[-1]
+        d, used, colorings = key
+        nbrs, keep, joins = plan[d]
         for lst in candidates:
             bud.charge(stage="oracle", **stats)
             lists.append(lst)
-            extended = []
-            append = extended.append
+            extended = set()
+            add = extended.add
             for coloring in colorings:
+                base = tuple([coloring[i] for i in keep])
                 for c in lst:
-                    for u in nbrs:
-                        if coloring[u] == c:
+                    for i in nbrs:
+                        if coloring[i] == c:
                             break
                     else:
-                        append(coloring + (c,))
+                        add(base + (c,) if joins else base)
             if not extended:
                 stats["assignments"] += 1
                 # the prefix is already uncolorable; complete it with fresh colors
@@ -211,14 +239,18 @@ def is_k_choosable_exhaustive(g, k, budget=None, cap=None):
                     used += k
                 return False, witness
             if len(lists) < g.n:
-                used = max(used, lst[-1])
-                if used not in candidates_after:
-                    candidates_after[used] = _canonical_lists(used, k)
-                stack.append((used, extended, iter(candidates_after[used])))
-                break
-            stats["assignments"] += 1
+                child_used = max(used, lst[-1])
+                child = (d + 1, child_used, frozenset(extended))
+                if child not in done:
+                    if child_used not in candidates_after:
+                        candidates_after[child_used] = _canonical_lists(child_used, k)
+                    stack.append((child, iter(candidates_after[child_used])))
+                    break
+            else:
+                stats["assignments"] += 1
             lists.pop()
         else:
+            done.add(key)
             stack.pop()
             if lists:
                 lists.pop()

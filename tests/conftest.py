@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from choosability.errors import Budget
 from choosability.graphs import Graph
 
 
@@ -159,6 +160,81 @@ def brute_lex_shortest_cycle(g):
     for s in range(g.n):
         extend([s])
     return min(cycles, key=lambda c: (len(c), c), default=None)
+
+
+def brute_diameter(g):
+    """Largest BFS distance over all sources, or None when some pair is unreachable."""
+    best = 0
+    for src in range(g.n):
+        dist = {src: 0}
+        queue = [src]
+        for v in queue:
+            for w in g.adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        if len(dist) < g.n:
+            return None
+        best = max(best, max(dist.values()))
+    return best
+
+
+def brute_k_choosable(g, k, budget=None):
+    """The list-assignment oracle's enumeration without the frontier memo.
+
+    Same canonical lists, order, budget charges and witness as
+    ``is_k_choosable_exhaustive``, but every frame keeps the full feasible
+    colorings of its prefix and no subtree is skipped; no size cap.
+    """
+    bud = Budget.ensure(budget)
+    stats = {"assignments": 0}
+    earlier = [[u for u in g.adj[v] if u < v] for v in range(g.n)]
+    lists = []
+    candidates_after = {}
+
+    def canonical_lists(used):
+        if used not in candidates_after:
+            candidates_after[used] = [
+                old_part + tuple(range(used + 1, used + n_new + 1))
+                for n_new in range(k + 1)
+                for old_part in itertools.combinations(range(1, used + 1), k - n_new)]
+        return iter(candidates_after[used])
+
+    stack = [(0, [()], canonical_lists(0))] if g.n else []
+    while stack:
+        used, colorings, candidates = stack[-1]
+        nbrs = earlier[len(lists)]
+        for lst in candidates:
+            bud.charge(stage="oracle", **stats)
+            lists.append(lst)
+            extended = []
+            append = extended.append
+            for coloring in colorings:
+                for c in lst:
+                    for u in nbrs:
+                        if coloring[u] == c:
+                            break
+                    else:
+                        append(coloring + (c,))
+            if not extended:
+                stats["assignments"] += 1
+                used = max(used, lst[-1])
+                witness = dict(enumerate(lists))
+                for v in range(len(lists), g.n):
+                    witness[v] = tuple(range(used + 1, used + k + 1))
+                    used += k
+                return False, witness
+            if len(lists) < g.n:
+                used = max(used, lst[-1])
+                stack.append((used, extended, canonical_lists(used)))
+                break
+            stats["assignments"] += 1
+            lists.pop()
+        else:
+            stack.pop()
+            if lists:
+                lists.pop()
+    return True, None
 
 
 def brute_list_colorable(g, lists):

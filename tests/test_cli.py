@@ -7,7 +7,7 @@ from choosability.dimacs import parse_graph, write_graph
 from choosability.graphs import induced_subgraph
 from choosability.recognition import is_2_choosable, is_L_colorable, parse_list_assignment
 
-from conftest import cycle_graph, theta_graph
+from conftest import cycle_graph, path_graph, theta_graph
 
 
 @pytest.fixture
@@ -67,6 +67,11 @@ class TestExitCodes:
         assert main(["check2", str(path), "--oracle", "--budget", "20000"]) == 3
         assert "budget exceeded" in capsys.readouterr().err
 
+    def test_oracle_proves_c8_under_raised_cap(self, tmp_path, capsys):
+        path = tmp_path / "c8.graph"
+        assert main(["gen", "cycle", "--n", "8", "--out", str(path)]) == 0
+        assert main(["check2", str(path), "--oracle", "--cap", "8"]) == 0
+
 
 class TestStats:
     def test_c5(self, c5_file, capsys):
@@ -80,6 +85,13 @@ class TestStats:
             cyc = report["witnesses"][key]
             for i, x in enumerate(cyc):
                 assert g.has_edge(x - 1, cyc[(i + 1) % len(cyc)] - 1)
+
+    def test_diameter_of_long_cycle_and_path(self, tmp_path, capsys):
+        for g, expected in ((cycle_graph(3000), 1500), (path_graph(5000), 4999)):
+            path = tmp_path / "long.graph"
+            path.write_text(write_graph(g))
+            code, report = run_json(capsys, ["stats", str(path)])
+            assert code == 0 and report["verdicts"]["diameter"] == expected
 
 
 class TestCore:

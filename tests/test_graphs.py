@@ -9,9 +9,10 @@ from choosability.graphs import (CountedMultiGraph, Graph, connected_components,
                                  shortest_cycle)
 from choosability.recognition import is_L_colorable
 
-from conftest import (brute_girth, brute_lex_shortest_cycle, complete_bipartite,
-                      complete_graph, cycle_graph, disjoint_union, graph_classes,
-                      mask_to_graph, path_graph, petersen_graph, vertex_pairs)
+from conftest import (brute_diameter, brute_girth, brute_lex_shortest_cycle,
+                      complete_bipartite, complete_graph, cycle_graph, disjoint_union,
+                      graph_classes, mask_to_graph, path_graph, petersen_graph,
+                      vertex_pairs)
 
 
 def k_colorable(g, k, budget=None):
@@ -116,6 +117,23 @@ class TestDiameter:
     def test_disconnected(self):
         assert diameter(Graph(2, [])) is None
         assert diameter(disjoint_union(cycle_graph(3), cycle_graph(4))) is None
+
+    def test_matches_bruteforce(self, classes_upto_6):
+        graphs = [g for classes in classes_upto_6.values() for g in classes]
+        rng = random.Random(40)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            prob = rng.choice([0.02, 0.05, 0.1, 0.3])
+            graphs.append(Graph(n, [p for p in vertex_pairs(n) if rng.random() < prob]))
+        # long paths, cycles and their unions take the degree <= 2 shortcut
+        for n in (7, 20, 39):
+            graphs += [path_graph(n), cycle_graph(n), disjoint_union(path_graph(n), cycle_graph(5))]
+        outcomes = set()
+        for g in graphs:
+            expected = brute_diameter(g)
+            assert diameter(g) == expected, g.edges
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
 
 
 class TestShortestCycle:

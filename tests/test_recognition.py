@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from choosability.errors import Budget
 from choosability.graphs import Graph, coloring_is_proper, induced_subgraph
 from choosability.recognition import (KIND_EVEN_CYCLE, KIND_K1, KIND_OUTSIDE,
                                       KIND_THETA, classify_core, compute_core,
@@ -10,8 +11,9 @@ from choosability.recognition import (KIND_EVEN_CYCLE, KIND_K1, KIND_OUTSIDE,
                                       parse_list_assignment)
 from choosability.generators import gen_gnp
 
-from conftest import (brute_list_colorable, complete_bipartite, cycle_graph,
-                      disjoint_union, graph_classes, path_graph, theta_graph)
+from conftest import (brute_k_choosable, brute_list_colorable, complete_bipartite,
+                      cycle_graph, disjoint_union, graph_classes, mask_to_graph,
+                      path_graph, theta_graph, vertex_pairs)
 
 
 class TestComputeCore:
@@ -184,6 +186,19 @@ class TestListColoring:
                 assert all(coloring[v] in lists[v] for v in range(n))
 
 
+def assert_oracle_matches_reference(graphs):
+    """Same verdict and witness as the plain enumeration, never more nodes, k = 1, 2."""
+    verdicts = set()
+    for g in graphs:
+        for k in (1, 2):
+            new, ref = Budget(), Budget()
+            answer = is_k_choosable_exhaustive(g, k, budget=new, cap=g.n)
+            assert answer == brute_k_choosable(g, k, budget=ref), (g.edges, k)
+            assert new.used <= ref.used, (g.edges, k)
+            verdicts.add(answer[0])
+    assert verdicts == {True, False}
+
+
 class TestOracle:
     def test_examples(self):
         assert is_k_choosable_exhaustive(cycle_graph(4), 2) == (True, None)
@@ -211,6 +226,25 @@ class TestOracle:
     def test_one_choosability(self):
         assert is_k_choosable_exhaustive(Graph(3, []), 1)[0]
         assert not is_k_choosable_exhaustive(Graph(2, [(0, 1)]), 1)[0]
+
+    def test_matches_reference_on_labelled_graphs_upto_5(self):
+        assert_oracle_matches_reference(
+            mask_to_graph(n, mask, vertex_pairs(n))
+            for n in range(6) for mask in range(1 << len(vertex_pairs(n))))
+
+    def test_matches_reference_on_six_vertex_graphs(self):
+        rng = random.Random(6)
+        pairs = vertex_pairs(6)
+        named = [disjoint_union(complete_bipartite(2, 3), Graph(1, [])),
+                 complete_bipartite(2, 4), complete_bipartite(3, 3),
+                 Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])]
+        assert_oracle_matches_reference(
+            named + [mask_to_graph(6, rng.getrandbits(len(pairs)), pairs) for _ in range(300)])
+
+    def test_frontier_memo_reaches_eight_vertices(self):
+        assert is_k_choosable_exhaustive(cycle_graph(8), 2, cap=8) == (True, None)
+        assert is_k_choosable_exhaustive(theta_graph(2, 2, 4), 2, cap=8) == (True, None)
+        assert is_k_choosable_exhaustive(cycle_graph(10), 2, budget=300_000)[0]
 
 
 class TestAssignmentSerialization:
