@@ -12,9 +12,8 @@ from .approx import (CPrimeVerdict, approx_2_del, classify_c_prime,
                      preprocessed_components)
 from .errors import Budget, BudgetExceededError, InternalCheckError
 from .exact import (Decomposition, decomposition_is_valid,
-                    maximal_independent_sets, min_2_del_bruteforce,
-                    min_2_del_exact, min_near_3, min_vertex_cover_exact,
-                    near_3_decide)
+                    min_2_del_bruteforce, min_2_del_exact, min_near_3,
+                    min_vertex_cover_exact, near_3_decide)
 from .graphs import (CountedMultiGraph, Graph, connected_components,
                      coloring_is_proper, delete_vertices, diameter,
                      induced_subgraph, is_bipartite, is_triangle_free,

@@ -1,7 +1,8 @@
 """Command-line surface tying the toolkit together.
 
 Exit codes: 0 success, 1 negative verdict on a decision query, 2 usage or
-input error, 3 node-expansion budget exceeded.  ``--json`` replaces the
+input error, 3 node-expansion budget exceeded, 4 internal error (a failed
+self-check or any other unexpected exception).  ``--json`` replaces the
 human-readable output with a machine-readable report; identical arguments,
 inputs and seeds give byte-identical reports except for the runtime counter.
 """
@@ -430,6 +431,11 @@ def main(argv=None):
     except (ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:              # a bug, never bad input: report it with its traceback
+        import traceback                  # imported here so that runs without a bug never load it
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 4
     run.report["counters"]["runtime_ms"] = round(
         (time.perf_counter() - started) * 1000.0, 3)
     if args.json:

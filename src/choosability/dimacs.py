@@ -2,9 +2,8 @@
 
 Graphs: comment lines start with 'c', a header ``p edge <n> <m>`` and m lines
 ``e <u> <v>`` with 1-based endpoints.  CNF: standard DIMACS with exactly
-three literals per clause, plus the extension ``c rot <j> <a> <b> <c>``
-carrying a clause's attachment rotation.  All ids are 1-based externally
-and 0-based internally.
+three literals per clause; every ``c`` line is a comment.  All ids are
+1-based externally and 0-based internally.
 """
 
 import json
@@ -79,7 +78,6 @@ def write_graph(g):
 def parse_dimacs_cnf(text):
     num_vars = num_clauses = None
     clauses = []
-    rotations = {}
     pending = []
     pending_line = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -88,14 +86,6 @@ def parse_dimacs_cnf(text):
             continue
         parts = line.split()
         if parts[0] == "c":
-            if len(parts) == 6 and parts[1] == "rot":
-                try:
-                    j, a, b, c = (int(x) for x in parts[2:])
-                except ValueError:
-                    raise ParseError("rotation entries must be integers", lineno) from None
-                if sorted((a, b, c)) != [1, 2, 3]:
-                    raise ParseError("rotation must be a permutation of 1 2 3", lineno)
-                rotations[j] = (a, b, c)
             continue
         if parts[0] == "p":
             if num_vars is not None:
@@ -135,20 +125,11 @@ def parse_dimacs_cnf(text):
     if len(clauses) != num_clauses:
         raise ParseError("header promised %d clauses, found %d" % (num_clauses, len(clauses)),
                          text.count("\n") + 1)
-    rotation = None
-    if rotations:
-        if sorted(rotations) != list(range(1, len(clauses) + 1)):
-            raise ParseError("rotation lines must cover clauses 1..%d exactly" % len(clauses),
-                             text.count("\n") + 1)
-        rotation = tuple(rotations[j] for j in range(1, len(clauses) + 1))
-    return CnfFormula(num_vars, tuple(clauses), rotation)
+    return CnfFormula(num_vars, tuple(clauses))
 
 
 def write_dimacs_cnf(phi):
     lines = ["p cnf %d %d" % (phi.num_vars, phi.num_clauses)]
-    if phi.rotation is not None:
-        for j, rot in enumerate(phi.rotation, 1):
-            lines.append("c rot %d %d %d %d" % (j, *rot))
     for clause in phi.clauses:
         lines.append("%d %d %d 0" % clause)
     return "\n".join(lines) + "\n"

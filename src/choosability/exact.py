@@ -49,28 +49,6 @@ def near_3_decide(g, budget=None, cap=DEFAULT_NEAR3_CAP):
     return Decomposition(found[1], tuple(v for v in range(g.n) if v not in a))
 
 
-def maximal_independent_sets(g, budget=None):
-    """All maximal independent sets, each sorted, in lexicographic order."""
-    bud = Budget.ensure(budget)
-    adj = g.adj_sets()
-    out = []
-
-    def extend(chosen, candidates, excluded):
-        bud.charge(stage="mis-enumeration")
-        if not candidates and not excluded:
-            out.append(tuple(chosen))
-            return
-        for v in sorted(candidates):
-            extend(chosen + [v],
-                   {u for u in candidates if u > v and u not in adj[v]},
-                   {u for u in excluded if u not in adj[v]})
-            candidates.discard(v)
-            excluded.add(v)
-
-    extend([], set(range(g.n)), set())
-    return out
-
-
 def _hitting_set(obstruction, bud, stage):
     """Minimum vertex set hitting every obstruction, as ``(size, sorted tuple)``.
 

@@ -12,10 +12,6 @@ def gen_cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def gen_path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def gen_theta(a, b, c):
     """Two hubs joined by three internally disjoint paths of lengths a, b, c."""
     lengths = (a, b, c)
@@ -31,10 +27,6 @@ def gen_theta(a, b, c):
             nxt += 1
         edges.append((prev, 1))
     return Graph(nxt, edges)
-
-
-def gen_complete_bipartite(a, b):
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def gen_gnp(n, prob, seed):

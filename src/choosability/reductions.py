@@ -10,23 +10,17 @@ from fractions import Fraction
 from math import ceil
 
 from .errors import InternalCheckError
-from .exact import Decomposition, maximal_independent_sets
+from .exact import Decomposition
 from .graphs import Graph, coloring_is_proper, delete_vertices, induced_subgraph
 from .recognition import is_2_choosable, is_L_colorable
 
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """A 3-CNF instance: clauses of exactly three distinct signed literals.
-
-    ``rotation`` optionally reorders each clause's attachment slots for the
-    planar construction: entry j is a permutation (a, b, c) of (1, 2, 3)
-    meaning attachment points 1..3 of clause j receive literal slots a, b, c.
-    """
+    """A 3-CNF instance: clauses of exactly three distinct signed literals."""
 
     num_vars: int
     clauses: tuple
-    rotation: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
@@ -40,36 +34,19 @@ class CnfFormula:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError("literal %d of clause %d out of range" % (lit, idx))
-        if self.rotation is not None:
-            rot = tuple(tuple(r) for r in self.rotation)
-            if len(rot) != len(self.clauses):
-                raise ValueError("need one rotation entry per clause")
-            for idx, r in enumerate(rot, 1):
-                if sorted(r) != [1, 2, 3]:
-                    raise ValueError("rotation of clause %d is not a permutation of 1..3" % idx)
-            object.__setattr__(self, "rotation", rot)
 
     @property
     def num_clauses(self):
         return len(self.clauses)
 
-    def rotation_of(self, j):
-        if self.rotation is None:
-            return (1, 2, 3)
-        return self.rotation[j - 1]
-
     def to_dict(self):
-        return {"num_vars": self.num_vars,
-                "clauses": [list(c) for c in self.clauses],
-                "rotation": None if self.rotation is None else [list(r) for r in self.rotation]}
+        return {"num_vars": self.num_vars, "clauses": [list(c) for c in self.clauses]}
 
     @classmethod
     def from_dict(cls, data):
-        """Inverse of :meth:`to_dict`; raises ValueError on a malformed record."""
+        """Inverse of :meth:`to_dict`, ignoring other keys; ValueError if malformed."""
         try:
-            rot = data.get("rotation")
-            return cls(data["num_vars"], tuple(tuple(c) for c in data["clauses"]),
-                       None if rot is None else tuple(tuple(r) for r in rot))
+            return cls(data["num_vars"], tuple(tuple(c) for c in data["clauses"]))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError("malformed formula record: %r" % (exc,)) from exc
 
@@ -157,6 +134,23 @@ def constraint_graph_P():
     return ReductionArtifact("constraint-p", g, roles)
 
 
+def _maximal_independent_supersets(g, u):
+    """Count the maximal independent sets containing u, up to 2, as ``(count, superset)``.
+
+    For an independent U they are U + M with M maximal independent in
+    G - N[U], so the count is 1 exactly when G - N[U] has no edge, and
+    ``superset`` is then U + (V - N[U]); otherwise it is None.
+    """
+    adj = g.adj_sets()
+    u = set(u)
+    if any(adj[v] & u for v in u):
+        return 0, None
+    rest = set(range(g.n)) - u - set().union(*(adj[v] for v in u))
+    if any(adj[v] & rest for v in rest):
+        return 2, None
+    return 1, tuple(sorted(u | rest))
+
+
 def verify_lemma_2_2(art):
     """Re-check the three structural claims about the constraint graph.
 
@@ -180,13 +174,13 @@ def verify_lemma_2_2(art):
 
     u = {idx["v1"], idx["v2"], idx["v3"]}
     expected = tuple(sorted(idx[lab] for lab in UNIQUE_EXTENSION_LABELS))
-    supersets = [mis for mis in maximal_independent_sets(g) if u <= set(mis)]
+    found, superset = _maximal_independent_supersets(g, u)
     remainder = delete_vertices(g, expected)[0]
     remainder_ok, _ = is_2_choosable(remainder)
     report["unique_extension"] = {
-        "ok": supersets == [expected] and not remainder_ok,
+        "ok": superset == expected and not remainder_ok,
         "extension": list(UNIQUE_EXTENSION_LABELS),
-        "maximal_supersets_found": len(supersets),
+        "maximal_supersets_found": found,
         "core_outside_family": not remainder_ok,
     }
 
@@ -521,10 +515,13 @@ def build_edge_gadget(kind, p):
 def build_G_phi_p(phi, p):
     """Replace clause vertices by clause gadgets and incidences by edge gadgets.
 
-    Attachment point r of clause j receives the literal slot given by the
-    clause's rotation (identity when absent); the connection is a positive
-    or negative gadget per the literal's polarity, sharing the variable
-    vertex and the hexagon attachment vertex.
+    Attachment point r of clause j receives the clause's r-th literal; the
+    connection is a positive or negative gadget per the literal's polarity,
+    sharing the variable vertex and the hexagon attachment vertex.  No other
+    attachment order is needed for a planar embedding: c1, c2 and c3 lie on
+    one face of the clause gadget, so their two cyclic orders are mirror
+    images, and each gadget can be reflected to match the order that a planar
+    embedding of the variable-clause graph puts on the clause's three edges.
     """
     if p < 1:
         raise ValueError("petal parameter p must be >= 1")
@@ -532,10 +529,7 @@ def build_G_phi_p(phi, p):
     xs = {i: builder.vertex(role="variable", var=i) for i in range(1, phi.num_vars + 1)}
     for j, clause in enumerate(phi.clauses, 1):
         c, _ = _add_clause_gadget(builder, p, j)
-        rot = phi.rotation_of(j)
-        for r in (1, 2, 3):
-            slot = rot[r - 1]
-            lit = clause[slot - 1]
+        for r, lit in enumerate(clause, 1):
             kind = "positive" if lit > 0 else "negative"
             _add_edge_gadget(builder, kind, p, xs[abs(lit)], c[r], (j, r))
     return builder.artifact("planar3sat", p=p, formula=phi.to_dict())

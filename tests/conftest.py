@@ -267,6 +267,23 @@ def brute_min_near_3(g):
     return None
 
 
+def brute_maximal_independent_sets(g):
+    """All maximal independent sets, each sorted, in lexicographic order (bitmasks)."""
+    nbrs = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    out = []
+    for mask in range(1 << g.n):
+        covered = mask
+        for v in range(g.n):
+            if mask >> v & 1:
+                if nbrs[v] & mask:
+                    break
+                covered |= nbrs[v]
+        else:
+            if covered == (1 << g.n) - 1:
+                out.append(tuple(v for v in range(g.n) if mask >> v & 1))
+    return sorted(out)
+
+
 def is_independent(g, vertices):
     inside = set(vertices)
     return not any(u in inside and v in inside for u, v in g.edges)

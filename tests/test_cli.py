@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from choosability import cli
 from choosability.cli import main
+from choosability.errors import InternalCheckError
 from choosability.dimacs import parse_graph, write_graph
 from choosability.graphs import induced_subgraph
 from choosability.recognition import is_2_choosable, is_L_colorable, parse_list_assignment
@@ -49,6 +51,14 @@ class TestExitCodes:
         bad.write_text("p edge 2 1\ne 1 1\n")
         assert main(["stats", str(bad)]) == 2
         assert "self-loop" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [InternalCheckError("re-check failed"), KeyError("x")])
+    def test_internal_error(self, c5_file, capsys, monkeypatch, exc):
+        def handler(args, run):
+            raise exc
+        monkeypatch.setitem(cli._HANDLERS, "stats", handler)
+        assert main(["stats", c5_file]) == 4
+        assert capsys.readouterr().err.startswith("internal error: %s" % type(exc).__name__)
 
     def test_budget_exceeded(self, c6_file, capsys):
         assert main(["check2", c6_file, "--oracle", "--budget", "3"]) == 3
@@ -178,6 +188,34 @@ class TestReduceAndSolve:
         code, report = run_json(capsys, ["solution-from-assignment", base, "--tau", "100"])
         assert code == 0
         assert report["verdicts"]["size"] <= 42
+
+    def test_planar3sat_ignores_rot_lines(self, tmp_path, capsys):
+        plain = "p cnf 4 2\n1 -2 3 0\n-2 3 4 0\n"
+        written = []
+        for name, text in (("plain", plain), ("rot", "c rot 1 3 1 2\nc rot 2 2 1 3\n" + plain)):
+            cnf = tmp_path / (name + ".cnf")
+            cnf.write_text(text)
+            base = tmp_path / name
+            assert main(["reduce", "planar3sat", str(cnf), "--p", "1", "--out", str(base)]) == 0
+            written.append([(tmp_path / (name + ext)).read_bytes()
+                            for ext in (".graph", ".roles.json")])
+        assert written[0] == written[1]
+
+    def test_old_sidecar_with_rotation_solves(self, tmp_path, capsys):
+        # clause (1, -2, 3) under the former rotation (3, 1, 2) was wired as (3, 1, -2)
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text("p cnf 3 1\n3 1 -2 0\n")
+        base = str(tmp_path / "gart")
+        assert main(["reduce", "planar3sat", str(cnf), "--p", "1", "--out", base]) == 0
+        sidecar_path = tmp_path / "gart.roles.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["meta"]["formula"] = {"num_vars": 3, "clauses": [[1, -2, 3]],
+                                      "rotation": [[3, 1, 2]]}
+        sidecar_path.write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+        capsys.readouterr()
+        code, report = run_json(capsys, ["solution-from-assignment", base, "--tau", "100"])
+        assert code == 0
+        assert report["verdicts"]["kind"] == "deletion-set"
 
     @pytest.mark.parametrize("drop", ["meta.formula", "kind", "roles", "meta.formula.num_vars",
                                       "planar3sat/meta.edge_gadgets",

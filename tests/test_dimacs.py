@@ -1,5 +1,11 @@
-import pytest
+import contextlib
+import io
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from choosability.cli import main
 from choosability.dimacs import (ParseError, parse_dimacs_cnf, parse_graph,
                                  read_artifact, write_artifact,
                                  write_dimacs_cnf, write_graph)
@@ -77,21 +83,20 @@ class TestCnfFormat:
         phi = parse_dimacs_cnf("p cnf 3 1\n1 2\n-3 0\n")
         assert phi.clauses == ((1, 2, -3),)
 
-    def test_rotation_extension(self):
-        text = "p cnf 3 2\nc rot 1 2 3 1\nc rot 2 1 2 3\n1 2 3 0\n-1 -2 -3 0\n"
-        phi = parse_dimacs_cnf(text)
-        assert phi.rotation == ((2, 3, 1), (1, 2, 3))
-
-    def test_partial_rotation_rejected(self):
-        with pytest.raises(ParseError, match="rotation"):
-            parse_dimacs_cnf("p cnf 3 2\nc rot 1 2 3 1\n1 2 3 0\n-1 -2 -3 0\n")
+    @pytest.mark.parametrize("rot", ["c rot 1 2 3 1\nc rot 2 1 2 3", "c rot 1 2 3 1",
+                                     "c rot 1 1 1 2\nc rot x y z w", "c rot 9 1 2 3\nc rot 1 2"],
+                             ids=["former-extension", "one-clause", "not-permutations",
+                                  "bad-index-and-arity"])
+    def test_rot_lines_are_comments(self, rot):
+        plain = "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n"
+        phi = parse_dimacs_cnf(plain)
+        assert parse_dimacs_cnf(rot + "\n" + plain) == phi
+        assert parse_dimacs_cnf(plain.replace("\n", "\n" + rot + "\n", 1)) == phi
 
     def test_roundtrip(self):
         for seed in range(25):
             phi = gen_formula(4 + seed % 4, 1 + seed % 3, seed=seed)
             assert parse_dimacs_cnf(write_dimacs_cnf(phi)) == phi
-        rotated = CnfFormula(3, [(1, -2, 3)], rotation=((3, 1, 2),))
-        assert parse_dimacs_cnf(write_dimacs_cnf(rotated)) == rotated
 
 
 class TestArtifactFiles:
@@ -104,3 +109,92 @@ class TestArtifactFiles:
         assert loaded.graph == art.graph
         assert loaded.roles == {v: rec for v, rec in art.roles.items()}
         assert loaded.meta == art.meta
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: texts near the grammar, perturbed by junk lines
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(derandomize=True, max_examples=500, deadline=None, database=None)
+
+# short lines with small numbers, so no header asks for a huge graph
+_JUNK = st.one_of(
+    st.sampled_from(["", "c", "c rot 1 2 3 1", "c rot 1 1", "p", "e", "0", "1 2 3",
+                     "p edge 2", "p cnf 3", "p edge x 1", "p cnf 3 y", "e 1", "e a b"]),
+    st.builds("e {} {}".format, st.integers(-1, 8), st.integers(-1, 8)),
+    st.builds("p {} {} {}".format, st.sampled_from(["edge", "cnf"]),
+              st.integers(-1, 8), st.integers(-1, 8)),
+    st.builds(" ".join, st.lists(st.integers(-5, 5).map(str), max_size=5)),
+    st.text(alphabet="pecnfdg-0123456789 \t\r", max_size=10),
+    st.text(max_size=10),
+)
+
+
+@st.composite
+def _perturbed(draw, lines):
+    """Insert and delete a few lines of a valid document."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_JUNK))
+    if lines and draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def graph_texts(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = ["p edge %d %d" % (n, len(edges))]
+    lines += ["e %d %d" % ((u, v) if draw(st.booleans()) else (v, u)) for u, v in edges]
+    return draw(_perturbed(lines))
+
+
+@st.composite
+def cnf_texts(draw):
+    n = draw(st.integers(2, 6))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, min_size=3, max_size=3, unique=True), max_size=4))
+    lines = ["p cnf %d %d" % (n, len(clauses))]
+    lines += [" ".join(map(str, clause)) + " 0" for clause in clauses]
+    return draw(_perturbed(lines))
+
+
+def _main_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+class TestFuzz:
+    """Parsers raise only ValueError (ParseError included), the CLI maps it to exit 2,
+    and every accepted text round-trips through the writer."""
+
+    @staticmethod
+    def _check(parse, write, text, path, argv):
+        try:
+            parsed = parse(text)
+        except ValueError:
+            path.unlink(missing_ok=True)  # a truncating rewrite is flushed at close
+            path.write_text(text)
+            code, err = _main_quietly(argv + [str(path)])
+            assert code == 2 and err.startswith("error:")
+            return
+        assert parse(write(parsed)) == parsed
+
+    @FUZZ
+    @given(graph_texts())
+    def test_parse_graph(self, fuzz_file, text):
+        self._check(parse_graph, write_graph, text, fuzz_file, ["core"])
+
+    @FUZZ
+    @given(cnf_texts())
+    def test_parse_dimacs_cnf(self, fuzz_file, text):
+        self._check(parse_dimacs_cnf, write_dimacs_cnf, text, fuzz_file,
+                    ["reduce", "planar3sat", "--p", "1"])

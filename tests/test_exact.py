@@ -6,8 +6,7 @@ import pytest
 
 from choosability.errors import BudgetExceededError
 from choosability.exact import (Decomposition, _minimal_obstruction, decomposition_is_valid,
-                                maximal_independent_sets, min_2_del_bruteforce,
-                                min_2_del_exact, min_near_3,
+                                min_2_del_bruteforce, min_2_del_exact, min_near_3,
                                 min_vertex_cover_exact, near_3_decide)
 from choosability.generators import gen_gnp
 from choosability.graphs import Graph, delete_vertices, induced_subgraph
@@ -15,7 +14,8 @@ from choosability.recognition import is_2_choosable
 from choosability.reductions import (build_forbidden_gadget, constraint_graph_P,
                                      triangle_reduction)
 
-from conftest import (brute_min_near_3, brute_min_vertex_cover, complete_bipartite,
+from conftest import (brute_maximal_independent_sets, brute_min_near_3,
+                      brute_min_vertex_cover, complete_bipartite,
                       complete_graph, cycle_graph, dumbbell_graph, graph_classes,
                       is_independent, spider_graph, theta_graph)
 
@@ -33,21 +33,6 @@ def structured_graphs():
              figure_eight]
             + [complete_bipartite(2, n) for n in (3, 4, 5)]
             + [theta_graph(1, 3, 5), theta_graph(2, 3, 3), theta_graph(2, 2, 5)])
-
-
-class TestMaximalIndependentSets:
-    def test_triangle(self):
-        assert maximal_independent_sets(cycle_graph(3)) == [(0,), (1,), (2,)]
-
-    def test_lexicographic_order_and_maximality(self):
-        g = cycle_graph(5)
-        sets = maximal_independent_sets(g)
-        assert sets == sorted(sets)
-        for s in sets:
-            assert is_independent(g, s)
-            for v in range(g.n):
-                if v not in s:
-                    assert not is_independent(g, s + (v,))
 
 
 class TestNear3Decide:
@@ -94,7 +79,7 @@ class TestNear3Decide:
         # every valid (A, B) stays valid for every maximal independent superset
         for n in range(1, 7):
             for g in graph_classes(n):
-                mis_list = maximal_independent_sets(g)
+                mis_list = brute_maximal_independent_sets(g)
                 for size in range(n + 1):
                     for a in combinations(range(n), size):
                         if not is_independent(g, a):

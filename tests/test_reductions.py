@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import networkx as nx
 import pytest
 
 from choosability.exact import decomposition_is_valid
@@ -16,10 +18,11 @@ from choosability.reductions import (P_EDGES_BY_LABEL, P_INDEX, P_LABELS,
                                      compute_paper_p, constraint_graph_P,
                                      decomposition_from_assignment,
                                      deletion_set_from_assignment,
-                                     H_phi_four_coloring, triangle_reduction,
-                                     verify_lemma_2_2)
+                                     H_phi_four_coloring, _maximal_independent_supersets,
+                                     triangle_reduction, verify_lemma_2_2)
 
-from conftest import cycle_graph, is_independent
+from conftest import (brute_maximal_independent_sets, cycle_graph, graph_classes,
+                      is_independent)
 
 
 def all_assignments(n):
@@ -38,16 +41,17 @@ class TestCnfFormula:
             CnfFormula(2, [(1, 2, 3)])
         with pytest.raises(ValueError, match="exactly 3"):
             CnfFormula(3, [(1, 2)])
-        with pytest.raises(ValueError, match="permutation"):
-            CnfFormula(3, [(1, 2, 3)], rotation=((1, 1, 2),))
 
     def test_complementary_literals_allowed(self):
         phi = CnfFormula(2, [(1, -1, 2)])
         assert phi.satisfies((False, False))
 
     def test_roundtrip_dict(self):
-        phi = CnfFormula(4, [(1, -2, 3), (2, 3, -4)], rotation=((2, 1, 3), (1, 2, 3)))
+        phi = CnfFormula(4, [(1, -2, 3), (2, 3, -4)])
         assert CnfFormula.from_dict(phi.to_dict()) == phi
+        # records written with the former clause rotations still load
+        old = dict(phi.to_dict(), rotation=[[2, 1, 3], [1, 2, 3]])
+        assert CnfFormula.from_dict(old) == phi
 
 
 class TestConstraintGraph:
@@ -69,6 +73,16 @@ class TestConstraintGraph:
         assert report["unique_extension"]["ok"]
         assert all(entry["ok"] for entry in report["extensions"])
         assert len(report["extensions"]) == 7
+
+    def test_maximal_independent_supersets_match_enumeration(self):
+        for n in range(1, 7):
+            for g in graph_classes(n):
+                mis_list = brute_maximal_independent_sets(g)
+                for size in range(4):
+                    for u in combinations(range(n), size):
+                        found = [m for m in mis_list if set(u) <= set(m)]
+                        expected = (min(len(found), 2), found[0] if len(found) == 1 else None)
+                        assert _maximal_independent_supersets(g, u) == expected
 
     def test_single_contact_set(self):
         g = constraint_graph_P().graph
@@ -306,13 +320,16 @@ class TestGPhiP:
     def test_not_2_choosable(self):
         assert not is_2_choosable(build_G_phi_p(self.BALANCED[0], 1).graph)[0]
 
-    def test_rotation_changes_attachment(self):
-        phi = CnfFormula(3, [(1, -2, 3)], rotation=((3, 1, 2),))
+    def test_literal_r_attaches_at_point_r(self):
+        phi = CnfFormula(3, [(2, -3, 1)])
         art = build_G_phi_p(phi, 1)
-        kinds = {tuple(rec["edge"]): rec["kind"] for rec in art.meta["edge_gadgets"]}
-        # attachment 1 receives slot 3 (positive), 2 receives slot 1 (positive),
-        # 3 receives slot 2 (negative)
-        assert kinds == {(1, 1): "positive", (1, 2): "positive", (1, 3): "negative"}
+        records = {tuple(rec["edge"]): rec for rec in art.meta["edge_gadgets"]}
+        assert sorted(records) == [(1, 1), (1, 2), (1, 3)]
+        for r, lit in enumerate(phi.clauses[0], 1):
+            rec = records[(1, r)]
+            assert rec["kind"] == ("positive" if lit > 0 else "negative")
+            assert art.roles[rec["x"]] == {"role": "variable", "var": abs(lit)}
+            assert art.roles[rec["c"]] == {"role": "hexagon-c", "clause": 1, "slot": r}
 
     def test_roles_revalidate(self):
         phi = CnfFormula(3, [(1, 2, -3)])
@@ -339,6 +356,57 @@ class TestGPhiP:
         art = build_G_phi_p(phi, 1)
         with pytest.raises(ValueError, match="does not satisfy"):
             deletion_set_from_assignment(art, (False, False, False))
+
+
+def is_planar(g, extra_edges=()):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    h.add_edges_from(extra_edges)
+    return nx.check_planarity(h)[0]
+
+
+def chain_formula(k, seed, shuffle):
+    """Clause j on variables j, j+1, j+2 with random signs: a planar incidence graph.
+
+    With ``shuffle`` each clause lists its literals in a random order, which
+    permutes the points at which they attach.
+    """
+    rng = random.Random(seed)
+    clauses = []
+    for j in range(1, k + 1):
+        clause = [v if rng.random() < 0.5 else -v for v in (j, j + 1, j + 2)]
+        clauses.append(rng.sample(clause, 3) if shuffle else clause)
+    return CnfFormula(k + 2, clauses)
+
+
+class TestPlanarity:
+    """Planarity is checked here only, with networkx; every attachment order is planar."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_chain_formulas_give_planar_graphs(self, p, shuffle):
+        for k in range(1, 7):
+            phi = chain_formula(k, 100 * p + k, shuffle)
+            assert is_planar(build_G_phi_p(phi, p).graph)
+
+    def test_k33_incidence_gives_non_planar_graph(self):
+        phi = CnfFormula(3, [(1, 2, 3), (-1, 2, -3), (1, -2, 3)])
+        assert not is_planar(build_G_phi_p(phi, 1).graph)
+
+    def test_clause_gadget_attachments_share_a_face(self):
+        # an apex joined to c1, c2, c3 stays planar, so the three lie on one
+        # face and their two cyclic orders are mirror images
+        for p in (1, 2):
+            art = build_clause_gadget_planar(p)
+            apex = art.graph.n
+            assert is_planar(art.graph, [(apex, c) for c in art.meta["c_vertices"]])
+
+    @pytest.mark.parametrize("kind", ["positive", "negative"])
+    def test_edge_gadget_endpoints_share_a_face(self, kind):
+        for p in (1, 2):
+            art = build_edge_gadget(kind, p)
+            assert is_planar(art.graph, [(art.meta["x"], art.meta["c"])])
 
 
 class TestPaperP:
