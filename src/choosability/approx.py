@@ -6,8 +6,9 @@ adjacent degree-2 vertices by a single counted vertex (a cycle component
 contracts all but one of its vertices, yielding a two-vertex parallel
 pair).  After preprocessing, a connected graph is 2-choosable
 exactly when it lands in one of three counted shapes; ``approx_2_del``
-repeatedly deletes a shortest cycle of the contracted graph until nothing
-is left, then expands each contracted vertex back to the first original
+takes the contracted components one at a time and deletes a shortest cycle
+of each one outside the counted family, re-contracting only what is left
+of it, then expands each contracted vertex back to the first original
 vertex of its chain.
 """
 
@@ -115,9 +116,8 @@ def _is_counted_k23(c):
         return False
     hubs = [v for v in range(5) if c.degree(v) == 3]
     legs = [v for v in range(5) if c.degree(v) == 2]
-    if len(hubs) != 2 or len(legs) != 3:
-        return False
-    if any(set(c.adj[v]) != set(hubs) for v in legs):
+    # five vertices, six distinct edges and two non-adjacent degree-3 hubs force K_{2,3}
+    if len(hubs) != 2 or len(legs) != 3 or hubs[1] in c.adj[hubs[0]]:
         return False
     if any(c.counts[h] != 1 for h in hubs):
         return False
@@ -145,23 +145,33 @@ def is_2_choosable_via_preprocessing(g):
 def approx_2_del(g):
     """Greedy short-cycle deletion heuristic for 2-choosable deletion.
 
-    Preprocess, drop the components already in the counted family, then
-    repeatedly remove a shortest cycle of the contracted graph (re-preprocessing
-    and re-dropping after each removal).  Each removed contracted vertex is
-    expanded to the first original vertex of its chain.  The returned set is
-    re-validated; failure raises InternalCheckError.
+    Preprocess and split into components, then work through them one at a
+    time: a component in the counted family is dropped; otherwise a
+    shortest cycle of it is removed, and only what is left of that
+    component is re-preprocessed and split back onto the worklist.  Each
+    removed contracted vertex is expanded to the first original vertex of
+    its chain.  The returned set is re-validated; failure raises
+    InternalCheckError.
+
+    Components never interact, and every choice made on one depends only
+    on the relative order of its own vertices: the last-in, first-out
+    order of ``peel_degree_one``, the numbering and run orientation of
+    ``preprocess``, and the lexicographic tie-break of ``shortest_cycle``.
+    Restricting to a component keeps that relative order, so each
+    component goes through the same rounds as it would inside the whole
+    graph, and the sorted union of the picks is the same.
     """
-    work = preprocess(CountedMultiGraph.from_graph(g))
-    work = _drop_family_components(work)
+    pending = preprocessed_components(preprocess(CountedMultiGraph.from_graph(g)))
     chosen = []
-    while work.n:
-        cycle = shortest_cycle(work)
+    while pending:
+        comp = pending.pop()
+        if classify_c_prime(comp).in_family:
+            continue
+        cycle = shortest_cycle(comp)
         if cycle is None:
             raise InternalCheckError("contracted graph is acyclic but non-empty")
-        for v in cycle:
-            chosen.append(work.provenance[v][0])
-        work = preprocess(multigraph_delete(work, cycle))
-        work = _drop_family_components(work)
+        chosen.extend(comp.provenance[v][0] for v in cycle)
+        pending.extend(preprocessed_components(preprocess(multigraph_delete(comp, cycle))))
     result = tuple(sorted(set(chosen)))
     if len(result) != len(chosen):
         raise InternalCheckError("expanded deletion picks collided")
@@ -169,13 +179,3 @@ def approx_2_del(g):
     if not ok:
         raise InternalCheckError("deletion set does not leave a 2-choosable graph")
     return result
-
-
-def _drop_family_components(mg):
-    doomed = []
-    for comp in connected_components(mg):
-        if classify_c_prime(multigraph_restrict(mg, comp)).in_family:
-            doomed.extend(comp)
-    if not doomed:
-        return mg
-    return multigraph_delete(mg, doomed)

@@ -62,48 +62,21 @@ def classify_core(core):
 
 
 def _classify_component(core, comp):
-    if len(comp) == 1:
+    n = len(comp)
+    if n == 1:
         return CoreClassification(KIND_K1, None, comp)
-    degrees = sorted(core.degree(v) for v in comp)
-    if degrees[0] == 2 and degrees[-1] == 2:
-        # connected and all degree 2: a single cycle
-        if len(comp) % 2 == 0 and len(comp) >= 4:
-            return CoreClassification(KIND_EVEN_CYCLE, (len(comp) - 2) // 2, comp)
-        return CoreClassification(KIND_OUTSIDE, None, comp)
-    hubs = [v for v in comp if core.degree(v) == 3]
-    if len(hubs) == 2 and all(core.degree(v) in (2, 3) for v in comp):
-        lengths = _theta_path_lengths(core, hubs[0], hubs[1], comp)
-        if lengths is not None and sorted(lengths) == [2, 2, max(lengths)]:
-            longest = max(lengths)
-            if longest >= 2 and longest % 2 == 0:
-                return CoreClassification(KIND_THETA, longest // 2, comp)
+    hubs = [v for v in comp if core.degree(v) != 2]
+    if not hubs:
+        # connected and all degree 2: the cycle C_n
+        if n % 2 == 0:
+            return CoreClassification(KIND_EVEN_CYCLE, (n - 2) // 2, comp)
+    elif (len(hubs) == 2 and n % 2 == 1 and core.degree(hubs[0]) == core.degree(hubs[1]) == 3
+          and len(set(core.adj[hubs[0]]) & set(core.adj[hubs[1]])) >= 2):
+        # two degree-3 hubs, the rest degree 2: a theta or a dumbbell.  A
+        # dumbbell's hubs share at most one neighbour, so this is a theta
+        # with paths 2, 2 and n - 3; an odd n rules out a hub-hub edge.
+        return CoreClassification(KIND_THETA, (n - 3) // 2, comp)
     return CoreClassification(KIND_OUTSIDE, None, comp)
-
-
-def _theta_path_lengths(core, a, b, comp):
-    """Lengths of the three internally disjoint a-b paths, or None if not a theta."""
-    lengths = []
-    visited = {a, b}
-    for first in core.adj[a]:
-        if first == b:
-            # direct edge = path of length 1 (not a valid theta_{2,2,2m} part)
-            lengths.append(1)
-            continue
-        length = 1
-        prev, cur = a, first
-        while cur != b:
-            if core.degree(cur) != 2 or cur in visited:
-                return None
-            visited.add(cur)
-            nxt = [w for w in core.adj[cur] if w != prev]
-            if len(nxt) != 1:
-                return None
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    if len(lengths) != 3 or len(visited) != len(comp):
-        return None
-    return lengths
 
 
 def is_2_choosable(g):

@@ -287,3 +287,45 @@ def brute_maximal_independent_sets(g):
 def is_independent(g, vertices):
     inside = set(vertices)
     return not any(u in inside and v in inside for u, v in g.edges)
+
+
+def approx_2_del_global(g):
+    """The deletion heuristic re-contracting the whole graph every round.
+
+    Kept as a reference for ``approx_2_del``'s per-component worklist,
+    which must return the same set.
+    """
+    from choosability.approx import classify_c_prime, preprocess
+    from choosability.errors import InternalCheckError
+    from choosability.graphs import (CountedMultiGraph, connected_components,
+                                     delete_vertices, multigraph_delete,
+                                     multigraph_restrict, shortest_cycle)
+    from choosability.recognition import is_2_choosable
+
+    def _drop_family_components(mg):
+        doomed = []
+        for comp in connected_components(mg):
+            if classify_c_prime(multigraph_restrict(mg, comp)).in_family:
+                doomed.extend(comp)
+        if not doomed:
+            return mg
+        return multigraph_delete(mg, doomed)
+
+    work = preprocess(CountedMultiGraph.from_graph(g))
+    work = _drop_family_components(work)
+    chosen = []
+    while work.n:
+        cycle = shortest_cycle(work)
+        if cycle is None:
+            raise InternalCheckError("contracted graph is acyclic but non-empty")
+        for v in cycle:
+            chosen.append(work.provenance[v][0])
+        work = preprocess(multigraph_delete(work, cycle))
+        work = _drop_family_components(work)
+    result = tuple(sorted(set(chosen)))
+    if len(result) != len(chosen):
+        raise InternalCheckError("expanded deletion picks collided")
+    ok, _ = is_2_choosable(delete_vertices(g, result)[0])
+    if not ok:
+        raise InternalCheckError("deletion set does not leave a 2-choosable graph")
+    return result

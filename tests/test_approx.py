@@ -12,7 +12,10 @@ from choosability.graphs import (CountedMultiGraph, Graph, delete_vertices,
                                  multigraph_delete, shortest_cycle)
 from choosability.recognition import compute_core, is_2_choosable
 
-from conftest import (cycle_graph, graph_classes, path_graph, petersen_graph,
+from choosability.reductions import CnfFormula, build_G_phi_p
+
+from conftest import (approx_2_del_global, cycle_graph, disjoint_union, dumbbell_graph,
+                      graph_classes, path_graph, petersen_graph, spider_graph,
                       theta_graph)
 
 
@@ -137,6 +140,12 @@ class TestCPrimeClassification:
         two_heavy = CountedMultiGraph(5, k23, provenance=((0,), (1,), (2, 3, 4), (5, 6, 7), (8,)))
         assert classify_c_prime(two_heavy).kind == KIND_NOT_IN_FAMILY
 
+    def test_house_outside(self):
+        # C5 plus the chord 0-2: degrees 3, 3, 2, 2, 2 on five vertices and
+        # six edges, but the hubs are adjacent
+        house = CountedMultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+        assert classify_c_prime(house).kind == KIND_NOT_IN_FAMILY
+
     def test_rejects_unpreprocessed(self):
         with pytest.raises(ValueError, match="not preprocessed"):
             classify_c_prime(CountedMultiGraph(2, [(0, 1)]))
@@ -190,3 +199,27 @@ class TestApprox2Del:
             a = approx_2_del(g)
             assert is_2_choosable(delete_vertices(g, a)[0])[0]
             assert len(set(a)) == len(a)
+
+    def test_matches_whole_graph_loop(self, classes_upto_6):
+        cases = [g for graphs in classes_upto_6.values() for g in graphs]
+        rng = random.Random(97)
+        cases += [gen_gnp(rng.randrange(1, 80), rng.choice([0.03, 0.06, 0.1, 0.2]), seed=8000 + s)
+                  for s in range(300)]
+        cases += [spider_graph(k) for k in (3, 10, 50)]
+        cases += [dumbbell_graph(3, 3, 2), dumbbell_graph(3, 5, 1), dumbbell_graph(5, 5, 3)]
+        cases.append(disjoint_union(disjoint_union(spider_graph(4), petersen_graph()),
+                                    cycle_graph(5)))
+        phi = CnfFormula(7, [(1, 2, 3), (3, 4, 5), (5, 6, 7)])
+        cases.append(build_G_phi_p(phi, 1).graph)
+        for g in cases:
+            assert approx_2_del(g) == approx_2_del_global(g)
+
+    def test_disjoint_union_is_shifted_union(self):
+        parts = [spider_graph(3), petersen_graph(), cycle_graph(5), cycle_graph(6),
+                 dumbbell_graph(3, 5, 1)]
+        union = parts[0]
+        expected = list(approx_2_del(parts[0]))
+        for part in parts[1:]:
+            expected += [v + union.n for v in approx_2_del(part)]
+            union = disjoint_union(union, part)
+        assert approx_2_del(union) == tuple(sorted(expected))

@@ -12,8 +12,8 @@ from choosability.recognition import (KIND_EVEN_CYCLE, KIND_K1, KIND_OUTSIDE,
 from choosability.generators import gen_gnp
 
 from conftest import (brute_k_choosable, brute_list_colorable, complete_bipartite,
-                      cycle_graph, disjoint_union, graph_classes, mask_to_graph,
-                      path_graph, theta_graph, vertex_pairs)
+                      cycle_graph, disjoint_union, dumbbell_graph, graph_classes,
+                      mask_to_graph, path_graph, theta_graph, vertex_pairs)
 
 
 class TestComputeCore:
@@ -101,6 +101,13 @@ class TestClassifyCore:
         (verdict,) = classify_core(theta_graph(2, 2, 3))
         assert verdict.kind == KIND_OUTSIDE
         (verdict,) = classify_core(theta_graph(3, 3, 3))
+        assert verdict.kind == KIND_OUTSIDE
+        # odd n and two degree-3 hubs, but the hubs share only the middle of their path
+        for g in (dumbbell_graph(4, 4, 2), dumbbell_graph(4, 6, 2)):
+            (verdict,) = classify_core(g)
+            assert verdict.kind == KIND_OUTSIDE
+        figure_eight = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
+        (verdict,) = classify_core(figure_eight)
         assert verdict.kind == KIND_OUTSIDE
 
 
