@@ -5,6 +5,10 @@ input error, 3 node-expansion budget exceeded, 4 internal error (a failed
 self-check or any other unexpected exception).  ``--json`` replaces the
 human-readable output with a machine-readable report; identical arguments,
 inputs and seeds give byte-identical reports except for the runtime counter.
+With ``--json``, exits 2, 3 and 4 print ``{"error": {"kind", "message"}}``
+on stdout instead (kind ``input``, ``budget`` or ``internal``; a budget
+error also carries the search's ``stats``); stderr is the same either way.
+Argument errors found by argparse print its usage text only.
 """
 
 import argparse
@@ -15,8 +19,8 @@ import time
 
 from . import __version__
 from .approx import approx_2_del
-from .dimacs import (ParseError, parse_dimacs_cnf, parse_graph, read_artifact,
-                     write_artifact, write_dimacs_cnf, write_graph)
+from .dimacs import (ParseError, _write_new_file, parse_dimacs_cnf, parse_graph,
+                     read_artifact, write_artifact, write_dimacs_cnf, write_graph)
 from .errors import Budget, BudgetExceededError
 from .exact import (DEFAULT_DEL_CAP, DEFAULT_NEAR3_CAP, min_2_del_exact, min_near_3,
                     near_3_decide)
@@ -392,8 +396,7 @@ def _cmd_gen(args, run):
     run.report["input_digest"] = _digest(params)
     run.verdict("output_digest", _digest(payload))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        _write_new_file(args.out, payload)
         run.verdict("file", args.out)
         run.say("wrote %s" % args.out)
     else:
@@ -413,6 +416,14 @@ _HANDLERS = {
 }
 
 
+def _error_exit(args, code, kind, message, **details):
+    """Return exit ``code``; with ``--json`` first print the error as a JSON line."""
+    if args.json:
+        body = dict(details, kind=kind, message=message)
+        print(json.dumps({"error": body}, sort_keys=True, separators=(",", ":")))
+    return code
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -427,15 +438,16 @@ def main(argv=None):
         _HANDLERS[args.command](args, run)
     except BudgetExceededError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
-        return 3
+        return _error_exit(args, 3, "budget", str(exc), stats=exc.stats)
     except (ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _error_exit(args, 2, "input", str(exc))
     except Exception as exc:              # a bug, never bad input: report it with its traceback
         import traceback                  # imported here so that runs without a bug never load it
-        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        message = "%s: %s" % (type(exc).__name__, exc)
+        print("internal error: %s" % message, file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
-        return 4
+        return _error_exit(args, 4, "internal", message)
     run.report["counters"]["runtime_ms"] = round(
         (time.perf_counter() - started) * 1000.0, 3)
     if args.json:

@@ -7,6 +7,7 @@ three literals per clause; every ``c`` line is a comment.  All ids are
 """
 
 import json
+import os
 
 from .graphs import Graph
 from .reductions import CnfFormula, ReductionArtifact
@@ -135,20 +136,34 @@ def write_dimacs_cnf(phi):
     return "\n".join(lines) + "\n"
 
 
+def _write_new_file(path, text):
+    """Write ``text`` to ``path`` as a new file, replacing whatever is there.
+
+    The old entry is unlinked, not truncated: on ext4 (``auto_da_alloc``)
+    closing a truncated file starts writeback, so the next rewrite of the
+    path would wait for the disk.  A symlink or hard link at ``path`` is
+    replaced, not written through; a handle still open on the old file
+    keeps reading the old bytes.  Nothing is fsynced.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "x") as fh:
+        fh.write(text)
+
+
 def write_artifact(art, base_path):
     """Write ``<base>.graph`` and ``<base>.roles.json``; returns both paths."""
     graph_path = str(base_path) + ".graph"
     sidecar_path = str(base_path) + ".roles.json"
-    with open(graph_path, "w") as fh:
-        fh.write(write_graph(art.graph))
+    _write_new_file(graph_path, write_graph(art.graph))
     sidecar = {
         "kind": art.kind,
         "roles": {str(v): art.roles[v] for v in sorted(art.roles)},
         "meta": art.meta,
     }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_new_file(sidecar_path, json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
     return graph_path, sidecar_path
 
 

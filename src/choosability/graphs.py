@@ -19,7 +19,9 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Rejects self-loops, duplicate edges and out-of-range endpoints at
-    construction time.  ``adj[v]`` is a sorted tuple of neighbours.
+    construction time.  The edges are checked in sorted order, so when an
+    input has several faults the one reported is the first in that order.
+    ``adj[v]`` is a sorted tuple of neighbours.
     """
 
     __slots__ = ("n", "edges", "adj", "_adj_sets", "_adj_bits")
@@ -27,25 +29,26 @@ class Graph:
     def __init__(self, n, edges):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen = set()
-        normalized = []
-        for u, v in edges:
+        # sorted, so duplicates are adjacent and each vertex meets its smaller
+        # neighbours before its larger ones: every adj list comes out sorted
+        normalized = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+        prev = None
+        for e in normalized:
+            u, v = e
             if u == v:
                 raise ValueError("self-loop at vertex %d" % u)
-            if not (0 <= u < n and 0 <= v < n):
+            if u < 0 or v >= n:
                 raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
+            if e == prev:
                 raise ValueError("duplicate edge (%d, %d)" % e)
-            seen.add(e)
-            normalized.append(e)
+            prev = e
         self.n = n
-        self.edges = tuple(sorted(normalized))
+        self.edges = tuple(normalized)
         adj = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in normalized:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.adj = tuple(map(tuple, adj))
         self._adj_sets = None
         self._adj_bits = None
 
@@ -93,8 +96,7 @@ def induced_subgraph(g, vertices):
     """
     kept = tuple(sorted(set(vertices)))
     index = {v: i for i, v in enumerate(kept)}
-    keep = set(kept)
-    edges = [(index[u], index[v]) for u, v in g.edges if u in keep and v in keep]
+    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
     return Graph(len(kept), edges), kept
 
 

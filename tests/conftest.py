@@ -9,6 +9,34 @@ from choosability.errors import Budget
 from choosability.graphs import Graph
 
 
+def graph_reference(n, edges):
+    """``Graph``'s former constructor: ``(edges, adj)`` built edge by edge.
+
+    Checks each edge in input order against a set of those seen, then sorts
+    the edges and every neighbour list on its own.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    seen = set()
+    normalized = []
+    for u, v in edges:
+        if u == v:
+            raise ValueError("self-loop at vertex %d" % u)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError("duplicate edge (%d, %d)" % e)
+        seen.add(e)
+        normalized.append(e)
+    edges = tuple(sorted(normalized))
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return edges, tuple(tuple(sorted(a)) for a in adj)
+
+
 def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 

@@ -83,6 +83,40 @@ class TestExitCodes:
         assert main(["check2", str(path), "--oracle", "--cap", "8"]) == 0
 
 
+class TestJsonErrors:
+    """With --json, exits 2-4 print one JSON line on stdout; stderr is unchanged."""
+
+    def run_error(self, capsys, argv):
+        code = main(["--json"] + argv)
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1
+        return code, json.loads(captured.out)["error"], captured.err
+
+    def test_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.graph"
+        bad.write_text("p edge 2 1\ne 1 1\n")
+        code, body, err = self.run_error(capsys, ["stats", str(bad)])
+        assert code == 2 and err == "error: line 2: self-loop at vertex 1\n"
+        assert body == {"kind": "input", "message": "line 2: self-loop at vertex 1"}
+
+    def test_budget_exceeded(self, c6_file, capsys):
+        code, body, err = self.run_error(capsys, ["check2", c6_file, "--oracle", "--budget", "3"])
+        assert code == 3 and err == "budget exceeded: node-expansion budget of 3 exceeded\n"
+        assert body["kind"] == "budget"
+        assert body["message"] == "node-expansion budget of 3 exceeded"
+        assert body["stats"]["expanded"] == 4 and body["stats"]["limit"] == 3
+        assert body["stats"]["stage"] == "oracle"
+
+    def test_internal_error(self, c5_file, capsys, monkeypatch):
+        def handler(args, run):
+            raise InternalCheckError("re-check failed")
+        monkeypatch.setitem(cli._HANDLERS, "stats", handler)
+        code, body, err = self.run_error(capsys, ["stats", c5_file])
+        assert code == 4
+        assert err.startswith("internal error: InternalCheckError: re-check failed\n")
+        assert body == {"kind": "internal", "message": "InternalCheckError: re-check failed"}
+
+
 class TestStats:
     def test_c5(self, c5_file, capsys):
         code, report = run_json(capsys, ["stats", c5_file])
@@ -250,6 +284,35 @@ class TestReduceAndSolve:
         code, report = run_json(capsys, ["solution-from-assignment", base, "--tau", "10"])
         assert code == 0
         assert report["verdicts"]["size"] == 0
+
+    def test_reduce_over_larger_artifact_equals_fresh_write(self, tmp_path, capsys):
+        big = tmp_path / "big.cnf"
+        big.write_text("p cnf 4 3\n1 2 -3 0\n-1 3 4 0\n2 -3 -4 0\n")
+        small = tmp_path / "small.cnf"
+        small.write_text("p cnf 3 1\n1 2 -3 0\n")
+        (tmp_path / "fresh").mkdir()
+        fresh, reused = str(tmp_path / "fresh" / "art"), str(tmp_path / "art")
+        assert main(["reduce", "sat3", str(big), "--out", reused]) == 0
+        with open(reused + ".graph", "rb") as fh:
+            old = fh.read()
+        assert main(["reduce", "sat3", str(small), "--out", reused]) == 0
+        assert main(["reduce", "sat3", str(small), "--out", fresh]) == 0
+        for ext in (".graph", ".roles.json"):
+            with open(fresh + ext, "rb") as a, open(reused + ext, "rb") as b:
+                assert a.read() == b.read()
+        with open(fresh + ".graph", "rb") as fh:
+            assert len(fh.read()) < len(old)
+
+    def test_reduce_onto_directory_is_input_error(self, c5_file, tmp_path, capsys):
+        (tmp_path / "art.graph").mkdir()
+        assert main(["reduce", "vc", c5_file, "--out", str(tmp_path / "art")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_gen_out_over_existing_file(self, tmp_path, capsys):
+        path = tmp_path / "g.graph"
+        path.write_text("c an older and much longer file\n" * 50)
+        assert main(["gen", "cycle", "--n", "4", "--out", str(path)]) == 0
+        assert path.read_text() == write_graph(cycle_graph(4))
 
     def test_vc_reduction_to_stdout(self, c5_file, capsys):
         code = main(["reduce", "vc", c5_file])

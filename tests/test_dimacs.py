@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,31 @@ class TestArtifactFiles:
         assert loaded.graph == art.graph
         assert loaded.roles == {v: rec for v, rec in art.roles.items()}
         assert loaded.meta == art.meta
+
+    def test_rewrite_leaves_open_handle_on_old_bytes(self, tmp_path):
+        base = tmp_path / "artifact"
+        write_artifact(triangle_reduction(cycle_graph(5)), base)
+        graph_path = tmp_path / "artifact.graph"
+        old = graph_path.read_bytes()
+        art = triangle_reduction(cycle_graph(4))
+        with open(graph_path, "rb") as fh:
+            write_artifact(art, base)
+            assert fh.read() == old
+        assert graph_path.read_text() == write_graph(art.graph)
+
+    def test_links_at_target_are_replaced_not_followed(self, tmp_path):
+        linked = tmp_path / "linked.graph"
+        linked.write_text("keep me\n")
+        shared = tmp_path / "shared.json"
+        shared.write_text("keep me too\n")
+        (tmp_path / "artifact.graph").symlink_to(linked)
+        os.link(shared, tmp_path / "artifact.roles.json")
+        art = triangle_reduction(cycle_graph(4))
+        write_artifact(art, tmp_path / "artifact")
+        assert not (tmp_path / "artifact.graph").is_symlink()
+        assert linked.read_text() == "keep me\n"
+        assert shared.read_text() == "keep me too\n"
+        assert read_artifact(tmp_path / "artifact").graph == art.graph
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,13 +12,18 @@ from choosability.recognition import is_L_colorable
 
 from conftest import (brute_diameter, brute_girth, brute_lex_shortest_cycle,
                       complete_bipartite, complete_graph, cycle_graph, disjoint_union,
-                      graph_classes, mask_to_graph, path_graph, petersen_graph,
-                      vertex_pairs)
+                      graph_classes, graph_reference, mask_to_graph, path_graph,
+                      petersen_graph, vertex_pairs)
 
 
 def k_colorable(g, k, budget=None):
     """Proper k-coloring search: every list is 1..k."""
     return is_L_colorable(g, dict.fromkeys(range(g.n), range(1, k + 1)), budget)
+
+
+#: edges that add each fault to a graph on six vertices
+FAULTS = {"self-loop": [(2, 2)], "duplicate": [(1, 3), (3, 1)],
+          "out of range": [(4, 6), (-1, 0)]}
 
 
 class TestGraphConstruction:
@@ -32,6 +38,43 @@ class TestGraphConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])
+
+    def test_matches_reference_on_every_labelled_graph(self):
+        for n in range(7):
+            pairs = vertex_pairs(n)
+            for mask in range(1 << len(pairs)):
+                edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+                g = Graph(n, edges)
+                assert (g.edges, g.adj) == graph_reference(n, edges)
+
+    def test_matches_reference_on_shuffled_gnp(self):
+        rng = random.Random(20240)
+        for _ in range(300):
+            n = rng.randrange(1, 40)
+            prob = rng.random()
+            edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                     for u, v in vertex_pairs(n) if rng.random() < prob]
+            rng.shuffle(edges)
+            for given in (edges, [(v, u) for u, v in edges]):
+                g = Graph(n, given)
+                assert (g.edges, g.adj) == graph_reference(n, given)
+
+    @pytest.mark.parametrize("faults", [kinds for r in (1, 2, 3)
+                                        for kinds in itertools.combinations(FAULTS, r)],
+                             ids="+".join)
+    def test_each_fault_raises_its_message(self, faults):
+        rng = random.Random(len(faults))
+        base = [(0, 1), (1, 2), (2, 4), (0, 5)]
+        for _ in range(20):
+            edges = base + [e for kind in faults for e in FAULTS[kind]]
+            rng.shuffle(edges)
+            with pytest.raises(ValueError) as info:
+                Graph(6, edges)
+            message = str(info.value)
+            assert any(kind in message for kind in faults), message
+            if len(faults) == 1:
+                with pytest.raises(ValueError, match=faults[0]):
+                    graph_reference(6, edges)
 
     def test_adjacency_symmetric_and_degree(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
