@@ -8,6 +8,7 @@ three literals per clause; every ``c`` line is a comment.  All ids are
 
 import json
 import os
+import stat
 
 from .graphs import Graph
 from .reductions import CnfFormula, ReductionArtifact
@@ -137,19 +138,24 @@ def write_dimacs_cnf(phi):
 
 
 def _write_new_file(path, text):
-    """Write ``text`` to ``path`` as a new file, replacing whatever is there.
+    """Write ``text`` to ``path``, replacing a regular file there, not truncating it.
 
-    The old entry is unlinked, not truncated: on ext4 (``auto_da_alloc``)
-    closing a truncated file starts writeback, so the next rewrite of the
-    path would wait for the disk.  A symlink or hard link at ``path`` is
-    replaced, not written through; a handle still open on the old file
-    keeps reading the old bytes.  Nothing is fsynced.
+    On ext4 (``auto_da_alloc``) closing a truncated file starts writeback,
+    so the next rewrite of the path would wait for the disk; unlinking the
+    old file and creating a new one does not.  Only a regular file is
+    unlinked: anything else at ``path`` (a symlink such as ``/dev/stdout``
+    or ``/dev/fd/N``, a device such as ``/dev/null``, a FIFO) is opened and
+    written through, as with ``open(path, "w")``.  A hard link to the old
+    file and a handle still open on it keep the old bytes, and the new file
+    gets the default mode and owner.  Nothing is fsynced.
     """
     try:
-        os.unlink(path)
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
-        pass
-    with open(path, "x") as fh:
+        regular = None
+    if regular:
+        os.unlink(path)
+    with open(path, "w" if regular is False else "x") as fh:
         fh.write(text)
 
 

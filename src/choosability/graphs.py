@@ -20,8 +20,9 @@ class Graph:
 
     Rejects self-loops, duplicate edges and out-of-range endpoints at
     construction time.  The edges are checked in sorted order, so when an
-    input has several faults the one reported is the first in that order.
-    ``adj[v]`` is a sorted tuple of neighbours.
+    input has several faults the one reported is the first in that order,
+    and an edge in a message is written (smaller, larger) whatever order
+    it was given in.  ``adj[v]`` is a sorted tuple of neighbours.
     """
 
     __slots__ = ("n", "edges", "adj", "_adj_sets", "_adj_bits")
@@ -142,11 +143,12 @@ class CountedMultiGraph:
         self.edges = tuple(sorted(normalized))
         self.counts = tuple(len(p) for p in provenance)
         self.provenance = provenance
+        # the edges are sorted, so every adj list comes out sorted (see Graph)
         adj = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.adj = tuple(map(tuple, adj))
 
     @classmethod
     def from_graph(cls, g):
@@ -171,8 +173,7 @@ def multigraph_restrict(mg, vertices):
     """Sub-multigraph on ``vertices`` (counts and provenance carried along)."""
     kept = tuple(sorted(set(vertices)))
     index = {v: i for i, v in enumerate(kept)}
-    keep = set(kept)
-    edges = [(index[u], index[v]) for u, v in mg.edges if u in keep and v in keep]
+    edges = [(index[u], index[v]) for u, v in mg.edges if u in index and v in index]
     return CountedMultiGraph(len(kept), edges, tuple(mg.provenance[v] for v in kept))
 
 

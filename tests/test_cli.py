@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -313,6 +315,27 @@ class TestReduceAndSolve:
         path.write_text("c an older and much longer file\n" * 50)
         assert main(["gen", "cycle", "--n", "4", "--out", str(path)]) == 0
         assert path.read_text() == write_graph(cycle_graph(4))
+
+    def test_gen_out_into_devices_and_fifos(self, tmp_path, capsys):
+        # special files are written into, never unlinked and replaced
+        assert main(["gen", "cycle", "--n", "4", "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        link = tmp_path / "null-link"
+        link.symlink_to(os.devnull)
+        assert main(["gen", "cycle", "--n", "4", "--out", str(link)]) == 0
+        assert link.is_symlink() and stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        fifo = tmp_path / "g.graph"
+        os.mkfifo(fifo)
+        # a non-blocking read end lets the writer open at once; the payload
+        # fits in the pipe buffer, so nothing waits and nothing can hang
+        read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["gen", "cycle", "--n", "4", "--out", str(fifo)]) == 0
+            received = os.read(read_end, 1 << 16).decode()
+        finally:
+            os.close(read_end)
+        assert received == write_graph(cycle_graph(4))
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
     def test_vc_reduction_to_stdout(self, c5_file, capsys):
         code = main(["reduce", "vc", c5_file])

@@ -122,19 +122,20 @@ class TestArtifactFiles:
             assert fh.read() == old
         assert graph_path.read_text() == write_graph(art.graph)
 
-    def test_links_at_target_are_replaced_not_followed(self, tmp_path):
-        linked = tmp_path / "linked.graph"
-        linked.write_text("keep me\n")
-        shared = tmp_path / "shared.json"
-        shared.write_text("keep me too\n")
-        (tmp_path / "artifact.graph").symlink_to(linked)
-        os.link(shared, tmp_path / "artifact.roles.json")
+    def test_hard_link_replaced_symlink_written_through(self, tmp_path):
+        shared = tmp_path / "shared.graph"
+        shared.write_text("keep me\n")
+        linked = tmp_path / "linked.json"
+        linked.write_text("c an older and much longer file\n" * 50)
+        os.link(shared, tmp_path / "artifact.graph")
+        (tmp_path / "artifact.roles.json").symlink_to(linked)
         art = triangle_reduction(cycle_graph(4))
         write_artifact(art, tmp_path / "artifact")
-        assert not (tmp_path / "artifact.graph").is_symlink()
-        assert linked.read_text() == "keep me\n"
-        assert shared.read_text() == "keep me too\n"
-        assert read_artifact(tmp_path / "artifact").graph == art.graph
+        assert shared.read_text() == "keep me\n"
+        assert (tmp_path / "artifact.roles.json").is_symlink()
+        assert linked.read_text().startswith("{")
+        loaded = read_artifact(tmp_path / "artifact")
+        assert loaded.graph == art.graph and loaded.kind == art.kind
 
 
 # ---------------------------------------------------------------------------

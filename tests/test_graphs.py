@@ -38,6 +38,9 @@ class TestGraphConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])
+        # the message gives the edge as (smaller, larger)
+        with pytest.raises(ValueError, match=r"^edge \(0, 2\) out of range for n=2$"):
+            Graph(2, [(2, 0)])
 
     def test_matches_reference_on_every_labelled_graph(self):
         for n in range(7):
@@ -89,6 +92,17 @@ class TestGraphConstruction:
             CountedMultiGraph(2, [(0, 1)], provenance=((3,), (3,)))
         with pytest.raises(ValueError, match="empty"):
             CountedMultiGraph(1, [], provenance=((),))
+
+    def test_multigraph_adjacency_sorted_with_parallel_edges(self):
+        rng = random.Random(4711)
+        for _ in range(200):
+            n = rng.randrange(2, 15)
+            edges = [rng.sample(range(n), 2) for _ in range(rng.randrange(3 * n))]
+            mg = CountedMultiGraph(n, edges)
+            for v in range(n):
+                expected = sorted([b for a, b in edges if a == v]
+                                  + [a for a, b in edges if b == v])
+                assert mg.adj[v] == tuple(expected)
 
 
 class TestBipartite:
