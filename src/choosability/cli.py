@@ -5,10 +5,11 @@ input error, 3 node-expansion budget exceeded, 4 internal error (a failed
 self-check or any other unexpected exception).  ``--json`` replaces the
 human-readable output with a machine-readable report; identical arguments,
 inputs and seeds give byte-identical reports except for the runtime counter.
-With ``--json``, exits 2, 3 and 4 print ``{"error": {"kind", "message"}}``
-on stdout instead (kind ``input``, ``budget`` or ``internal``; a budget
-error also carries the search's ``stats``); stderr is the same either way.
-Argument errors found by argparse print its usage text only.
+With ``--json`` before the command, exits 2, 3 and 4 print
+``{"error": {"kind", "message"}}`` on stdout instead (kind ``usage`` for an
+argument error that argparse finds, ``input``, ``budget`` or ``internal``; a
+budget error also carries the search's ``stats``); stderr is the same either
+way.
 """
 
 import argparse
@@ -19,8 +20,8 @@ import time
 
 from . import __version__
 from .approx import approx_2_del
-from .dimacs import (ParseError, _write_new_file, parse_dimacs_cnf, parse_graph,
-                     read_artifact, write_artifact, write_dimacs_cnf, write_graph)
+from .dimacs import (_write_new_file, parse_dimacs_cnf, parse_graph, read_artifact,
+                     write_artifact, write_dimacs_cnf, write_graph)
 from .errors import Budget, BudgetExceededError
 from .exact import (DEFAULT_DEL_CAP, DEFAULT_NEAR3_CAP, min_2_del_exact, min_near_3,
                     near_3_decide)
@@ -32,11 +33,24 @@ from .reductions import (build_G_phi_p, build_H_phi, build_forbidden_gadget,
                          build_clause_gadget_planar, build_edge_gadget,
                          constraint_graph_P, decomposition_from_assignment,
                          deletion_set_from_assignment, triangle_reduction,
-                         verify_lemma_2_2, CnfFormula)
+                         verify_lemma_2_2)
+
+
+class _UsageError(Exception):
+    """An argument error that argparse found; its usage text is already on stderr."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """Print the usage text as argparse does, then raise _UsageError, not SystemExit."""
+        try:
+            super().error(message)
+        except SystemExit:
+            raise _UsageError(message) from None
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="choosability",
         description="2-choosability toolkit: recognition, deletion solvers, reductions")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -283,98 +297,48 @@ def _cmd_reduce(args, run):
         run.say(write_graph(art.graph).rstrip("\n"))
 
 
-#: the sidecar ``meta`` entries that the solution of each artifact kind reads
-_SOLUTION_META = {
-    "sat3": ("formula",),
-    "planar3sat": ("formula", "forbidden_gadgets", "edge_gadgets"),
-}
-
-
-def _check_solution_meta(art, sidecar):
-    """Raise ParseError unless ``art.meta`` holds well-formed solution inputs."""
-    for key in _SOLUTION_META[art.kind]:
-        if key not in art.meta:
-            raise ParseError("%s: %s sidecar has no meta.%s" % (sidecar, art.kind, key))
-    num_vars = CnfFormula.from_dict(art.meta["formula"]).num_vars
-    if art.kind != "planar3sat":
-        return
-
-    def vertex(x):
-        return isinstance(x, int) and 0 <= x < art.graph.n
-
-    def var_of(x):
-        role = art.roles.get(x) if vertex(x) else None
-        return role.get("var") if isinstance(role, dict) else None
-
-    forbidden, edge = art.meta["forbidden_gadgets"], art.meta["edge_gadgets"]
-    if not (isinstance(forbidden, list) and isinstance(edge, list)
-            and all(isinstance(rec, dict) and vertex(rec.get("core")) for rec in forbidden)
-            and all(isinstance(rec, dict) and rec.get("kind") in ("positive", "negative")
-                    and var_of(rec.get("x")) in range(1, num_vars + 1)
-                    and all(isinstance(rec.get(side), list) and all(map(vertex, rec[side]))
-                            for side in ("blue", "red"))
-                    for rec in edge)):
-        raise ParseError("%s: malformed meta.forbidden_gadgets or meta.edge_gadgets record"
-                         % sidecar)
-
-
 def _cmd_solution(args, run):
     art = read_artifact(args.artifact)
     run.report["input_digest"] = _digest(_read(args.artifact + ".graph"))
     if not args.tau or set(args.tau) - {"0", "1"}:
         raise ValueError("--tau must be a non-empty string of 0s and 1s")
     tau = [ch == "1" for ch in args.tau]
-    if art.kind not in ("sat3", "planar3sat"):
-        raise ValueError("artifact kind %r has no assignment-driven solution" % art.kind)
-    _check_solution_meta(art, args.artifact + ".roles.json")
     if art.kind == "sat3":
         decomp = decomposition_from_assignment(art, tau)
         run.verdict("kind", "decomposition")
         run.verdict("independent_side_size", len(decomp.a))
         run.witness("independent_side", _ids(decomp.a))
         run.say("valid decomposition; |A|=%d |B|=%d" % (len(decomp.a), len(decomp.b)))
-    else:
+    elif art.kind == "planar3sat":
         a = deletion_set_from_assignment(art, tau)
         run.verdict("kind", "deletion-set")
         run.verdict("size", len(a))
         run.witness("deleted", _ids(a))
         run.say("valid independent deletion set of size %d" % len(a))
+    else:
+        raise ValueError("artifact kind %r has no assignment-driven solution" % art.kind)
 
 
 def _cmd_verify(args, run):
     report = verify_lemma_2_2(constraint_graph_P())
-    checks = {"constraint_graph": report}
     p = args.p
-    gadgets = {}
-    forb = build_forbidden_gadget(p)
-    gadgets["forbidden"] = {
-        "n": forb.graph.n, "expected_n": 3 * p + 5,
-        "two_choosable": is_2_choosable(forb.graph)[0],
-        "bipartite": is_bipartite(forb.graph)[0],
-    }
-    clause = build_clause_gadget_planar(p)
-    gadgets["clause"] = {
-        "n": clause.graph.n, "expected_n": 9 * p + 18,
-        "two_choosable": is_2_choosable(clause.graph)[0],
-        "bipartite": is_bipartite(clause.graph)[0],
-    }
-    for kind in ("positive", "negative"):
-        art = build_edge_gadget(kind, p)
-        gadgets[kind + "_edge"] = {
-            "n": art.graph.n, "max_owned": 84 * p,
-            "owned": art.graph.n - 1,
-            "two_choosable": is_2_choosable(art.graph)[0],
-            "bipartite": is_bipartite(art.graph)[0],
-        }
-    ok = (report["ok"]
-          and gadgets["forbidden"]["n"] == gadgets["forbidden"]["expected_n"]
-          and gadgets["clause"]["n"] == gadgets["clause"]["expected_n"]
-          and all(not rec["two_choosable"] and rec["bipartite"] for rec in gadgets.values())
-          and all(rec["owned"] <= rec["max_owned"] for key, rec in gadgets.items()
-                  if key.endswith("_edge")))
-    checks["gadgets"] = gadgets
+    gadgets, ok = {}, report["ok"]
+    for key, art in (("forbidden", build_forbidden_gadget(p)),
+                     ("clause", build_clause_gadget_planar(p)),
+                     ("positive_edge", build_edge_gadget("positive", p)),
+                     ("negative_edge", build_edge_gadget("negative", p))):
+        g = art.graph
+        rec = gadgets[key] = {"n": g.n, "two_choosable": is_2_choosable(g)[0],
+                              "bipartite": is_bipartite(g)[0]}
+        if key.endswith("_edge"):
+            rec.update(owned=g.n - 1, max_owned=84 * p)
+            size_ok = rec["owned"] <= rec["max_owned"]
+        else:
+            rec["expected_n"] = 3 * p + 5 if key == "forbidden" else 9 * p + 18
+            size_ok = g.n == rec["expected_n"]
+        ok = ok and size_ok and not rec["two_choosable"] and rec["bipartite"]
     run.verdict("all_ok", ok)
-    run.verdict("checks", checks)
+    run.verdict("checks", {"constraint_graph": report, "gadgets": gadgets})
     run.say("all gadget checks passed (p=%d)" % p if ok else "GADGET CHECKS FAILED")
     if not ok:
         run.exit_code = 1
@@ -428,9 +392,12 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
+    args = argparse.Namespace()           # holds --json even when parsing fails after it
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        parser.parse_args(argv, args)
+    except _UsageError as exc:
+        return _error_exit(args, 2, "usage", str(exc))
+    except SystemExit as exc:             # -h
         return 2 if exc.code not in (0, None) else 0
     run = _Run(list(argv))
     started = time.perf_counter()
@@ -439,7 +406,7 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return _error_exit(args, 3, "budget", str(exc), stats=exc.stats)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _error_exit(args, 2, "input", str(exc))
     except Exception as exc:              # a bug, never bad input: report it with its traceback

@@ -10,8 +10,8 @@ from fractions import Fraction
 from math import ceil
 
 from .errors import InternalCheckError
-from .exact import Decomposition
-from .graphs import Graph, coloring_is_proper, delete_vertices, induced_subgraph
+from .exact import Decomposition, decomposition_is_valid
+from .graphs import Graph, coloring_is_proper, delete_vertices
 from .recognition import is_2_choosable, is_L_colorable
 
 
@@ -44,11 +44,11 @@ class CnfFormula:
 
     @classmethod
     def from_dict(cls, data):
-        """Inverse of :meth:`to_dict`, ignoring other keys; ValueError if malformed."""
+        """Inverse of :meth:`to_dict`, ignoring other keys; ValueError if missing or malformed."""
         try:
             return cls(data["num_vars"], tuple(tuple(c) for c in data["clauses"]))
         except (AttributeError, KeyError, TypeError) as exc:
-            raise ValueError("malformed formula record: %r" % (exc,)) from exc
+            raise ValueError("missing or malformed formula record: %r" % (exc,)) from exc
 
     def satisfies(self, tau):
         tau = normalize_assignment(self, tau)
@@ -225,6 +225,15 @@ def _h_layout(n, k):
     return rows, tid, fid, dom, d0
 
 
+def _sat3_layout(art):
+    """The formula of an H_phi artifact and its layout; ValueError if they do not fit the graph."""
+    phi = CnfFormula.from_dict(art.meta.get("formula"))
+    layout = _h_layout(phi.num_vars, phi.num_clauses)
+    if art.graph.n != layout[-1] + 1:
+        raise ValueError("meta.formula does not fit a graph on %d vertices" % art.graph.n)
+    return phi, layout
+
+
 def _identified_vertices(phi, s, tid, fid):
     """Map constraint-graph labels to vertex ids for clause gadget s."""
     n = phi.num_vars
@@ -319,9 +328,8 @@ def H_phi_four_coloring(art):
     false) colors; failure to find any row-uniform coloring raises
     InternalCheckError.
     """
-    phi = CnfFormula.from_dict(art.meta["formula"])
-    n, k = phi.num_vars, phi.num_clauses
-    rows, tid, fid, dom, d0 = _h_layout(n, k)
+    phi, (rows, tid, fid, dom, d0) = _sat3_layout(art)
+    k = phi.num_clauses
 
     edges = [(2 * r, 2 * r + 1) for r in range(rows)]
     for s in range(1, k + 1):
@@ -355,15 +363,14 @@ def decomposition_from_assignment(art, tau):
     The apex joins A; a variable row sends the side matching the assignment
     to B and the mates to A; in each gadget the designated vertices of the
     false literals are extended via the tabulated independent set, and every
-    designated row follows its designated vertex.  The result is validated
-    (A independent, remainder 2-choosable) before being returned.
+    designated row follows its designated vertex.  The result is re-checked
+    with :func:`decomposition_is_valid` before being returned.
     """
-    phi = CnfFormula.from_dict(art.meta["formula"])
+    phi, (rows, tid, fid, dom, d0) = _sat3_layout(art)
     tau = normalize_assignment(phi, tau)
     if not phi.satisfies(tau):
         raise ValueError("assignment does not satisfy the formula")
     n, k = phi.num_vars, phi.num_clauses
-    rows, tid, fid, dom, d0 = _h_layout(n, k)
 
     # per global row: which side goes to A
     a_side = {}
@@ -385,15 +392,15 @@ def decomposition_from_assignment(art, tau):
             for c in range(1, 18):
                 a.add(pick(s, row, c))
 
-    b = tuple(v for v in range(art.graph.n) if v not in a)
-    a = tuple(sorted(a))
-    inside = set(a)
-    if any(u in inside and v in inside for u, v in art.graph.edges):
-        raise InternalCheckError("constructed A is not independent")
-    ok, _ = is_2_choosable(induced_subgraph(art.graph, b)[0])
-    if not ok:
-        raise InternalCheckError("remainder of the constructed decomposition is not 2-choosable")
-    return Decomposition(a, b)
+    return _rechecked(art.graph, a)
+
+
+def _rechecked(g, a):
+    """The decomposition (A, V - A) of ``g``; InternalCheckError unless it is valid."""
+    decomp = Decomposition(tuple(sorted(a)), tuple(v for v in range(g.n) if v not in a))
+    if not decomposition_is_valid(g, decomp):
+        raise InternalCheckError("constructed solution failed decomposition_is_valid")
+    return decomp
 
 
 # ---------------------------------------------------------------------------
@@ -541,29 +548,43 @@ def deletion_set_from_assignment(art, tau):
     Takes every forbidden-gadget core, the blue vertices of positive
     connections whose variable is true (red otherwise), and per negative
     connection the red vertex when the variable is true (blue otherwise).
-    Validated before being returned.
+    Each ``meta`` gadget record is checked as it is read (``core``, ``x`` and
+    every ``blue`` and ``red`` entry are vertex ids, the role of ``x`` has a
+    ``var`` of the formula, ``kind`` is positive or negative); a malformed
+    record is a ValueError.  The set is re-checked with
+    :func:`decomposition_is_valid` before being returned.
     """
-    phi = CnfFormula.from_dict(art.meta["formula"])
+    phi = CnfFormula.from_dict(art.meta.get("formula"))
     tau = normalize_assignment(phi, tau)
     if not phi.satisfies(tau):
         raise ValueError("assignment does not satisfy the formula")
+
+    def vertices(record, key):
+        """``record[key]`` as a list of vertex ids; ``blue`` and ``red`` hold lists."""
+        ids = record.get(key) if isinstance(record, dict) else None
+        ids = ids if key in ("blue", "red") else [ids]
+        if not (isinstance(ids, list)
+                and all(isinstance(v, int) and 0 <= v < art.graph.n for v in ids)):
+            raise ValueError("gadget record %r: %s does not hold vertex ids" % (record, key))
+        return ids
+
+    forbidden, connections = art.meta.get("forbidden_gadgets"), art.meta.get("edge_gadgets")
+    if not (isinstance(forbidden, list) and isinstance(connections, list)):
+        raise ValueError("meta.forbidden_gadgets and meta.edge_gadgets must be lists")
     a = set()
-    for record in art.meta["forbidden_gadgets"]:
-        a.add(record["core"])
-    for record in art.meta["edge_gadgets"]:
-        var = art.roles[record["x"]]["var"]
-        if record["kind"] == "positive":
-            a.update(record["blue"] if tau[var] else record["red"])
-        else:
-            a.update(record["red"] if tau[var] else record["blue"])
-    a = tuple(sorted(a))
-    inside = set(a)
-    if any(u in inside and v in inside for u, v in art.graph.edges):
-        raise InternalCheckError("constructed deletion set is not independent")
-    ok, _ = is_2_choosable(delete_vertices(art.graph, a)[0])
-    if not ok:
-        raise InternalCheckError("remainder after deletion is not 2-choosable")
-    return a
+    for record in forbidden:
+        a.update(vertices(record, "core"))
+    for record in connections:
+        role = art.roles.get(vertices(record, "x")[0])
+        var = role.get("var") if isinstance(role, dict) else None
+        if var not in range(1, phi.num_vars + 1):
+            raise ValueError("gadget record %r: the role of x has no var in 1..%d"
+                             % (record, phi.num_vars))
+        if record.get("kind") not in ("positive", "negative"):
+            raise ValueError("gadget record %r: kind is not positive or negative" % (record,))
+        blue, red = vertices(record, "blue"), vertices(record, "red")
+        a.update(blue if tau[var] == (record["kind"] == "positive") else red)
+    return _rechecked(art.graph, a).a
 
 
 def compute_paper_p(k, epsilon):

@@ -94,6 +94,18 @@ class TestJsonErrors:
         assert captured.out.count("\n") == 1
         return code, json.loads(captured.out)["error"], captured.err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["stats"], "the following arguments are required: graph"),
+        ([], "the following arguments are required: command"),
+        (["check2", "g", "--budget", "many"], "argument --budget: invalid int value: 'many'"),
+    ])
+    def test_usage_error(self, capsys, argv, message):
+        code, body, err = self.run_error(capsys, argv)
+        assert code == 2 and body == {"kind": "usage", "message": message}
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+        assert err.startswith("usage: choosability") and err.endswith(": error: %s\n" % message)
+
     def test_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
         bad.write_text("p edge 2 1\ne 1 1\n")
@@ -257,6 +269,7 @@ class TestReduceAndSolve:
                                       "planar3sat/meta.edge_gadgets",
                                       "planar3sat/meta.forbidden_gadgets",
                                       "planar3sat/meta.edge_gadgets.0.blue",
+                                      "planar3sat/meta.edge_gadgets.0.red",
                                       "planar3sat/roles.0.var"])
     def test_solution_sidecar_missing_key(self, tmp_path, capsys, drop):
         kind, _, drop = drop.rpartition("/")

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -378,6 +379,67 @@ def chain_formula(k, seed, shuffle):
         clause = [v if rng.random() < 0.5 else -v for v in (j, j + 1, j + 2)]
         clauses.append(rng.sample(clause, 3) if shuffle else clause)
     return CnfFormula(k + 2, clauses)
+
+
+class TestMalformedArtifacts:
+    """A sidecar edited by hand is bad input: the builders raise ValueError, not another error."""
+
+    PHI = CnfFormula(3, [(1, 2, -3)])
+    TAU = (True, True, False)
+
+    def mutated(self, art, path, value=None):
+        """A deep copy of ``art`` with the meta entry at ``path`` set to ``value`` (None: removed)."""
+        art = copy.deepcopy(art)
+        *keys, last = path
+        record = art.meta
+        for key in keys:
+            record = record[key]
+        if value is None:
+            del record[last]
+        else:
+            record[last] = value
+        return art
+
+    @pytest.mark.parametrize("path,value", [
+        pytest.param(("edge_gadgets",), None, id="no-edge-gadgets"),
+        pytest.param(("forbidden_gadgets",), None, id="no-forbidden-gadgets"),
+        pytest.param(("formula",), None, id="no-formula"),
+        pytest.param(("edge_gadgets",), {"0": {}}, id="edge-gadgets-object"),
+        pytest.param(("edge_gadgets", 0), "record", id="record-string"),
+        pytest.param(("forbidden_gadgets", 0, "core"), 10 ** 9, id="core-too-large"),
+        pytest.param(("forbidden_gadgets", 0, "core"), -1, id="core-negative"),
+        pytest.param(("edge_gadgets", 0, "x"), None, id="no-x"),
+        pytest.param(("edge_gadgets", 0, "x"), 10 ** 9, id="x-too-large"),
+        pytest.param(("edge_gadgets", 0, "kind"), "sideways", id="unknown-kind"),
+        pytest.param(("edge_gadgets", 0, "blue"), [0, 10 ** 9], id="blue-too-large"),
+        # blue is the side picked for record 0 (a positive literal of a true variable)
+        pytest.param(("edge_gadgets", 0, "red"), 5, id="red-int"),
+        pytest.param(("edge_gadgets", 0, "red"), None, id="no-red"),
+        pytest.param(("edge_gadgets", 0, "red"), ["5"], id="red-string-id"),
+    ])
+    def test_deletion_set_rejects(self, path, value):
+        art = build_G_phi_p(self.PHI, 1)
+        assert deletion_set_from_assignment(art, self.TAU)
+        with pytest.raises(ValueError):
+            deletion_set_from_assignment(self.mutated(art, path, value), self.TAU)
+
+    @pytest.mark.parametrize("var", [None, 0, 4, "1"])
+    def test_deletion_set_rejects_x_without_a_variable(self, var):
+        art = build_G_phi_p(self.PHI, 1)
+        x = art.meta["edge_gadgets"][0]["x"]
+        art.roles[x] = {"role": "variable"} if var is None else {"role": "variable", "var": var}
+        with pytest.raises(ValueError, match="var"):
+            deletion_set_from_assignment(art, self.TAU)
+
+    @pytest.mark.parametrize("build", [decomposition_from_assignment,
+                                       lambda art, tau: H_phi_four_coloring(art)])
+    @pytest.mark.parametrize("formula", [None, {"num_vars": 4, "clauses": [[1, 2, -3]]}])
+    def test_sat3_rejects_a_formula_that_is_missing_or_does_not_fit(self, build, formula):
+        art = build_H_phi(self.PHI)
+        build(art, self.TAU)
+        art = self.mutated(art, ("formula",), formula)
+        with pytest.raises(ValueError):
+            build(art, self.TAU)
 
 
 class TestPlanarity:
