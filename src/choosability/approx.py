@@ -15,9 +15,8 @@ vertex of its chain.
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .graphs import (CountedMultiGraph, connected_components, delete_vertices,
-                     multigraph_delete, multigraph_restrict, peel_degree_one,
-                     shortest_cycle)
+from .graphs import (CountedMultiGraph, connected_components, multigraph_delete,
+                     multigraph_restrict, peel_degree_one, shortest_cycle)
 from .recognition import is_2_choosable
 
 KIND_K1_COUNTED = "K1-counted"
@@ -175,7 +174,8 @@ def approx_2_del(g):
     result = tuple(sorted(set(chosen)))
     if len(result) != len(chosen):
         raise InternalCheckError("expanded deletion picks collided")
-    ok, _ = is_2_choosable(delete_vertices(g, result)[0])
+    picked = set(result)
+    ok, _ = is_2_choosable(g, [v for v in range(g.n) if v not in picked])
     if not ok:
         raise InternalCheckError("deletion set does not leave a 2-choosable graph")
     return result

@@ -23,8 +23,8 @@ from .approx import approx_2_del
 from .dimacs import (_write_new_file, parse_dimacs_cnf, parse_graph, read_artifact,
                      write_artifact, write_dimacs_cnf, write_graph)
 from .errors import Budget, BudgetExceededError
-from .exact import (DEFAULT_DEL_CAP, DEFAULT_NEAR3_CAP, min_2_del_exact, min_near_3,
-                    near_3_decide)
+from .exact import (DEFAULT_DEL_CAP, DEFAULT_NEAR3_CAP, DEFAULT_NODE_BUDGET,
+                    min_2_del_exact, min_near_3, near_3_decide)
 from .generators import gen_cycle, gen_formula, gen_gnp, gen_theta
 from .graphs import diameter, is_bipartite, is_triangle_free, shortest_cycle
 from .recognition import (classify_core, compute_core, format_list_assignment,
@@ -74,13 +74,15 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--min", action="store_true", dest="minimize",
                    help="minimize the independent deleted set")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="node budget (default %(default)d)")
     p.add_argument("--cap", type=int, default=DEFAULT_NEAR3_CAP)
 
     p = sub.add_parser("del2", help="2-choosable deletion set")
     p.add_argument("graph")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="node budget of --exact (default %(default)d)")
     p.add_argument("--cap", type=int, default=DEFAULT_DEL_CAP)
 
     p = sub.add_parser("reduce", help="build a reduction artifact")

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import Budget
-from .graphs import delete_vertices, induced_subgraph
 from .recognition import is_2_choosable
 
 DEFAULT_NEAR3_CAP = 25
 DEFAULT_DEL_CAP = 20
+#: node budget of ``del2 --exact`` and ``near3`` when ``--budget`` is absent
+DEFAULT_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ def decomposition_is_valid(g, decomp):
         return False
     if any(u in a and v in a for u, v in g.edges):
         return False
-    return is_2_choosable(induced_subgraph(g, b)[0])[0]
+    return is_2_choosable(g, b)[0]
 
 
 def near_3_decide(g, budget=None, cap=DEFAULT_NEAR3_CAP):
@@ -93,21 +94,19 @@ def _minimal_obstruction(g, removed):
 
     Shrinks the offending core component: each vertex, in ascending order,
     goes when the rest is still not 2-choosable, and then only the rest's
-    offending core component is kept.  Returns the sorted vertex tuple in
-    g's ids, or None when g minus ``removed`` is 2-choosable.
+    offending core component is kept.  Every test runs on a vertex set of
+    ``g`` itself, so no subgraph is built.  Returns the sorted vertex tuple
+    in g's ids, or None when g minus ``removed`` is 2-choosable.
     """
-    rest, kept = delete_vertices(g, removed)
-    ok, core = is_2_choosable(rest)
+    ok, current = is_2_choosable(g, [v for v in range(g.n) if v not in removed])
     if ok:
         return None
-    current = tuple(kept[v] for v in core)
     for v in current:
         if v not in current:
             continue
-        sub, sub_kept = induced_subgraph(g, (u for u in current if u != v))
-        ok, core = is_2_choosable(sub)
+        ok, core = is_2_choosable(g, [u for u in current if u != v])
         if not ok:
-            current = tuple(sub_kept[u] for u in core)
+            current = core
     return current
 
 
@@ -179,6 +178,6 @@ def min_2_del_bruteforce(g, budget=None):
     for t in range(g.n + 1):
         for cand in combinations(range(g.n), t):
             bud.charge(stage="del2-bruteforce")
-            if is_2_choosable(delete_vertices(g, cand)[0])[0]:
+            if is_2_choosable(g, [v for v in range(g.n) if v not in cand])[0]:
                 return t, cand
     raise AssertionError("deleting all vertices always works")

@@ -6,8 +6,9 @@ whose lengths are the counts, used by the contraction pipeline).  All values
 are immutable after construction; every query is a pure function with
 deterministic tie-breaking (ascending vertex ids).  ``peel_degree_one``,
 ``connected_components`` and ``shortest_cycle`` read only ``n`` and ``adj``,
-so they take either container; ``shortest_cycle`` runs one bounded BFS per
-root and one depth-first search at the root that wins.
+so they take either container; the first two also work inside a vertex set
+of the graph, in its own ids, and ``shortest_cycle`` runs one bounded BFS
+per root and one depth-first search at the root that wins.
 """
 
 from collections import deque
@@ -182,51 +183,95 @@ def multigraph_delete(mg, drop):
     return multigraph_restrict(mg, (v for v in range(mg.n) if v not in dropped))
 
 
-def peel_degree_one(g):
-    """Vertices left after repeatedly deleting degree-1 vertices, ascending.
+def _ascending_ids(g, vertices):
+    """``vertices`` ascending without repeats; ValueError for an id outside 0..n-1."""
+    order = sorted(set(vertices))
+    if order and (order[0] < 0 or order[-1] >= g.n):
+        bad = order[0] if order[0] < 0 else order[-1]
+        raise ValueError("vertex %d out of range for n=%d" % (bad, g.n))
+    return order
 
-    Reads only ``g.n`` and ``g.adj``, so it works for both containers; a
-    parallel pair counts as degree 2.  Degree-1 vertices are deleted last in,
-    first out.  The surviving edges do not depend on that order, but which
-    single vertex of a tree component survives does.
+
+def _peel(g, vertices=None):
+    """The peel behind :func:`peel_degree_one`, with the degrees it leaves.
+
+    Returns ``(core, degree)``: ``core`` as :func:`peel_degree_one` returns
+    it, and ``degree[v]`` the degree of each core vertex inside the core.
+    Since the core has no degree-1 vertex, that is 0 or at least 2; a
+    peeled vertex keeps 1 and a vertex outside ``vertices`` has 0.
     """
-    degree = [len(a) for a in g.adj]
-    alive = [True] * g.n
-    stack = [v for v in range(g.n) if degree[v] == 1]
+    adj = g.adj
+    if vertices is None:
+        order = range(g.n)
+        alive = [True] * g.n
+        degree = [len(a) for a in adj]
+    else:
+        order = _ascending_ids(g, vertices)
+        alive = [False] * g.n
+        for v in order:
+            alive[v] = True
+        degree = [0] * g.n
+        inside = alive.__getitem__
+        for v in order:
+            degree[v] = sum(map(inside, adj[v]))
+    stack = [v for v in order if degree[v] == 1]
     while stack:
         v = stack.pop()
         if not alive[v] or degree[v] != 1:
             continue
         alive[v] = False
-        for u in g.adj[v]:
+        for u in adj[v]:
             if alive[u]:
                 degree[u] -= 1
                 if degree[u] == 1:
                     stack.append(u)
-    return [v for v in range(g.n) if alive[v]]
+    return [v for v in order if alive[v]], degree
 
 
-def connected_components(g):
+def peel_degree_one(g, vertices=None):
+    """Vertices left after repeatedly deleting degree-1 vertices, ascending.
+
+    Peels ``G[vertices]`` (all of ``g`` when None) in ``g``'s own ids, with
+    no subgraph built; an id outside 0..n-1 raises ValueError.  Reads only
+    ``g.n`` and ``g.adj``, so it works for both containers; a parallel pair
+    counts as degree 2.  Degree-1 vertices are deleted last in, first out,
+    from the ascending list of the first ones.  The surviving edges do not
+    depend on that order, but which single vertex of a tree component
+    survives does.
+    """
+    return _peel(g, vertices)[0]
+
+
+def connected_components(g, vertices=None):
     """Maximal connected vertex sets, each sorted, ordered by smallest member.
 
-    Works for both ``Graph`` and ``CountedMultiGraph``.
+    Splits ``G[vertices]`` (all of ``g`` when None) in ``g``'s own ids; an
+    id outside 0..n-1 raises ValueError.  Works for both ``Graph`` and
+    ``CountedMultiGraph``.
     """
-    seen = [False] * g.n
+    adj = g.adj
+    if vertices is None:
+        order = range(g.n)
+        seen = [False] * g.n
+    else:
+        order = _ascending_ids(g, vertices)
+        seen = [True] * g.n
+        for v in order:
+            seen[v] = False
     components = []
-    for start in range(g.n):
+    for start in order:
         if seen[start]:
             continue
         seen[start] = True
         comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
+        # breadth-first: the list is the queue, read while it grows
+        for u in comp:
+            for v in adj[u]:
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)
-                    queue.append(v)
-        components.append(tuple(sorted(comp)))
+        comp.sort()
+        components.append(tuple(comp))
     return components
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import Budget, BudgetExceededError
-from .graphs import connected_components, induced_subgraph, peel_degree_one
+from .graphs import _peel, connected_components, induced_subgraph, peel_degree_one
 
 KIND_K1 = "K1"
 KIND_EVEN_CYCLE = "even-cycle"
@@ -55,42 +55,53 @@ def compute_core(g):
 
 def classify_core(core):
     """Classify every component of a core; rejects inputs with degree-1 vertices."""
+    degree = [len(a) for a in core.adj]
     for v in range(core.n):
-        if core.degree(v) == 1:
+        if degree[v] == 1:
             raise ValueError("input has a degree-1 vertex (%d); not a core" % v)
-    return [_classify_component(core, comp) for comp in connected_components(core)]
+    return [CoreClassification(*_classify_component(comp, core.adj, degree), comp)
+            for comp in connected_components(core)]
 
 
-def _classify_component(core, comp):
+def _classify_component(comp, adj, degree):
+    """``(kind, m)`` of one core component, from its vertices' degrees in the core.
+
+    ``comp`` is the component's sorted vertices, ``adj`` the adjacency of a
+    graph it is induced in, and ``degree[v]`` the degree of each of its
+    vertices inside the core.
+    """
     n = len(comp)
     if n == 1:
-        return CoreClassification(KIND_K1, None, comp)
-    hubs = [v for v in comp if core.degree(v) != 2]
+        return KIND_K1, None
+    hubs = [v for v in comp if degree[v] != 2]
     if not hubs:
         # connected and all degree 2: the cycle C_n
         if n % 2 == 0:
-            return CoreClassification(KIND_EVEN_CYCLE, (n - 2) // 2, comp)
-    elif (len(hubs) == 2 and n % 2 == 1 and core.degree(hubs[0]) == core.degree(hubs[1]) == 3
-          and len(set(core.adj[hubs[0]]) & set(core.adj[hubs[1]])) >= 2):
+            return KIND_EVEN_CYCLE, (n - 2) // 2
+    elif (len(hubs) == 2 and n % 2 == 1 and degree[hubs[0]] == degree[hubs[1]] == 3
+          and len(set(adj[hubs[0]]).intersection(adj[hubs[1]], comp)) >= 2):
         # two degree-3 hubs, the rest degree 2: a theta or a dumbbell.  A
         # dumbbell's hubs share at most one neighbour, so this is a theta
         # with paths 2, 2 and n - 3; an odd n rules out a hub-hub edge.
-        return CoreClassification(KIND_THETA, (n - 3) // 2, comp)
-    return CoreClassification(KIND_OUTSIDE, None, comp)
+        return KIND_THETA, (n - 3) // 2
+    return KIND_OUTSIDE, None
 
 
-def is_2_choosable(g):
-    """Core-classification test for 2-choosability.
+def is_2_choosable(g, vertices=None):
+    """Core-classification test for 2-choosability of ``G[vertices]``.
 
-    Applied per connected component (lists never interact across
-    components).  Returns ``(True, None)`` or ``(False, witness)`` where
-    ``witness`` is one offending core component as a sorted tuple of ``g``'s
+    ``vertices`` defaults to all of ``g``.  The induced graph is peeled and
+    split into core components in ``g``'s own ids, with no subgraph built;
+    an id outside 0..n-1 raises ValueError.  Applied per connected component
+    (lists never interact across components).  Returns ``(True, None)`` or
+    ``(False, witness)`` where ``witness`` is the first core component
+    outside the family, by smallest vertex, as a sorted tuple of ``g``'s
     vertex ids.
     """
-    core, kept = compute_core(g)
-    for verdict in classify_core(core):
-        if not verdict.in_family:
-            return False, tuple(sorted(kept[v] for v in verdict.vertices))
+    core, degree = _peel(g, vertices)
+    for comp in connected_components(g, core):
+        if _classify_component(comp, g.adj, degree)[0] == KIND_OUTSIDE:
+            return False, comp
     return True, None
 
 

@@ -11,7 +11,7 @@ from math import ceil
 
 from .errors import InternalCheckError
 from .exact import Decomposition, decomposition_is_valid
-from .graphs import Graph, coloring_is_proper, delete_vertices
+from .graphs import Graph, coloring_is_proper
 from .recognition import is_2_choosable, is_L_colorable
 
 
@@ -175,8 +175,7 @@ def verify_lemma_2_2(art):
     u = {idx["v1"], idx["v2"], idx["v3"]}
     expected = tuple(sorted(idx[lab] for lab in UNIQUE_EXTENSION_LABELS))
     found, superset = _maximal_independent_supersets(g, u)
-    remainder = delete_vertices(g, expected)[0]
-    remainder_ok, _ = is_2_choosable(remainder)
+    remainder_ok, _ = is_2_choosable(g, [v for v in range(g.n) if v not in expected])
     report["unique_extension"] = {
         "ok": superset == expected and not remainder_ok,
         "extension": list(UNIQUE_EXTENSION_LABELS),
@@ -190,7 +189,7 @@ def verify_lemma_2_2(art):
         ext = {idx[lab] for lab in labels}
         independent = not any(a in ext and b in ext for a, b in g.edges)
         meets = ext & u == {idx["v%d" % r] for r in slots}
-        rest_ok, _ = is_2_choosable(delete_vertices(g, ext)[0])
+        rest_ok, _ = is_2_choosable(g, [v for v in range(g.n) if v not in ext])
         entries.append({
             "subset": sorted("v%d" % r for r in slots),
             "extension": list(labels),
@@ -226,11 +225,24 @@ def _h_layout(n, k):
 
 
 def _sat3_layout(art):
-    """The formula of an H_phi artifact and its layout; ValueError if they do not fit the graph."""
+    """The formula of an H_phi artifact and its layout; ValueError if they do not fit the graph.
+
+    The formula fits when the layout has the graph's vertex count and every
+    gadget's copy of the constraint graph, placed by the formula's literals,
+    is there: each of its edges is an edge of the graph.
+    """
     phi = CnfFormula.from_dict(art.meta.get("formula"))
     layout = _h_layout(phi.num_vars, phi.num_clauses)
-    if art.graph.n != layout[-1] + 1:
-        raise ValueError("meta.formula does not fit a graph on %d vertices" % art.graph.n)
+    g = art.graph
+    if g.n != layout[-1] + 1:
+        raise ValueError("meta.formula does not fit a graph on %d vertices" % g.n)
+    _, tid, fid, _, _ = layout
+    for s in range(1, phi.num_clauses + 1):
+        vmap = _identified_vertices(phi, s, tid, fid)
+        for a, b in P_EDGES_BY_LABEL:
+            if vmap[b] not in g.adj[vmap[a]]:
+                raise ValueError("meta.formula does not fit the graph: clause %d's copy of "
+                                 "the constraint graph lacks the edge %s-%s" % (s, a, b))
     return phi, layout
 
 
@@ -315,6 +327,10 @@ def build_H_phi(phi):
     return ReductionArtifact("sat3", g, roles, meta)
 
 
+#: the roles of the paired-row vertices of H_phi
+_ROW_ROLES = ("variable-true", "variable-false", "clause-true", "clause-false")
+
+
 def H_phi_four_coloring(art):
     """Row-uniform proper 4-coloring of H_phi.
 
@@ -326,7 +342,9 @@ def H_phi_four_coloring(art):
     per constraint-graph edge of each gadget.  Returns ``(assignment,
     details)`` with ``details["row_pairs"]`` mapping each row to its (true,
     false) colors; failure to find any row-uniform coloring raises
-    InternalCheckError.
+    InternalCheckError.  The rows and sides come from the role records of
+    the constraint-graph copies, and a missing or malformed one is a
+    ValueError.
     """
     phi, (rows, tid, fid, dom, d0) = _sat3_layout(art)
     k = phi.num_clauses
@@ -335,7 +353,11 @@ def H_phi_four_coloring(art):
     for s in range(1, k + 1):
         side = {}
         for lab, vid in _identified_vertices(phi, s, tid, fid).items():
-            rec = art.roles[vid]
+            rec = art.roles.get(vid)
+            if not (isinstance(rec, dict) and rec.get("row") in range(1, rows + 1)
+                    and rec.get("role") in _ROW_ROLES):
+                raise ValueError("role record of vertex %d: need a row in 1..%d and a role "
+                                 "in %s" % (vid, rows, ", ".join(_ROW_ROLES)))
             side[lab] = 2 * (rec["row"] - 1) + rec["role"].endswith("false")
         edges.extend((side[a], side[b]) for a, b in P_EDGES_BY_LABEL)
     ok, colors = is_L_colorable(Graph(2 * rows, edges),

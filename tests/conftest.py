@@ -295,6 +295,85 @@ def brute_min_near_3(g):
     return None
 
 
+def is_2_choosable_reference(g):
+    """The former ``is_2_choosable``: build the core as a ``Graph`` and classify it.
+
+    Kept as a reference for the vertex-set form, which peels and splits
+    inside ``g`` and must return the same verdict and witness.
+    """
+    from choosability.recognition import classify_core, compute_core
+
+    core, kept = compute_core(g)
+    for verdict in classify_core(core):
+        if not verdict.in_family:
+            return False, tuple(sorted(kept[v] for v in verdict.vertices))
+    return True, None
+
+
+def is_2_choosable_on_subgraph(g, vertices):
+    """``is_2_choosable_reference`` of ``G[vertices]``, its witness in g's ids."""
+    from choosability.graphs import induced_subgraph
+
+    sub, kept = induced_subgraph(g, vertices)
+    ok, witness = is_2_choosable_reference(sub)
+    return ok, None if ok else tuple(kept[v] for v in witness)
+
+
+def minimal_obstruction_reference(g, removed):
+    """``exact._minimal_obstruction`` as it was, building a subgraph at every step.
+
+    Kept as a reference for the shrink on vertex sets of ``g``, which must
+    return the same tuple.
+    """
+    from choosability.graphs import delete_vertices, induced_subgraph
+
+    rest, kept = delete_vertices(g, removed)
+    ok, core = is_2_choosable_reference(rest)
+    if ok:
+        return None
+    current = tuple(kept[v] for v in core)
+    for v in current:
+        if v not in current:
+            continue
+        sub, sub_kept = induced_subgraph(g, (u for u in current if u != v))
+        ok, core = is_2_choosable_reference(sub)
+        if not ok:
+            current = tuple(sub_kept[u] for u in core)
+    return current
+
+
+def vertex_set_corpus():
+    """``(graph, vertex sets)`` pairs beyond the small labelled graphs.
+
+    300 seeded G(n, p) with n = 4-14, each with five random vertex sets,
+    then spiders, dumbbells, thetas, K_{2,n} and disjoint triangles, each
+    with its whole vertex set, every set missing one vertex and 40 random
+    sets.
+    """
+    import random
+
+    from choosability.generators import gen_gnp
+
+    rng = random.Random(1979)
+    corpus = []
+    for trial in range(300):
+        g = gen_gnp(rng.randrange(4, 15), rng.choice([0.2, 0.3, 0.45]), seed=5000 + trial)
+        corpus.append((g, [[v for v in range(g.n) if rng.random() < 0.7] for _ in range(5)]))
+    triangles = Graph(12, [(3 * i + a, 3 * i + b) for i in range(4)
+                           for a, b in ((0, 1), (1, 2), (0, 2))])
+    shapes = ([spider_graph(k) for k in (2, 3, 4)]
+              + [dumbbell_graph(3, 3, 2), dumbbell_graph(3, 5, 1), dumbbell_graph(4, 4, 2),
+                 dumbbell_graph(5, 5, 3)]
+              + [theta_graph(*paths) for paths in ((2, 2, 4), (2, 2, 5), (1, 3, 5), (2, 3, 3),
+                                                   (3, 3, 3))]
+              + [complete_bipartite(2, n) for n in (3, 4, 5, 6)] + [triangles])
+    for g in shapes:
+        sets = [list(range(g.n))] + [[u for u in range(g.n) if u != v] for v in range(g.n)]
+        sets += [[v for v in range(g.n) if rng.random() < 0.75] for _ in range(40)]
+        corpus.append((g, sets))
+    return corpus
+
+
 def brute_maximal_independent_sets(g):
     """All maximal independent sets, each sorted, in lexicographic order (bitmasks)."""
     nbrs = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]

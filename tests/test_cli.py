@@ -11,7 +11,7 @@ from choosability.dimacs import parse_graph, write_graph
 from choosability.graphs import induced_subgraph
 from choosability.recognition import is_2_choosable, is_L_colorable, parse_list_assignment
 
-from conftest import cycle_graph, path_graph, theta_graph
+from conftest import complete_bipartite, cycle_graph, path_graph, theta_graph
 
 
 @pytest.fixture
@@ -120,6 +120,23 @@ class TestJsonErrors:
         assert body["message"] == "node-expansion budget of 3 exceeded"
         assert body["stats"]["expanded"] == 4 and body["stats"]["limit"] == 3
         assert body["stats"]["stage"] == "oracle"
+
+    @pytest.mark.parametrize("argv,stage", [(["del2", "--exact"], "del2-branch"),
+                                            (["near3"], "near3-check"),
+                                            (["near3", "--min"], "near3-check")])
+    def test_default_node_budget(self, tmp_path, capsys, monkeypatch, argv, stage):
+        path = tmp_path / "k34.graph"
+        path.write_text(write_graph(complete_bipartite(3, 4)))
+        command = argv[:1] + [str(path)] + argv[1:]
+        assert main(command) in (0, 1)          # within the real default
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "DEFAULT_NODE_BUDGET", 5)
+        code, body, err = self.run_error(capsys, command)
+        assert code == 3 and err == "budget exceeded: node-expansion budget of 5 exceeded\n"
+        assert body["kind"] == "budget" and body["stats"]["limit"] == 5
+        assert body["stats"]["expanded"] == 6 and body["stats"]["stage"] == stage
+        # an explicit --budget still wins over the default
+        assert main(command + ["--budget", "1000"]) in (0, 1)
 
     def test_internal_error(self, c5_file, capsys, monkeypatch):
         def handler(args, run):
@@ -289,6 +306,23 @@ class TestReduceAndSolve:
         capsys.readouterr()
         assert main(["solution-from-assignment", base, "--tau", "110"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_sat3_sidecar_with_other_clauses(self, tmp_path, capsys):
+        # the artifact of (1 or 2 or not 3) with its formula's clause edited
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 -3 0\n")
+        base = str(tmp_path / "art")
+        assert main(["reduce", "sat3", str(cnf), "--out", base]) == 0
+        sidecar_path = tmp_path / "art.roles.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["meta"]["formula"]["clauses"] = [[1, 2, 3]]
+        sidecar_path.write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        code = main(["--json", "solution-from-assignment", base, "--tau", "110"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: meta.formula does not fit the graph")
+        assert json.loads(captured.out)["error"]["kind"] == "input"
 
     def test_planar3sat_without_clauses(self, tmp_path, capsys):
         cnf = tmp_path / "phi.cnf"

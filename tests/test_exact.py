@@ -4,20 +4,21 @@ from itertools import combinations
 
 import pytest
 
-from choosability.errors import BudgetExceededError
+from choosability.errors import Budget, BudgetExceededError
 from choosability.exact import (Decomposition, _minimal_obstruction, decomposition_is_valid,
                                 min_2_del_bruteforce, min_2_del_exact, min_near_3,
                                 min_vertex_cover_exact, near_3_decide)
 from choosability.generators import gen_gnp
 from choosability.graphs import Graph, delete_vertices, induced_subgraph
 from choosability.recognition import is_2_choosable
-from choosability.reductions import (build_forbidden_gadget, constraint_graph_P,
-                                     triangle_reduction)
+from choosability.reductions import (build_clause_gadget_planar, build_forbidden_gadget,
+                                     constraint_graph_P, triangle_reduction)
 
 from conftest import (brute_maximal_independent_sets, brute_min_near_3,
                       brute_min_vertex_cover, complete_bipartite,
                       complete_graph, cycle_graph, dumbbell_graph, graph_classes,
-                      is_independent, spider_graph, theta_graph)
+                      is_independent, minimal_obstruction_reference, spider_graph,
+                      theta_graph, vertex_set_corpus)
 
 
 def structured_graphs():
@@ -174,6 +175,32 @@ class TestMin2Del:
                 for v in obs:
                     rest = [u for u in obs if u != v]
                     assert is_2_choosable(induced_subgraph(g, rest)[0])[0]
+
+    def test_minimal_obstruction_matches_subgraph_reference(self):
+        # the same tuple as the shrink that built a subgraph per step, so the
+        # search branches the same way
+        cases = [(g, [frozenset(r) for size in range(g.n + 1)
+                      for r in combinations(range(g.n), size)])
+                 for n in range(1, 7) for g in graph_classes(n)]
+        cases += [(g, [frozenset(range(g.n)) - frozenset(s) for s in sets])
+                  for g, sets in vertex_set_corpus()]
+        for g, removed_sets in cases:
+            for removed in removed_sets:
+                assert (_minimal_obstruction(g, removed)
+                        == minimal_obstruction_reference(g, removed)), (g.edges, removed)
+
+    @pytest.mark.parametrize("solve,name,used,answer", [
+        (min_2_del_exact, "clause", 2458, (4, (0, 6, 13, 20))),
+        (min_near_3, "clause", 2311, (4, (0, 6, 13, 20))),
+        (min_2_del_exact, "spider", 154, (1, (16,))),
+        (min_near_3, "spider", 214, (1, (16,))),
+    ])
+    def test_node_counts_pinned(self, solve, name, used, answer):
+        # the counts of the shrink that built a subgraph per step
+        g = build_clause_gadget_planar(1).graph if name == "clause" else spider_graph(4)
+        bud = Budget()
+        assert solve(g, budget=bud, cap=g.n) == answer
+        assert bud.used == used
 
     def test_min_near3_dominates(self):
         for n in range(1, 7):

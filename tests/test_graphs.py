@@ -7,13 +7,13 @@ from choosability.errors import BudgetExceededError
 from choosability.graphs import (CountedMultiGraph, Graph, connected_components,
                                  coloring_is_proper, delete_vertices, diameter,
                                  induced_subgraph, is_bipartite, is_triangle_free,
-                                 shortest_cycle)
+                                 peel_degree_one, shortest_cycle)
 from choosability.recognition import is_L_colorable
 
 from conftest import (brute_diameter, brute_girth, brute_lex_shortest_cycle,
                       complete_bipartite, complete_graph, cycle_graph, disjoint_union,
                       graph_classes, graph_reference, mask_to_graph, path_graph,
-                      petersen_graph, vertex_pairs)
+                      petersen_graph, vertex_pairs, vertex_set_corpus)
 
 
 def k_colorable(g, k, budget=None):
@@ -319,6 +319,50 @@ class TestComponents:
         g = Graph(5, [(1, 3), (0, 4)])
         comps = connected_components(g)
         assert comps == [(0, 4), (1, 3), (2,)]
+
+
+class TestVertexSets:
+    """Peel and component walk inside a vertex set, against the built subgraph."""
+
+    @staticmethod
+    def pairs():
+        for n in range(0, 6):
+            pairs = vertex_pairs(n)
+            for mask in range(0, 1 << len(pairs), 7):
+                g = mask_to_graph(n, mask, pairs)
+                for bits in range(1 << n):
+                    yield g, [v for v in range(n) if bits >> v & 1]
+        for g, sets in vertex_set_corpus():
+            yield from ((g, s) for s in sets)
+
+    def test_peel_matches_induced_subgraph(self):
+        # the survivors, and so which vertex of a tree component is left
+        for g, s in self.pairs():
+            sub, kept = induced_subgraph(g, s)
+            assert peel_degree_one(g, s) == [kept[v] for v in peel_degree_one(sub)]
+
+    def test_components_match_induced_subgraph(self):
+        for g, s in self.pairs():
+            sub, kept = induced_subgraph(g, s)
+            expected = [tuple(kept[v] for v in comp) for comp in connected_components(sub)]
+            assert connected_components(g, s) == expected
+
+    def test_none_is_the_whole_graph(self):
+        g = disjoint_union(path_graph(3), cycle_graph(4))
+        assert peel_degree_one(g, range(g.n)) == peel_degree_one(g) == [0, 3, 4, 5, 6]
+        assert connected_components(g, range(g.n)) == connected_components(g)
+
+    def test_multigraph_parallel_pair_counts_as_degree_two(self):
+        mg = CountedMultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3)])
+        assert peel_degree_one(mg, [0, 1, 2]) == [0, 1]
+        assert connected_components(mg, [0, 2, 3]) == [(0,), (2, 3)]
+
+    @pytest.mark.parametrize("bad", [[-1], [5], [0, 7], [-2, 4]])
+    def test_out_of_range_ids(self, bad):
+        g = cycle_graph(5)
+        for walk in (peel_degree_one, connected_components):
+            with pytest.raises(ValueError, match="out of range for n=5"):
+                walk(g, bad)
 
 
 class TestSubgraphs:

@@ -13,7 +13,9 @@ from choosability.generators import gen_gnp
 
 from conftest import (brute_k_choosable, brute_list_colorable, complete_bipartite,
                       cycle_graph, disjoint_union, dumbbell_graph, graph_classes,
-                      mask_to_graph, path_graph, theta_graph, vertex_pairs)
+                      is_2_choosable_on_subgraph, is_2_choosable_reference,
+                      mask_to_graph, path_graph, theta_graph, vertex_pairs,
+                      vertex_set_corpus)
 
 
 class TestComputeCore:
@@ -153,6 +155,39 @@ class TestIs2Choosable:
                 for size in range(n):
                     for subset in combinations(range(n), size):
                         assert is_2_choosable(induced_subgraph(g, subset)[0])[0]
+
+
+class TestIs2ChoosableOnVertexSets:
+    """``is_2_choosable(g, S)`` equals the old test on the built subgraph G[S]."""
+
+    def test_every_labelled_graph_and_set_upto_5(self):
+        for n in range(0, 6):
+            pairs = vertex_pairs(n)
+            for mask in range(1 << len(pairs)):
+                g = mask_to_graph(n, mask, pairs)
+                for bits in range(1 << n):
+                    s = [v for v in range(n) if bits >> v & 1]
+                    assert is_2_choosable(g, s) == is_2_choosable_on_subgraph(g, s), (g.edges, s)
+
+    def test_gnp_and_structured_corpus(self):
+        for g, sets in vertex_set_corpus():
+            assert is_2_choosable(g) == is_2_choosable_reference(g), g.edges
+            for s in sets:
+                assert is_2_choosable(g, s) == is_2_choosable_on_subgraph(g, s), (g.edges, s)
+
+    def test_vertices_in_any_order_with_repeats(self):
+        g = disjoint_union(cycle_graph(4), cycle_graph(5))
+        expected = (False, (4, 5, 6, 7, 8))
+        assert is_2_choosable(g, range(9)) == expected
+        assert is_2_choosable(g, [8, 7, 6, 5, 4, 4, 8, 0]) == expected
+        assert is_2_choosable(g, (v for v in range(9) if v != 6)) == (True, None)
+        assert is_2_choosable(g, []) == (True, None)
+
+    @pytest.mark.parametrize("bad", [[-1], [9], [0, 1, 2, 40], [-3, 2]])
+    def test_out_of_range_ids(self, bad):
+        g = disjoint_union(cycle_graph(4), cycle_graph(5))
+        with pytest.raises(ValueError, match="out of range for n=9"):
+            is_2_choosable(g, bad)
 
 
 class TestListColoring:

@@ -442,6 +442,29 @@ class TestMalformedArtifacts:
             build(art, self.TAU)
 
 
+    @pytest.mark.parametrize("build", [decomposition_from_assignment,
+                                       lambda art, tau: H_phi_four_coloring(art)])
+    @pytest.mark.parametrize("clauses", [[[1, 2, 3]], [[2, 1, -3]], [[1, -2, -3]]])
+    def test_sat3_rejects_a_formula_of_the_right_size_with_other_clauses(self, build, clauses):
+        art = self.mutated(build_H_phi(self.PHI), ("formula", "clauses"), clauses)
+        with pytest.raises(ValueError, match="does not fit the graph"):
+            build(art, self.TAU)
+
+    @pytest.mark.parametrize("record", [
+        None, "record", {"role": "variable-true"}, {"row": 1}, {"row": "1", "role": "variable-true"},
+        {"row": 0, "role": "variable-true"}, {"row": 10 ** 9, "role": "variable-true"},
+        {"row": 1, "role": "dominating"}, {"row": 1, "role": ["variable-true"]}])
+    def test_four_coloring_rejects_a_missing_or_malformed_role_record(self, record):
+        art = copy.deepcopy(build_H_phi(self.PHI))
+        vid = next(v for v, rec in art.roles.items() if rec.get("p_label") == "v1")
+        if record is None:
+            del art.roles[vid]
+        else:
+            art.roles[vid] = record
+        with pytest.raises(ValueError, match="role record of vertex %d" % vid):
+            H_phi_four_coloring(art)
+
+
 class TestPlanarity:
     """Planarity is checked here only, with networkx; every attachment order is planar."""
 
