@@ -17,7 +17,7 @@ from .exact import (Decomposition, decomposition_is_valid,
 from .graphs import (CountedMultiGraph, Graph, connected_components,
                      coloring_is_proper, delete_vertices, diameter,
                      induced_subgraph, is_bipartite, is_triangle_free,
-                     multigraph_delete, multigraph_restrict, shortest_cycle)
+                     shortest_cycle)
 from .recognition import (CoreClassification, classify_core, compute_core,
                           format_list_assignment, is_2_choosable,
                           is_k_choosable_exhaustive, is_L_colorable,

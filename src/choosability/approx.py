@@ -10,13 +10,20 @@ takes the contracted components one at a time and deletes a shortest cycle
 of each one outside the counted family, re-contracting only what is left
 of it, then expands each contracted vertex back to the first original
 vertex of its chain.
+
+``preprocess`` also takes a vertex set and contracts the sub-multigraph on
+it in the multigraph's own ids, and ``preprocessed_components`` splits in
+one pass over the edges, so a round builds each new piece once: one
+``CountedMultiGraph`` for the contracted remainder and one per component
+of it.  Every numbering, orientation and tie-break reads only the relative
+order of the ids, and restricting to a vertex set keeps that order, so
+the answers are those of contracting the relabelled sub-multigraph.
 """
 
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .graphs import (CountedMultiGraph, connected_components, multigraph_delete,
-                     multigraph_restrict, peel_degree_one, shortest_cycle)
+from .graphs import CountedMultiGraph, _peel, connected_components, shortest_cycle
 from .recognition import is_2_choosable
 
 KIND_K1_COUNTED = "K1-counted"
@@ -34,8 +41,13 @@ class CPrimeVerdict:
         return self.kind != KIND_NOT_IN_FAMILY
 
 
-def preprocess(mg):
+def preprocess(mg, vertices=None):
     """Peel degree-1 vertices, then contract every maximal degree-2 run.
+
+    Works on ``mg[vertices]`` (all of ``mg`` when None) in ``mg``'s own
+    ids: the peel, the runs and the edges are read from ``mg.adj`` inside
+    the set, and only the result is built; an id outside 0..n-1 raises
+    ValueError.
 
     A run is a maximal chain of two or more adjacent degree-2 vertices.  It
     becomes one counted vertex carrying the run's summed count and its
@@ -46,36 +58,41 @@ def preprocess(mg):
     changes no other vertex's degree, so one peel and one sweep over the
     runs reach the fixpoint.  Uncontracted vertices come first in ascending
     order, then one vertex per run in ascending order of its smallest id.
+    Every one of these choices reads only the relative order of the ids, so
+    the result equals that of the sub-multigraph on ``vertices`` relabelled
+    in ascending order.
     """
-    core = multigraph_restrict(mg, peel_degree_one(mg))
-    adj = core.adj
-    walked = [False] * core.n
+    core, degree = _peel(mg, vertices)
+    # a neighbour of a core vertex is in the core exactly when its degree
+    # left by the peel is at least 2 (a peeled vertex keeps 1, an outside one 0)
+    adj = {v: [u for u in mg.adj[v] if degree[u] > 1] for v in core}
+    walked = set()
     runs = []
-    for v in range(core.n):
-        if walked[v] or len(adj[v]) != 2 or adj[v][0] == adj[v][1]:
+    for v in core:
+        if v in walked or len(adj[v]) != 2 or adj[v][0] == adj[v][1]:
             continue
         ahead, closed = _degree_two_walk(adj, v, adj[v][0])
         if closed:
-            walked[ahead[-1]] = True
+            walked.add(ahead[-1])
             run = [v] + ahead[:-1]
         else:
             run = _degree_two_walk(adj, v, adj[v][1])[0][::-1] + [v] + ahead
             if run[0] > run[-1]:
                 run.reverse()
-        for u in run:
-            walked[u] = True
+        walked.update(run)
         if len(run) > 1:
             runs.append(run)
     in_run = {u for run in runs for u in run}
-    kept = [v for v in range(core.n) if v not in in_run]
+    kept = [v for v in core if v not in in_run]
     new_id = {v: i for i, v in enumerate(kept)}
     for r, run in enumerate(runs, len(kept)):
         new_id.update(dict.fromkeys(run, r))
-    edges = [(new_id[u], new_id[v]) for u, v in core.edges if new_id[u] != new_id[v]]
+    edges = [(new_id[u], new_id[v]) for v in core for u in adj[v]
+             if u > v and new_id[u] != new_id[v]]
     return CountedMultiGraph(
         len(kept) + len(runs), edges,
-        [core.provenance[v] for v in kept]
-        + [tuple(x for u in run for x in core.provenance[u]) for run in runs])
+        [mg.provenance[v] for v in kept]
+        + [tuple(x for u in run for x in mg.provenance[u]) for run in runs])
 
 
 def _degree_two_walk(adj, start, cur):
@@ -127,8 +144,26 @@ def _is_counted_k23(c):
 
 
 def preprocessed_components(mg):
-    """Split a counted multigraph into its connected component multigraphs."""
-    return [multigraph_restrict(mg, comp) for comp in connected_components(mg)]
+    """Split a counted multigraph into its connected component multigraphs.
+
+    A connected ``mg`` is returned as it is.  Otherwise one pass over the
+    edges hands each to its component, and each piece is built once,
+    relabelled in ascending order of its vertices.
+    """
+    comps = connected_components(mg)
+    if len(comps) == 1:
+        return [mg]
+    piece = [0] * mg.n
+    local = [0] * mg.n
+    for c, comp in enumerate(comps):
+        for i, v in enumerate(comp):
+            piece[v] = c
+            local[v] = i
+    edges = [[] for _ in comps]
+    for u, v in mg.edges:
+        edges[piece[u]].append((local[u], local[v]))
+    return [CountedMultiGraph(len(comp), es, [mg.provenance[v] for v in comp])
+            for comp, es in zip(comps, edges)]
 
 
 def is_2_choosable_via_preprocessing(g):
@@ -147,10 +182,10 @@ def approx_2_del(g):
     Preprocess and split into components, then work through them one at a
     time: a component in the counted family is dropped; otherwise a
     shortest cycle of it is removed, and only what is left of that
-    component is re-preprocessed and split back onto the worklist.  Each
-    removed contracted vertex is expanded to the first original vertex of
-    its chain.  The returned set is re-validated; failure raises
-    InternalCheckError.
+    component is re-preprocessed, as a vertex set of the component, and
+    split back onto the worklist.  Each removed contracted vertex is
+    expanded to the first original vertex of its chain.  The returned set
+    is re-validated; failure raises InternalCheckError.
 
     Components never interact, and every choice made on one depends only
     on the relative order of its own vertices: the last-in, first-out
@@ -170,7 +205,9 @@ def approx_2_del(g):
         if cycle is None:
             raise InternalCheckError("contracted graph is acyclic but non-empty")
         chosen.extend(comp.provenance[v][0] for v in cycle)
-        pending.extend(preprocessed_components(preprocess(multigraph_delete(comp, cycle))))
+        cut = set(cycle)
+        rest = [v for v in range(comp.n) if v not in cut]
+        pending.extend(preprocessed_components(preprocess(comp, rest)))
     result = tuple(sorted(set(chosen)))
     if len(result) != len(chosen):
         raise InternalCheckError("expanded deletion picks collided")

@@ -3,7 +3,8 @@
 Graphs: comment lines start with 'c', a header ``p edge <n> <m>`` and m lines
 ``e <u> <v>`` with 1-based endpoints.  CNF: standard DIMACS with exactly
 three literals per clause; every ``c`` line is a comment.  All ids are
-1-based externally and 0-based internally.
+1-based externally and 0-based internally.  A graph header may declare at
+most ``MAX_GRAPH_VERTICES`` vertices.
 """
 
 import json
@@ -12,6 +13,10 @@ import stat
 
 from .graphs import Graph
 from .reductions import CnfFormula, ReductionArtifact
+
+#: the largest vertex count a graph header may declare; the header alone
+#: sizes the graph, so without a bound a few bytes could ask for gigabytes
+MAX_GRAPH_VERTICES = 100_000
 
 
 class ParseError(ValueError):
@@ -42,6 +47,9 @@ def parse_graph(text):
                 raise ParseError("header counts must be integers", lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("header counts must be non-negative", lineno)
+            if n > MAX_GRAPH_VERTICES:
+                raise ParseError("header declares %d vertices; the limit is %d"
+                                 % (n, MAX_GRAPH_VERTICES), lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before header", lineno)

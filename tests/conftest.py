@@ -396,6 +396,28 @@ def is_independent(g, vertices):
     return not any(u in inside and v in inside for u, v in g.edges)
 
 
+def multigraph_restrict(mg, vertices):
+    """The former ``graphs.multigraph_restrict``: ``mg`` on ``vertices``, relabelled.
+
+    New id i stands for the i-th smallest kept vertex, and counts and
+    provenance are carried along.  Kept as the reference for
+    ``preprocess(mg, vertices)`` and ``preprocessed_components``, which
+    must return what contracting or splitting this restriction returns.
+    """
+    from choosability.graphs import CountedMultiGraph
+
+    kept = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(kept)}
+    edges = [(index[u], index[v]) for u, v in mg.edges if u in index and v in index]
+    return CountedMultiGraph(len(kept), edges, tuple(mg.provenance[v] for v in kept))
+
+
+def multigraph_delete(mg, drop):
+    """The former ``graphs.multigraph_delete``: ``mg`` without ``drop``, relabelled."""
+    dropped = set(drop)
+    return multigraph_restrict(mg, (v for v in range(mg.n) if v not in dropped))
+
+
 def approx_2_del_global(g):
     """The deletion heuristic re-contracting the whole graph every round.
 
@@ -405,8 +427,7 @@ def approx_2_del_global(g):
     from choosability.approx import classify_c_prime, preprocess
     from choosability.errors import InternalCheckError
     from choosability.graphs import (CountedMultiGraph, connected_components,
-                                     delete_vertices, multigraph_delete,
-                                     multigraph_restrict, shortest_cycle)
+                                     delete_vertices, shortest_cycle)
     from choosability.recognition import is_2_choosable
 
     def _drop_family_components(mg):

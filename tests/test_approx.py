@@ -8,19 +8,46 @@ from choosability.approx import (KIND_K1_COUNTED, KIND_K23_ONE_ODD,
                                  is_2_choosable_via_preprocessing, preprocess,
                                  preprocessed_components)
 from choosability.generators import gen_gnp
-from choosability.graphs import (CountedMultiGraph, Graph, delete_vertices,
-                                 multigraph_delete, shortest_cycle)
+from choosability.graphs import (CountedMultiGraph, Graph, connected_components,
+                                 delete_vertices, shortest_cycle)
 from choosability.recognition import compute_core, is_2_choosable
 
 from choosability.reductions import CnfFormula, build_G_phi_p
 
 from conftest import (approx_2_del_global, cycle_graph, disjoint_union, dumbbell_graph,
-                      graph_classes, path_graph, petersen_graph, spider_graph,
-                      theta_graph)
+                      graph_classes, multigraph_delete, multigraph_restrict, path_graph,
+                      petersen_graph, spider_graph, theta_graph, vertex_set_corpus)
 
 
 def lift(g):
     return CountedMultiGraph.from_graph(g)
+
+
+def tailed_triangles(k):
+    """k disjoint triangles, each with a two-edge tail hung on one corner."""
+    edges = []
+    for i in range(k):
+        b = 5 * i
+        edges += [(b, b + 1), (b + 1, b + 2), (b, b + 2), (b + 2, b + 3), (b + 3, b + 4)]
+    return Graph(5 * k, edges)
+
+
+def random_multigraph(rng, n):
+    """Random multigraph on n vertices where about one edge in five is doubled."""
+    edges = []
+    if n >= 2:
+        for _ in range(rng.randrange(0, 2 * n + 1)):
+            u, v = rng.sample(range(n), 2)
+            edges += [(u, v)] * (2 if rng.random() < 0.2 else 1)
+    return CountedMultiGraph(n, edges)
+
+
+def assert_vertex_set_form(mg, vertices):
+    """``preprocess`` on a vertex set and the one-pass split match the references."""
+    out = preprocess(mg, vertices)
+    assert out == preprocess(multigraph_restrict(mg, vertices))
+    assert preprocessed_components(out) == [multigraph_restrict(out, comp)
+                                            for comp in connected_components(out)]
 
 
 class TestPreprocess:
@@ -109,6 +136,64 @@ class TestPreprocess:
         out = preprocess(second)
         assert out.provenance == ((0,), (1,), (7, 8), (9, 10), (2, 3, 4, 5, 6))
         assert out.counts == (1, 1, 2, 2, 5)
+        cut = set(shortest_cycle(first))
+        assert preprocess(first, [v for v in range(first.n) if v not in cut]) == out
+
+
+class TestPreprocessOnVertexSets:
+    """``preprocess(mg, S)`` equals ``preprocess`` of the restriction to S."""
+
+    def test_every_small_class_and_every_set(self, classes_upto_6):
+        for n, graphs in classes_upto_6.items():
+            for g in graphs:
+                mg = lift(g)
+                for mask in range(1 << n):
+                    assert_vertex_set_form(mg, [v for v in range(n) if mask >> v & 1])
+
+    def test_seeded_gnp_lifted_and_contracted(self):
+        rng = random.Random(4242)
+        for trial in range(300):
+            g = gen_gnp(rng.randrange(2, 40), rng.choice([0.05, 0.1, 0.2, 0.35]),
+                        seed=6000 + trial)
+            for mg in (lift(g), preprocess(lift(g))):
+                for _ in range(4):
+                    assert_vertex_set_form(mg, [v for v in range(mg.n) if rng.random() < 0.75])
+                assert_vertex_set_form(mg, range(mg.n))
+
+    def test_random_multigraphs_with_parallel_pairs(self):
+        rng = random.Random(1962)
+        doubled = 0
+        for _ in range(600):
+            mg = random_multigraph(rng, rng.randrange(0, 12))
+            doubled += len(set(mg.edges)) < len(mg.edges)
+            for _ in range(3):
+                assert_vertex_set_form(mg, [v for v in range(mg.n) if rng.random() < 0.7])
+        assert doubled > 200
+
+    def test_vertex_set_corpus(self):
+        # seeded G(n, p), spiders, dumbbells, thetas, K_{2,n} and triangles
+        for g, sets in vertex_set_corpus():
+            for vertices in sets:
+                assert_vertex_set_form(lift(g), vertices)
+            contracted = preprocess(lift(g))
+            for v in range(contracted.n):
+                assert_vertex_set_form(contracted, [u for u in range(contracted.n) if u != v])
+
+    def test_split_of_connected_graph_is_the_graph(self):
+        mg = preprocess(lift(petersen_graph()))
+        assert preprocessed_components(mg)[0] is mg
+        assert preprocessed_components(CountedMultiGraph(0, [])) == []
+
+    def test_split_builds_each_piece_from_its_own_edges(self):
+        pieces = preprocessed_components(preprocess(lift(tailed_triangles(3))))
+        assert [p.provenance for p in pieces] == [((2,), (0, 1)), ((7,), (5, 6)),
+                                                  ((12,), (10, 11))]
+        assert all(p.edges == ((0, 1), (0, 1)) for p in pieces)
+
+    @pytest.mark.parametrize("bad", [[-1], [5], [0, 1, 5]])
+    def test_out_of_range_ids_rejected(self, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            preprocess(lift(cycle_graph(5)), bad)
 
 
 class TestCPrimeClassification:
@@ -211,6 +296,9 @@ class TestApprox2Del:
                                     cycle_graph(5)))
         phi = CnfFormula(7, [(1, 2, 3), (3, 4, 5), (5, 6, 7)])
         cases.append(build_G_phi_p(phi, 1).graph)
+        cases += [tailed_triangles(k) for k in (1, 2, 50)]
+        phi = CnfFormula(5, [(1, -2, 3), (-1, 4, 5), (2, -4, -5), (-3, 4, 1)])
+        cases.append(build_G_phi_p(phi, 2).graph)
         for g in cases:
             assert approx_2_del(g) == approx_2_del_global(g)
 

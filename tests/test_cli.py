@@ -7,7 +7,7 @@ import pytest
 from choosability import cli
 from choosability.cli import main
 from choosability.errors import InternalCheckError
-from choosability.dimacs import parse_graph, write_graph
+from choosability.dimacs import MAX_GRAPH_VERTICES, parse_graph, write_graph
 from choosability.graphs import induced_subgraph
 from choosability.recognition import is_2_choosable, is_L_colorable, parse_list_assignment
 
@@ -53,6 +53,21 @@ class TestExitCodes:
         bad.write_text("p edge 2 1\ne 1 1\n")
         assert main(["stats", str(bad)]) == 2
         assert "self-loop" in capsys.readouterr().err
+
+    def test_vertex_limit(self, tmp_path, capsys):
+        # the header is rejected before any graph of that size is allocated
+        big = tmp_path / "big.graph"
+        big.write_text("c over the limit\np edge %d 0\n" % (MAX_GRAPH_VERTICES + 1))
+        assert main(["core", str(big)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: header declares %d vertices; the limit is %d\n"
+            % (MAX_GRAPH_VERTICES + 1, MAX_GRAPH_VERTICES))
+        assert main(["--json", "stats", str(big)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
+
+    def test_vertex_limit_is_inclusive(self):
+        g = parse_graph("p edge %d 0\n" % MAX_GRAPH_VERTICES)
+        assert g.n == MAX_GRAPH_VERTICES
 
     @pytest.mark.parametrize("exc", [InternalCheckError("re-check failed"), KeyError("x")])
     def test_internal_error(self, c5_file, capsys, monkeypatch, exc):
