@@ -24,10 +24,10 @@ from .dimacs import (_write_new_file, parse_dimacs_cnf, parse_graph, read_artifa
                      write_artifact, write_dimacs_cnf, write_graph)
 from .errors import Budget, BudgetExceededError
 from .exact import (DEFAULT_DEL_CAP, DEFAULT_NEAR3_CAP, DEFAULT_NODE_BUDGET,
-                    min_2_del_exact, min_near_3, near_3_decide)
+                    min_2_del_exact, near_3_decide)
 from .generators import gen_cycle, gen_formula, gen_gnp, gen_theta
 from .graphs import diameter, is_bipartite, is_triangle_free, shortest_cycle
-from .recognition import (classify_core, compute_core, format_list_assignment,
+from .recognition import (classify_core, format_list_assignment,
                           is_2_choosable, is_k_choosable_exhaustive)
 from .reductions import (build_G_phi_p, build_H_phi, build_forbidden_gadget,
                          build_clause_gadget_planar, build_edge_gadget,
@@ -73,7 +73,7 @@ def build_parser():
     p = sub.add_parser("near3", help="near-3-choosable decomposition")
     p.add_argument("graph")
     p.add_argument("--min", action="store_true", dest="minimize",
-                   help="minimize the independent deleted set")
+                   help="report the minimum independent deleted set and its size")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="node budget (default %(default)d)")
     p.add_argument("--cap", type=int, default=DEFAULT_NEAR3_CAP)
@@ -199,16 +199,15 @@ def _cmd_stats(args, run):
 
 def _cmd_core(args, run):
     g = _load_graph(args.graph, run)
-    core, kept = compute_core(g)
-    run.verdict("core_size", core.n)
+    verdicts = classify_core(g)
+    kept = sorted(v for verdict in verdicts for v in verdict.vertices)
+    run.verdict("core_size", len(kept))
     run.witness("kept", _ids(kept))
-    comps = []
-    for verdict in classify_core(core):
-        comps.append({"kind": verdict.kind, "m": verdict.m,
-                      "vertices": _ids(sorted(kept[v] for v in verdict.vertices))})
+    comps = [{"kind": verdict.kind, "m": verdict.m, "vertices": _ids(verdict.vertices)}
+             for verdict in verdicts]
     run.verdict("components", comps)
     run.say("core has %d vertices; components: %s" % (
-        core.n, ", ".join(c["kind"] for c in comps) or "none"))
+        len(kept), ", ".join(c["kind"] for c in comps) or "none"))
 
 
 def _cmd_check2(args, run):
@@ -232,31 +231,22 @@ def _cmd_check2(args, run):
 def _cmd_near3(args, run):
     g = _load_graph(args.graph, run)
     bud = Budget(args.budget)
-    if args.minimize:
-        result = min_near_3(g, budget=bud, cap=args.cap)
-        run.report["counters"]["nodes"] = bud.used
-        if result is None:
-            run.verdict("near_3_choosable", False)
-            run.say("no independent set works")
-            run.exit_code = 1
-        else:
-            size, a = result
-            run.verdict("near_3_choosable", True)
-            run.verdict("minimum_size", size)
-            run.witness("independent_set", _ids(a))
-            run.say("minimum independent deleted set has size %d: %s" % (size, _ids(a)))
+    decomp = near_3_decide(g, budget=bud, cap=args.cap)
+    run.report["counters"]["nodes"] = bud.used
+    run.verdict("near_3_choosable", decomp is not None)
+    if decomp is None:
+        run.say("no independent set works" if args.minimize else "not near-3-choosable")
+        run.exit_code = 1
+    elif args.minimize:
+        # near_3_decide's A is min_near_3's optimum, so its size is the minimum
+        run.verdict("minimum_size", len(decomp.a))
+        run.witness("independent_set", _ids(decomp.a))
+        run.say("minimum independent deleted set has size %d: %s" % (
+            len(decomp.a), _ids(decomp.a)))
     else:
-        decomp = near_3_decide(g, budget=bud, cap=args.cap)
-        run.report["counters"]["nodes"] = bud.used
-        if decomp is None:
-            run.verdict("near_3_choosable", False)
-            run.say("not near-3-choosable")
-            run.exit_code = 1
-        else:
-            run.verdict("near_3_choosable", True)
-            run.witness("independent_side", _ids(decomp.a))
-            run.witness("remainder", _ids(decomp.b))
-            run.say("decomposition found; independent side %s" % _ids(decomp.a))
+        run.witness("independent_side", _ids(decomp.a))
+        run.witness("remainder", _ids(decomp.b))
+        run.say("decomposition found; independent side %s" % _ids(decomp.a))
 
 
 def _cmd_del2(args, run):

@@ -4,7 +4,7 @@ Graphs: comment lines start with 'c', a header ``p edge <n> <m>`` and m lines
 ``e <u> <v>`` with 1-based endpoints.  CNF: standard DIMACS with exactly
 three literals per clause; every ``c`` line is a comment.  All ids are
 1-based externally and 0-based internally.  A graph header may declare at
-most ``MAX_GRAPH_VERTICES`` vertices.
+most ``MAX_GRAPH_VERTICES`` vertices, and the writer refuses a larger graph.
 """
 
 import json
@@ -79,6 +79,12 @@ def parse_graph(text):
 
 
 def write_graph(g):
+    """The text of ``g`` in the graph format; ValueError above ``MAX_GRAPH_VERTICES``.
+
+    Every graph it accepts reads back equal: ``parse_graph(write_graph(g)) == g``.
+    """
+    if g.n > MAX_GRAPH_VERTICES:
+        raise ValueError("graph has %d vertices; the limit is %d" % (g.n, MAX_GRAPH_VERTICES))
     lines = ["p edge %d %d" % (g.n, len(g.edges))]
     for u, v in g.edges:
         lines.append("e %d %d" % (u + 1, v + 1))

@@ -53,14 +53,17 @@ def compute_core(g):
     return induced_subgraph(g, peel_degree_one(g))
 
 
-def classify_core(core):
-    """Classify every component of a core; rejects inputs with degree-1 vertices."""
-    degree = [len(a) for a in core.adj]
-    for v in range(core.n):
-        if degree[v] == 1:
-            raise ValueError("input has a degree-1 vertex (%d); not a core" % v)
-    return [CoreClassification(*_classify_component(comp, core.adj, degree), comp)
-            for comp in connected_components(core)]
+def classify_core(g):
+    """Classify every component of the core of ``g``, in ``g``'s own ids.
+
+    Takes any graph: ``g`` is peeled as :func:`compute_core` peels it, with
+    no core graph built, and each core component is classified by its
+    vertices' degrees inside the core.  Components come ordered by smallest
+    vertex; on a core the result is that of classifying ``g`` as it is.
+    """
+    core, degree = _peel(g)
+    return [CoreClassification(*_classify_component(comp, g.adj, degree), comp)
+            for comp in connected_components(g, core)]
 
 
 def _classify_component(comp, adj, degree):

@@ -246,17 +246,24 @@ def _sat3_layout(art):
     return phi, layout
 
 
+def _constraint_positions(phi, s):
+    """Map constraint-graph labels to ``(row, col, on_false_side)`` in clause gadget s.
+
+    ``v1..v3`` sit in the rows of the clause's variables, on the false side
+    for a negated literal; ``w1..w14`` sit on the true side of the gadget's
+    own block of 14 rows.
+    """
+    n = phi.num_vars
+    pos = {"v%d" % r: (abs(lit), r, lit < 0) for r, lit in enumerate(phi.clauses[s - 1], 1)}
+    for t in range(1, 15):
+        pos["w%d" % t] = (n + 14 * (s - 1) + t, t + 3, False)
+    return pos
+
+
 def _identified_vertices(phi, s, tid, fid):
     """Map constraint-graph labels to vertex ids for clause gadget s."""
-    n = phi.num_vars
-    clause = phi.clauses[s - 1]
-    vmap = {}
-    for r, lit in enumerate(clause, 1):
-        row = abs(lit)
-        vmap["v%d" % r] = tid(s, row, r) if lit > 0 else fid(s, row, r)
-    for t in range(1, 15):
-        vmap["w%d" % t] = tid(s, n + 14 * (s - 1) + t, t + 3)
-    return vmap
+    return {lab: (fid if false else tid)(s, row, col)
+            for lab, (row, col, false) in _constraint_positions(phi, s).items()}
 
 
 def build_H_phi(phi):
@@ -327,10 +334,6 @@ def build_H_phi(phi):
     return ReductionArtifact("sat3", g, roles, meta)
 
 
-#: the roles of the paired-row vertices of H_phi
-_ROW_ROLES = ("variable-true", "variable-false", "clause-true", "clause-false")
-
-
 def H_phi_four_coloring(art):
     """Row-uniform proper 4-coloring of H_phi.
 
@@ -342,23 +345,17 @@ def H_phi_four_coloring(art):
     per constraint-graph edge of each gadget.  Returns ``(assignment,
     details)`` with ``details["row_pairs"]`` mapping each row to its (true,
     false) colors; failure to find any row-uniform coloring raises
-    InternalCheckError.  The rows and sides come from the role records of
-    the constraint-graph copies, and a missing or malformed one is a
-    ValueError.
+    InternalCheckError.  The row and side of each constraint-graph vertex
+    come from the formula, which :func:`_sat3_layout` has checked against
+    the graph; the role records are not read.
     """
     phi, (rows, tid, fid, dom, d0) = _sat3_layout(art)
     k = phi.num_clauses
 
     edges = [(2 * r, 2 * r + 1) for r in range(rows)]
     for s in range(1, k + 1):
-        side = {}
-        for lab, vid in _identified_vertices(phi, s, tid, fid).items():
-            rec = art.roles.get(vid)
-            if not (isinstance(rec, dict) and rec.get("row") in range(1, rows + 1)
-                    and rec.get("role") in _ROW_ROLES):
-                raise ValueError("role record of vertex %d: need a row in 1..%d and a role "
-                                 "in %s" % (vid, rows, ", ".join(_ROW_ROLES)))
-            side[lab] = 2 * (rec["row"] - 1) + rec["role"].endswith("false")
+        side = {lab: 2 * (row - 1) + false
+                for lab, (row, _, false) in _constraint_positions(phi, s).items()}
         edges.extend((side[a], side[b]) for a, b in P_EDGES_BY_LABEL)
     ok, colors = is_L_colorable(Graph(2 * rows, edges),
                                 dict.fromkeys(range(2 * rows), (1, 2, 3)))

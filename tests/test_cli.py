@@ -8,7 +8,7 @@ from choosability import cli
 from choosability.cli import main
 from choosability.errors import InternalCheckError
 from choosability.dimacs import MAX_GRAPH_VERTICES, parse_graph, write_graph
-from choosability.graphs import induced_subgraph
+from choosability.graphs import Graph, induced_subgraph
 from choosability.recognition import is_2_choosable, is_L_colorable, parse_list_assignment
 
 from conftest import complete_bipartite, cycle_graph, path_graph, theta_graph
@@ -69,6 +69,26 @@ class TestExitCodes:
         g = parse_graph("p edge %d 0\n" % MAX_GRAPH_VERTICES)
         assert g.n == MAX_GRAPH_VERTICES
 
+    def test_writers_refuse_a_graph_over_the_vertex_limit(self, tmp_path, capsys):
+        out = tmp_path / "big.graph"
+        n = str(MAX_GRAPH_VERTICES + 1)
+        assert main(["gen", "cycle", "--n", n, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: graph has %d vertices; the limit is %d\n"
+            % (MAX_GRAPH_VERTICES + 1, MAX_GRAPH_VERTICES))
+        assert main(["--json", "gen", "cycle", "--n", n, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
+        # the triangle reduction adds a vertex per edge: limit + 1 from a path
+        half = tmp_path / "half.graph"
+        half.write_text(write_graph(path_graph(MAX_GRAPH_VERTICES // 2 + 1)))
+        assert main(["reduce", "vc", str(half), "--out", str(tmp_path / "r")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["half.graph"]
+
+    def test_written_graph_at_the_vertex_limit_reads_back(self, tmp_path):
+        out = tmp_path / "limit.graph"
+        assert main(["gen", "cycle", "--n", str(MAX_GRAPH_VERTICES), "--out", str(out)]) == 0
+        assert parse_graph(out.read_text()) == cycle_graph(MAX_GRAPH_VERTICES)
+
     @pytest.mark.parametrize("exc", [InternalCheckError("re-check failed"), KeyError("x")])
     def test_internal_error(self, c5_file, capsys, monkeypatch, exc):
         def handler(args, run):
@@ -83,7 +103,6 @@ class TestExitCodes:
     def test_near3_infeasible(self, tmp_path, capsys):
         k5 = tmp_path / "k5.graph"
         edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-        from choosability.graphs import Graph
         k5.write_text(write_graph(Graph(5, edges)))
         assert main(["near3", str(k5)]) == 1
 
@@ -187,7 +206,6 @@ class TestStats:
 class TestCore:
     def test_theta_plus_pendant(self, tmp_path, capsys):
         g = theta_graph(2, 2, 4)
-        from choosability.graphs import Graph
         pend = Graph(g.n + 1, list(g.edges) + [(0, g.n)])
         path = tmp_path / "t.graph"
         path.write_text(write_graph(pend))
@@ -415,3 +433,17 @@ class TestReduceAndSolve:
         code, report = run_json(capsys, ["near3", c5_file, "--min"])
         assert code == 0
         assert report["verdicts"]["minimum_size"] == 1
+
+    @pytest.mark.parametrize("g", [cycle_graph(5), cycle_graph(7), complete_bipartite(3, 3),
+                                   theta_graph(1, 3, 3), path_graph(4)])
+    def test_near3_min_reports_the_size_of_the_plain_independent_side(self, g, tmp_path,
+                                                                       capsys):
+        path = tmp_path / "g.graph"
+        path.write_text(write_graph(g))
+        code, plain = run_json(capsys, ["near3", str(path)])
+        code_min, minimum = run_json(capsys, ["near3", str(path), "--min"])
+        assert code == code_min == 0
+        side = plain["witnesses"]["independent_side"]
+        assert minimum["verdicts"]["minimum_size"] == len(side)
+        assert minimum["witnesses"]["independent_set"] == side
+        assert minimum["counters"]["nodes"] == plain["counters"]["nodes"] > 0

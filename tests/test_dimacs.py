@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choosability.cli import main
-from choosability.dimacs import (ParseError, parse_dimacs_cnf, parse_graph,
-                                 read_artifact, write_artifact,
+from choosability.dimacs import (MAX_GRAPH_VERTICES, ParseError, parse_dimacs_cnf,
+                                 parse_graph, read_artifact, write_artifact,
                                  write_dimacs_cnf, write_graph)
 from choosability.generators import gen_formula, gen_gnp
+from choosability.graphs import Graph
 from choosability.reductions import CnfFormula, constraint_graph_P, triangle_reduction
 
 from conftest import cycle_graph
@@ -52,6 +53,12 @@ class TestGraphFormat:
         parsed = parse_graph(text)
         assert parsed.n == g.n and parsed.edges == g.edges
         assert write_graph(parsed) == text
+
+    def test_writer_keeps_to_the_parser_vertex_limit(self):
+        edgeless = parse_graph("p edge %d 0\n" % MAX_GRAPH_VERTICES)
+        assert parse_graph(write_graph(edgeless)) == edgeless
+        with pytest.raises(ValueError, match="the limit is %d" % MAX_GRAPH_VERTICES):
+            write_graph(Graph(MAX_GRAPH_VERTICES + 1, []))
 
     def test_roundtrip_generated_corpus(self):
         for seed in range(40):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from choosability.errors import BudgetExceededError
-from choosability.graphs import (CountedMultiGraph, Graph, connected_components,
+from choosability.graphs import (CountedMultiGraph, Graph, _peel, connected_components,
                                  coloring_is_proper, delete_vertices, diameter,
                                  induced_subgraph, is_bipartite, is_triangle_free,
                                  peel_degree_one, shortest_cycle)
@@ -351,6 +351,23 @@ class TestVertexSets:
         g = disjoint_union(path_graph(3), cycle_graph(4))
         assert peel_degree_one(g, range(g.n)) == peel_degree_one(g) == [0, 3, 4, 5, 6]
         assert connected_components(g, range(g.n)) == connected_components(g)
+
+    def test_none_is_range_on_multigraphs_with_parallel_pairs(self):
+        rng = random.Random(714)
+        with_pair = 0
+        for _ in range(400):
+            n = rng.randrange(1, 10)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+            edges += [e for e in edges if rng.random() < 0.3]
+            with_pair += len(edges) > len(set(edges))
+            mg = CountedMultiGraph(n, edges)
+            core, degree = _peel(mg)
+            assert (core, degree) == _peel(mg, range(n))
+            assert connected_components(mg) == connected_components(mg, range(n))
+            # a core vertex's degree counts each parallel edge inside the core
+            inside = set(core)
+            assert all(degree[v] == sum(u in inside for u in mg.adj[v]) for v in core)
+        assert with_pair > 100
 
     def test_multigraph_parallel_pair_counts_as_degree_two(self):
         mg = CountedMultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3)])

@@ -71,9 +71,27 @@ class TestComputeCore:
 
 
 class TestClassifyCore:
-    def test_rejects_degree_one(self):
-        with pytest.raises(ValueError, match="degree-1"):
-            classify_core(path_graph(3))
+    def test_path_is_one_k1(self):
+        # any graph is peeled first; a path leaves one vertex
+        (verdict,) = classify_core(path_graph(3))
+        assert verdict.kind == KIND_K1 and verdict.m is None and len(verdict.vertices) == 1
+
+    @staticmethod
+    def assert_matches_built_core(g):
+        core, kept = compute_core(g)
+        expected = [(v.kind, v.m, tuple(kept[u] for u in v.vertices))
+                    for v in classify_core(core)]
+        assert [(v.kind, v.m, v.vertices) for v in classify_core(g)] == expected, g.edges
+
+    def test_matches_built_core_on_labelled_graphs_upto_6(self):
+        for n in range(7):
+            pairs = vertex_pairs(n)
+            for mask in range(1 << len(pairs)):
+                self.assert_matches_built_core(mask_to_graph(n, mask, pairs))
+
+    def test_matches_built_core_on_corpus(self):
+        for g, _ in vertex_set_corpus():
+            self.assert_matches_built_core(g)
 
     def test_even_cycle(self):
         (verdict,) = classify_core(cycle_graph(4))

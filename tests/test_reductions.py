@@ -454,15 +454,15 @@ class TestMalformedArtifacts:
         None, "record", {"role": "variable-true"}, {"row": 1}, {"row": "1", "role": "variable-true"},
         {"row": 0, "role": "variable-true"}, {"row": 10 ** 9, "role": "variable-true"},
         {"row": 1, "role": "dominating"}, {"row": 1, "role": ["variable-true"]}])
-    def test_four_coloring_rejects_a_missing_or_malformed_role_record(self, record):
+    def test_four_coloring_reads_rows_from_the_formula_not_the_role_records(self, record):
+        intact = H_phi_four_coloring(build_H_phi(self.PHI))
         art = copy.deepcopy(build_H_phi(self.PHI))
         vid = next(v for v, rec in art.roles.items() if rec.get("p_label") == "v1")
         if record is None:
             del art.roles[vid]
         else:
             art.roles[vid] = record
-        with pytest.raises(ValueError, match="role record of vertex %d" % vid):
-            H_phi_four_coloring(art)
+        assert H_phi_four_coloring(art) == intact
 
 
 class TestPlanarity:
