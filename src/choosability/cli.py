@@ -20,7 +20,7 @@ import time
 
 from . import __version__
 from .approx import approx_2_del
-from .dimacs import (_write_new_file, parse_dimacs_cnf, parse_graph, read_artifact,
+from .dimacs import (_read_artifact, _write_new_file, parse_dimacs_cnf, parse_graph,
                      write_artifact, write_dimacs_cnf, write_graph)
 from .errors import Budget, BudgetExceededError
 from .exact import (DEFAULT_DEL_CAP, DEFAULT_NEAR3_CAP, DEFAULT_NODE_BUDGET,
@@ -290,8 +290,8 @@ def _cmd_reduce(args, run):
 
 
 def _cmd_solution(args, run):
-    art = read_artifact(args.artifact)
-    run.report["input_digest"] = _digest(_read(args.artifact + ".graph"))
+    art, text = _read_artifact(args.artifact)
+    run.report["input_digest"] = _digest(text)
     if not args.tau or set(args.tau) - {"0", "1"}:
         raise ValueError("--tau must be a non-empty string of 0s and 1s")
     tau = [ch == "1" for ch in args.tau]

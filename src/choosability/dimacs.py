@@ -5,18 +5,17 @@ Graphs: comment lines start with 'c', a header ``p edge <n> <m>`` and m lines
 three literals per clause; every ``c`` line is a comment.  All ids are
 1-based externally and 0-based internally.  A graph header may declare at
 most ``MAX_GRAPH_VERTICES`` vertices, and the writer refuses a larger graph.
+A ParseError names the first faulty line in file order, whether the fault is
+in its syntax or, for a graph, a self-loop, an out-of-range endpoint or a
+repeated edge; the count check at the end of the file comes last.
 """
 
 import json
 import os
 import stat
 
-from .graphs import Graph
+from .graphs import MAX_GRAPH_VERTICES, Graph
 from .reductions import CnfFormula, ReductionArtifact
-
-#: the largest vertex count a graph header may declare; the header alone
-#: sizes the graph, so without a bound a few bytes could ask for gigabytes
-MAX_GRAPH_VERTICES = 100_000
 
 
 class ParseError(ValueError):
@@ -28,54 +27,85 @@ class ParseError(ValueError):
 
 
 def parse_graph(text):
+    """The graph in ``text``; ParseError naming the first faulty line in file order.
+
+    One pass checks the syntax and collects the edges in file orientation;
+    ``Graph`` then checks them for self-loops, range and duplicates.  Only
+    when something fails are the edges read so far walked in file order, so
+    that an edge fault on an earlier line is the one reported.
+    """
     n = m = None
     edges = []
+    append = edges.append
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            parts = raw.split()
+            if not parts:
+                continue
+            head = parts[0]
+            if head == "e":
+                if n is None:
+                    raise ParseError("edge before header", lineno)
+                if len(parts) != 3:
+                    raise ParseError("edge line must be 'e <u> <v>'", lineno)
+                try:
+                    append((int(parts[1]) - 1, int(parts[2]) - 1))
+                except ValueError:
+                    raise ParseError("edge endpoints must be integers", lineno) from None
+            elif head == "p":
+                if n is not None:
+                    raise ParseError("duplicate header", lineno)
+                if len(parts) != 4 or parts[1] != "edge":
+                    raise ParseError("header must be 'p edge <n> <m>'", lineno)
+                try:
+                    n, m = int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise ParseError("header counts must be integers", lineno) from None
+                if n < 0 or m < 0:
+                    raise ParseError("header counts must be non-negative", lineno)
+                if n > MAX_GRAPH_VERTICES:
+                    raise ParseError("header declares %d vertices; the limit is %d"
+                                     % (n, MAX_GRAPH_VERTICES), lineno)
+            elif not head.startswith("c"):
+                raise ParseError("unrecognized line %r" % raw.strip(), lineno)
+        if n is None:
+            raise ParseError("missing 'p edge' header", max(1, text.count("\n") + 1))
+        if len(edges) != m:
+            raise ParseError("header promised %d edges, found %d" % (m, len(edges)),
+                             text.count("\n") + 1)
+        return Graph(n, edges)
+    except ValueError:
+        fault = _first_edge_fault(text, n, edges)
+        if fault is None:
+            raise
+        raise fault from None
+
+
+def _first_edge_fault(text, n, edges):
+    """The ParseError of the first self-loop, out-of-range or repeated edge, or None.
+
+    ``edges`` are those read so far, 0-based in file orientation; the i-th
+    of them came from the i-th ``e`` line of ``text``.
+    """
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ParseError("header must be 'p edge <n> <m>'", lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("header counts must be integers", lineno) from None
-            if n < 0 or m < 0:
-                raise ParseError("header counts must be non-negative", lineno)
-            if n > MAX_GRAPH_VERTICES:
-                raise ParseError("header declares %d vertices; the limit is %d"
-                                 % (n, MAX_GRAPH_VERTICES), lineno)
-        elif parts[0] == "e":
-            if n is None:
-                raise ParseError("edge before header", lineno)
-            if len(parts) != 3:
-                raise ParseError("edge line must be 'e <u> <v>'", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("edge endpoints must be integers", lineno) from None
-            if u == v:
-                raise ParseError("self-loop at vertex %d" % u, lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError("vertex out of range in edge (%d, %d)" % (u, v), lineno)
-            e = (min(u, v) - 1, max(u, v) - 1)
-            if e in seen:
-                raise ParseError("duplicate edge (%d, %d)" % (u, v), lineno)
-            seen.add(e)
-            edges.append(e)
+    for i, (u, v) in enumerate(edges):
+        e = (u, v) if u < v else (v, u)
+        if u == v:
+            message = "self-loop at vertex %d" % (u + 1)
+        elif not (0 <= u < n and 0 <= v < n):
+            message = "vertex out of range in edge (%d, %d)" % (u + 1, v + 1)
+        elif e in seen:
+            message = "duplicate edge (%d, %d)" % (u + 1, v + 1)
         else:
-            raise ParseError("unrecognized line %r" % line, lineno)
-    if n is None:
-        raise ParseError("missing 'p edge' header", max(1, text.count("\n") + 1))
-    if len(edges) != m:
-        raise ParseError("header promised %d edges, found %d" % (m, len(edges)),
-                         text.count("\n") + 1)
-    return Graph(n, edges)
+            seen.add(e)
+            continue
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            parts = raw.split()
+            if parts and parts[0] == "e":
+                if i == 0:
+                    return ParseError(message, lineno)
+                i -= 1
+    return None
 
 
 def write_graph(g):
@@ -112,6 +142,10 @@ def parse_dimacs_cnf(text):
                 num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError("header counts must be integers", lineno) from None
+            if num_vars < 0 or num_clauses < 0:
+                raise ParseError("header counts must be non-negative", lineno)
+            if num_vars == 0:
+                raise ParseError("need at least one variable", lineno)
             continue
         if num_vars is None:
             raise ParseError("clause before header", lineno)
@@ -189,8 +223,14 @@ def write_artifact(art, base_path):
 
 def read_artifact(base_path):
     """Inverse of :func:`write_artifact`; raises ParseError on a malformed sidecar."""
+    return _read_artifact(base_path)[0]
+
+
+def _read_artifact(base_path):
+    """:func:`read_artifact`'s artifact and the text of ``<base>.graph`` it parsed."""
     with open(str(base_path) + ".graph") as fh:
-        g = parse_graph(fh.read())
+        text = fh.read()
+    g = parse_graph(text)
     sidecar_path = str(base_path) + ".roles.json"
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
@@ -200,4 +240,4 @@ def read_artifact(base_path):
         raise ParseError("%s: need an object with a string 'kind', an object 'roles' "
                          "and an optional object 'meta'" % sidecar_path)
     roles = {int(v): rec for v, rec in sidecar["roles"].items()}
-    return ReductionArtifact(sidecar["kind"], g, roles, sidecar.get("meta", {}))
+    return ReductionArtifact(sidecar["kind"], g, roles, sidecar.get("meta", {})), text

@@ -15,6 +15,11 @@ from collections import deque
 
 from .errors import InternalCheckError
 
+#: the largest vertex count a graph file may declare and a reduction may
+#: build; a header alone sizes the graph, and a few bytes of formula size a
+#: reduction, so without a bound a tiny input could ask for gigabytes
+MAX_GRAPH_VERTICES = 100_000
+
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1.

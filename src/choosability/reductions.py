@@ -11,7 +11,7 @@ from math import ceil
 
 from .errors import InternalCheckError
 from .exact import Decomposition, decomposition_is_valid
-from .graphs import Graph, coloring_is_proper
+from .graphs import MAX_GRAPH_VERTICES, Graph, coloring_is_proper
 from .recognition import is_2_choosable, is_L_colorable
 
 
@@ -69,6 +69,18 @@ def normalize_assignment(phi, tau):
 
 def literal_true(lit, tau):
     return tau[abs(lit)] if lit > 0 else not tau[abs(lit)]
+
+
+def _check_order(n):
+    """ValueError if a reduction's graph would have more than MAX_GRAPH_VERTICES vertices.
+
+    Each builder calls it with the vertex count it reads from its input,
+    before it allocates anything, so a few bytes of input cannot make it
+    build a graph that no graph file can hold.
+    """
+    if n > MAX_GRAPH_VERTICES:
+        raise ValueError("the reduction would have %d vertices; the limit is %d"
+                         % (n, MAX_GRAPH_VERTICES))
 
 
 @dataclass
@@ -280,6 +292,7 @@ def build_H_phi(phi):
     if k < 1:
         raise ValueError("need at least one clause")
     rows, tid, fid, dom, d0 = _h_layout(n, k)
+    _check_order(d0 + 1)
     edges = set()
 
     positions = [(s, c) for s in range(1, k + 1) for c in range(1, 18)]
@@ -329,7 +342,7 @@ def build_H_phi(phi):
         roles[dom(s, c)] = {"role": "dominating", "gadget": s, "col": c}
     roles[d0] = {"role": "d0"}
 
-    g = Graph(34 * rows * k + 17 * k + 1, sorted(edges))
+    g = Graph(d0 + 1, sorted(edges))
     meta = {"formula": phi.to_dict(), "n": n, "k": k, "rows": rows}
     return ReductionArtifact("sat3", g, roles, meta)
 
@@ -551,6 +564,10 @@ def build_G_phi_p(phi, p):
     """
     if p < 1:
         raise ValueError("petal parameter p must be >= 1")
+    forbidden = 3 * p + 4                  # a forbidden gadget's core and petals
+    _check_order(phi.num_vars + phi.num_clauses * (6 + 3 * forbidden)
+                 + sum(13 + 10 * forbidden if lit > 0 else 4 + 4 * forbidden
+                       for clause in phi.clauses for lit in clause))
     builder = _ArtifactBuilder()
     xs = {i: builder.vertex(role="variable", var=i) for i in range(1, phi.num_vars + 1)}
     for j, clause in enumerate(phi.clauses, 1):
@@ -623,6 +640,7 @@ def compute_paper_p(k, epsilon):
 
 def triangle_reduction(g):
     """Copy of g plus one new vertex per edge forming a triangle with it."""
+    _check_order(g.n + g.m)
     edges = list(g.edges)
     new_edges = list(edges)
     roles = {v: {"role": "original", "source": v} for v in range(g.n)}

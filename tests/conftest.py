@@ -37,6 +37,66 @@ def graph_reference(n, edges):
     return edges, tuple(tuple(sorted(a)) for a in adj)
 
 
+def parse_graph_reference(text):
+    """``dimacs.parse_graph`` as it was, checking every edge on its line.
+
+    Tests each edge for a self-loop, range and (with a set of those seen) a
+    repeat as it reads it, then builds the ``Graph``.  Kept as the reference
+    for the one-pass parser that leaves those checks to ``Graph``, which
+    must return an equal graph or raise the same message.
+    """
+    from choosability.dimacs import MAX_GRAPH_VERTICES, ParseError
+
+    n = m = None
+    edges = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate header", lineno)
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ParseError("header must be 'p edge <n> <m>'", lineno)
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError("header counts must be integers", lineno) from None
+            if n < 0 or m < 0:
+                raise ParseError("header counts must be non-negative", lineno)
+            if n > MAX_GRAPH_VERTICES:
+                raise ParseError("header declares %d vertices; the limit is %d"
+                                 % (n, MAX_GRAPH_VERTICES), lineno)
+        elif parts[0] == "e":
+            if n is None:
+                raise ParseError("edge before header", lineno)
+            if len(parts) != 3:
+                raise ParseError("edge line must be 'e <u> <v>'", lineno)
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError("edge endpoints must be integers", lineno) from None
+            if u == v:
+                raise ParseError("self-loop at vertex %d" % u, lineno)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError("vertex out of range in edge (%d, %d)" % (u, v), lineno)
+            e = (min(u, v) - 1, max(u, v) - 1)
+            if e in seen:
+                raise ParseError("duplicate edge (%d, %d)" % (u, v), lineno)
+            seen.add(e)
+            edges.append(e)
+        else:
+            raise ParseError("unrecognized line %r" % line, lineno)
+    if n is None:
+        raise ParseError("missing 'p edge' header", max(1, text.count("\n") + 1))
+    if len(edges) != m:
+        raise ParseError("header promised %d edges, found %d" % (m, len(edges)),
+                         text.count("\n") + 1)
+    return Graph(n, edges)
+
+
 def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 

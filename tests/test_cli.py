@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -416,6 +417,44 @@ class TestReduceAndSolve:
             os.close(read_end)
         assert received == write_graph(cycle_graph(4))
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    @pytest.mark.parametrize("reduction, text, args, n", [
+        # H_phi has (nv + 14k) * 34k + 17k + 1 vertices
+        ("sat3", "p cnf 20000 1\n1 2 3 0", [], (20000 + 14) * 34 + 17 + 1),
+        # G_phi_p: nv, 9p + 18 per clause, 30p + 53 per positive literal
+        ("planar3sat", "p cnf 3 1\n1 2 3 0\n", ["--p", "2000"], 3 + 18018 + 3 * 60053),
+        ("vc", "p edge %d 1\ne 1 2\n" % MAX_GRAPH_VERTICES, [], MAX_GRAPH_VERTICES + 1),
+    ], ids=["sat3", "planar3sat", "vc"])
+    def test_reduction_over_the_vertex_limit_builds_nothing(self, reduction, text, args, n,
+                                                             tmp_path, capsys):
+        source = tmp_path / "input"
+        source.write_text(text)
+        argv = ["reduce", reduction, str(source), *args, "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the reduction would have %d vertices; the limit is %d\n"
+            % (n, MAX_GRAPH_VERTICES))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input"]
+
+    def test_solution_reads_the_graph_file_once(self, tmp_path, capsys, monkeypatch):
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        base = str(tmp_path / "art")
+        assert main(["reduce", "planar3sat", str(cnf), "--p", "1", "--out", base]) == 0
+        capsys.readouterr()
+        opened = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        code, report = run_json(capsys, ["solution-from-assignment", base, "--tau", "100"])
+        monkeypatch.undo()
+        assert code == 0 and opened.count(base + ".graph") == 1
+        digest = hashlib.sha256((tmp_path / "art.graph").read_bytes()).hexdigest()
+        assert report["input_digest"] == digest
 
     def test_vc_reduction_to_stdout(self, c5_file, capsys):
         code = main(["reduce", "vc", c5_file])

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from choosability.generators import gen_formula, gen_gnp
 from choosability.graphs import Graph
 from choosability.reductions import CnfFormula, constraint_graph_P, triangle_reduction
 
-from conftest import cycle_graph
+from conftest import cycle_graph, parse_graph_reference
 
 
 class TestGraphFormat:
@@ -100,6 +101,17 @@ class TestCnfFormat:
         phi = parse_dimacs_cnf(plain)
         assert parse_dimacs_cnf(rot + "\n" + plain) == phi
         assert parse_dimacs_cnf(plain.replace("\n", "\n" + rot + "\n", 1)) == phi
+
+    @pytest.mark.parametrize("header, message", [
+        ("p cnf 3 -1", "header counts must be non-negative"),
+        ("p cnf -2 1", "header counts must be non-negative"),
+        ("p cnf 0 0", "need at least one variable"),
+        ("p cnf 0 1", "need at least one variable"),
+    ])
+    def test_header_counts_rejected_at_the_header(self, header, message):
+        with pytest.raises(ParseError) as info:
+            parse_dimacs_cnf("c first\n%s\n1 2 3 0\n" % header)
+        assert str(info.value) == "line 2: " + message
 
     def test_roundtrip(self):
         for seed in range(25):
@@ -232,3 +244,78 @@ class TestFuzz:
     def test_parse_dimacs_cnf(self, fuzz_file, text):
         self._check(parse_dimacs_cnf, write_dimacs_cnf, text, fuzz_file,
                     ["reduce", "planar3sat", "--p", "1"])
+
+
+# ---------------------------------------------------------------------------
+# the one-pass graph parser against the parser that checked every edge line
+# ---------------------------------------------------------------------------
+
+_SYNTAX_FAULTS = ["e 1", "e 1 2 3", "e a 2", "x 1 2", "p edge 3 3", "p", "e 1.5 2"]
+
+
+def _edge_fault(rng, n, edges):
+    """An ``e`` line that is a self-loop, out of range, or repeats one of ``edges``."""
+    kind = rng.choice(["self-loop", "range", "duplicate"] if edges else ["self-loop", "range"])
+    if kind == "self-loop":
+        u = rng.randint(1, n + 2)
+        return "e %d %d" % (u, u)
+    if kind == "range":
+        u, v = rng.randint(1, n), rng.choice([0, -1, n + 1, n + 5])
+        return "e %d %d" % ((u, v) if rng.random() < 0.5 else (v, u))
+    u, v = rng.choice(edges)
+    return "e %d %d" % ((u, v) if rng.random() < 0.5 else (v, u))
+
+
+def fault_corpus(seed=2024, count=1500):
+    """Graph texts with one or two edge faults placed before or after a syntax
+    fault, or before an edge count that does not match the header."""
+    rng = random.Random(seed)
+    texts = []
+    for trial in range(count):
+        n = rng.randint(2, 8)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges = rng.sample(pairs, rng.randint(0, min(6, len(pairs))))
+        body = ["e %d %d" % ((u, v) if rng.random() < 0.5 else (v, u)) for u, v in edges]
+        faults = []
+        for _ in range(rng.randint(1, 2)):
+            at = rng.randint(0, len(body))
+            body.insert(at, _edge_fault(rng, n, edges))
+            faults = [i + (i >= at) for i in faults] + [at]
+        m = len(body)
+        if trial % 3 == 0:                       # a syntax fault after every edge fault
+            body.insert(rng.randint(max(faults) + 1, len(body)), rng.choice(_SYNTAX_FAULTS))
+        elif trial % 3 == 1:                     # a syntax fault before the first one
+            body.insert(rng.randint(0, min(faults)), rng.choice(_SYNTAX_FAULTS))
+        else:                                    # an edge count that does not match
+            m += rng.choice([-1, 1, 3])
+        lines = ["c seeded fault %d" % trial, "p edge %d %d" % (n, max(m, 0))] + body
+        for _ in range(rng.randint(0, 2)):
+            lines.insert(rng.randint(1, len(lines)), rng.choice(["", "c note", "   "]))
+        texts.append("\n".join(lines) + rng.choice(["", "\n"]))
+    return texts
+
+
+def _outcome(parse, text):
+    try:
+        return "graph", parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+
+
+class TestParseGraphAgainstReference:
+    @FUZZ
+    @given(graph_texts())
+    def test_hypothesis_corpus(self, text):
+        assert _outcome(parse_graph, text) == _outcome(parse_graph_reference, text)
+
+    def test_seeded_fault_corpus(self):
+        reported = []
+        for text in fault_corpus():
+            expected = _outcome(parse_graph_reference, text)
+            assert _outcome(parse_graph, text) == expected, text
+            reported.append(expected[1])
+        # the corpus reaches each edge fault and syntax faults that come first;
+        # every text has an edge fault, so the count check is never reported
+        for kind in ("self-loop", "out of range", "duplicate edge", "edge line must be",
+                     "edge endpoints must be integers", "unrecognized line"):
+            assert any(kind in message for message in reported), kind

@@ -10,6 +10,7 @@ from choosability.exact import decomposition_is_valid
 from choosability.generators import gen_formula
 from choosability.graphs import (coloring_is_proper, delete_vertices, diameter,
                                  is_bipartite, is_triangle_free)
+from choosability import reductions
 from choosability.recognition import is_2_choosable, is_L_colorable
 from choosability.reductions import (P_EDGES_BY_LABEL, P_INDEX, P_LABELS,
                                      SINGLE_CONTACT_LABELS,
@@ -530,3 +531,25 @@ class TestTriangleReduction:
                 u, w = rec["source"]
                 assert art.graph.has_edge(v, u) and art.graph.has_edge(v, w)
                 assert art.graph.has_edge(u, w)
+
+
+class TestVertexLimit:
+    """Each builder counts its vertices from the input before it allocates, and the
+    count is exact: a limit of the built graph's order passes, one less is refused."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_H_phi(CnfFormula(3, [(1, 2, -3)])),
+        lambda: build_H_phi(CnfFormula(4, [(1, -2, 3), (-1, 2, 4)])),
+        lambda: build_G_phi_p(CnfFormula(3, [(1, 2, 3)]), 1),
+        lambda: build_G_phi_p(CnfFormula(4, [(1, -2, 3), (-1, -3, -4)]), 2),
+        lambda: build_G_phi_p(gen_formula(5, 4, seed=3), 3),
+        lambda: triangle_reduction(cycle_graph(7)),
+    ], ids=["H_phi-1", "H_phi-2", "G_phi_p-1", "G_phi_p-2", "G_phi_p-random", "triangle"])
+    def test_count_is_exact(self, build, monkeypatch):
+        n = build().graph.n
+        monkeypatch.setattr(reductions, "MAX_GRAPH_VERTICES", n)
+        assert build().graph.n == n
+        monkeypatch.setattr(reductions, "MAX_GRAPH_VERTICES", n - 1)
+        with pytest.raises(ValueError, match="the reduction would have %d vertices; "
+                                             "the limit is %d" % (n, n - 1)):
+            build()
