@@ -1,10 +1,10 @@
 """Contraction-based 2-choosability test and the short-cycle deletion heuristic.
 
-``preprocess`` peels degree-1 vertices with the routine ``compute_core``
-uses, then in one linear sweep replaces every maximal chain of two or more
-adjacent degree-2 vertices by a single counted vertex (a cycle component
-contracts all but one of its vertices, yielding a two-vertex parallel
-pair).  After preprocessing, a connected graph is 2-choosable
+``preprocess`` peels degree-1 vertices with ``graphs._peel``, the package's
+one degree-1 peel, then in one linear sweep replaces every maximal chain of
+two or more adjacent degree-2 vertices by a single counted vertex (a cycle
+component contracts all but one of its vertices, yielding a two-vertex
+parallel pair).  After preprocessing, a connected graph is 2-choosable
 exactly when it lands in one of three counted shapes; ``approx_2_del``
 takes the contracted components one at a time and deletes a shortest cycle
 of each one outside the counted family, re-contracting only what is left
@@ -189,7 +189,7 @@ def approx_2_del(g):
 
     Components never interact, and every choice made on one depends only
     on the relative order of its own vertices: the last-in, first-out
-    order of ``peel_degree_one``, the numbering and run orientation of
+    order of ``graphs._peel``, the numbering and run orientation of
     ``preprocess``, and the lexicographic tie-break of ``shortest_cycle``.
     Restricting to a component keeps that relative order, so each
     component goes through the same rounds as it would inside the whole

@@ -1,14 +1,14 @@
 """Graph containers and the structural queries every other module builds on.
 
-Two containers live here: ``Graph`` (simple, undirected, dense 0-based ids)
-and ``CountedMultiGraph`` (parallel edges allowed, per-vertex provenance
-whose lengths are the counts, used by the contraction pipeline).  All values
+``Graph`` is simple, undirected, on dense 0-based ids.  ``CountedMultiGraph``
+is a ``Graph`` that allows parallel edges and carries per-vertex provenance
+whose lengths are the counts; the contraction pipeline uses it.  All values
 are immutable after construction; every query is a pure function with
-deterministic tie-breaking (ascending vertex ids).  ``peel_degree_one``,
+deterministic tie-breaking (ascending vertex ids).  ``_peel``,
 ``connected_components`` and ``shortest_cycle`` read only ``n`` and ``adj``,
-so they take either container; the first two also work inside a vertex set
-of the graph, in its own ids, and ``shortest_cycle`` runs one bounded BFS
-per root and one depth-first search at the root that wins.
+so they take any ``Graph``; the first two also work inside a vertex set of
+the graph, in its own ids, and ``shortest_cycle`` runs one bounded BFS per
+root and one depth-first search at the root that wins.
 """
 
 from collections import deque
@@ -28,10 +28,14 @@ class Graph:
     construction time.  The edges are checked in sorted order, so when an
     input has several faults the one reported is the first in that order,
     and an edge in a message is written (smaller, larger) whatever order
-    it was given in.  ``adj[v]`` is a sorted tuple of neighbours.
+    it was given in.  ``adj[v]`` is a sorted tuple of neighbours.  This is
+    the one constructor that checks edges and builds ``adj``; a subclass
+    that sets ``_parallel_edges`` keeps repeated edges instead of rejecting
+    them.
     """
 
     __slots__ = ("n", "edges", "adj", "_adj_sets", "_adj_bits")
+    _parallel_edges = False
 
     def __init__(self, n, edges):
         if n < 0:
@@ -46,7 +50,7 @@ class Graph:
                 raise ValueError("self-loop at vertex %d" % u)
             if u < 0 or v >= n:
                 raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
-            if e == prev:
+            if e == prev and not self._parallel_edges:
                 raise ValueError("duplicate edge (%d, %d)" % e)
             prev = e
         self.n = n
@@ -85,14 +89,14 @@ class Graph:
         return v in self.adj_sets()[u]
 
     def __eq__(self, other):
-        return (isinstance(other, Graph) and self.n == other.n
+        return (type(other) is type(self) and self.n == other.n
                 and self.edges == other.edges)
 
     def __hash__(self):
         return hash((self.n, self.edges))
 
     def __repr__(self):
-        return "Graph(n=%d, m=%d)" % (self.n, len(self.edges))
+        return "%s(n=%d, m=%d)" % (type(self).__name__, self.n, len(self.edges))
 
 
 def induced_subgraph(g, vertices):
@@ -113,16 +117,18 @@ def delete_vertices(g, drop):
     return induced_subgraph(g, (v for v in range(g.n) if v not in dropped))
 
 
-class CountedMultiGraph:
-    """Undirected multigraph with per-vertex counts and provenance.
+class CountedMultiGraph(Graph):
+    """A ``Graph`` with parallel edges allowed and per-vertex provenance.
 
-    Parallel edges are allowed, self-loops are not.  ``provenance[v]`` is
-    the non-empty, ordered tuple of original vertex ids the vertex stands
-    for; provenance tuples are pairwise disjoint, and ``counts[v]`` is the
-    length of ``provenance[v]``.
+    Self-loops and out-of-range endpoints are still rejected.
+    ``provenance[v]`` is the non-empty, ordered tuple of original vertex ids
+    the vertex stands for; provenance tuples are pairwise disjoint, and
+    ``counts[v]`` is the length of ``provenance[v]``.  Equal only to a
+    ``CountedMultiGraph`` with the same edges and provenance.
     """
 
-    __slots__ = ("n", "edges", "counts", "provenance", "adj")
+    __slots__ = ("counts", "provenance")
+    _parallel_edges = True
 
     def __init__(self, n, edges, provenance=None):
         if provenance is None:
@@ -138,41 +144,20 @@ class CountedMultiGraph:
                 if orig in seen_origins:
                     raise ValueError("provenance lists must be pairwise disjoint")
                 seen_origins.add(orig)
-        normalized = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError("self-loop at vertex %d" % u)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
-            normalized.append((u, v) if u < v else (v, u))
-        self.n = n
-        self.edges = tuple(sorted(normalized))
+        super().__init__(n, edges)
         self.counts = tuple(len(p) for p in provenance)
         self.provenance = provenance
-        # the edges are sorted, so every adj list comes out sorted (see Graph)
-        adj = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj = tuple(map(tuple, adj))
 
     @classmethod
     def from_graph(cls, g):
         """Lift a simple graph to unit counts and singleton provenance."""
         return cls(g.n, g.edges)
 
-    def degree(self, v):
-        return len(self.adj[v])
-
     def __eq__(self, other):
-        return (isinstance(other, CountedMultiGraph) and self.n == other.n
-                and self.edges == other.edges and self.provenance == other.provenance)
+        return super().__eq__(other) and self.provenance == other.provenance
 
     def __hash__(self):
         return hash((self.n, self.edges, self.provenance))
-
-    def __repr__(self):
-        return "CountedMultiGraph(n=%d, m=%d)" % (self.n, len(self.edges))
 
 
 def _ascending_ids(g, vertices):
@@ -185,13 +170,21 @@ def _ascending_ids(g, vertices):
 
 
 def _peel(g, vertices=None):
-    """The peel behind :func:`peel_degree_one`, with the degrees it leaves.
+    """Repeatedly delete degree-1 vertices; return the core and its degrees.
 
-    Returns ``(core, degree)``: ``core`` as :func:`peel_degree_one` returns
-    it, and ``degree[v]`` the degree of each core vertex inside the core.
-    Since the core has no degree-1 vertex, that is 0 or at least 2; a
-    peeled vertex keeps 1 and a vertex outside ``vertices`` has 0.  The
-    whole graph is the vertex set ``range(g.n)`` and takes the same path.
+    Peels ``G[vertices]`` (all of ``g`` when None) in ``g``'s own ids, with
+    no subgraph built; an id outside 0..n-1 raises ValueError.  The whole
+    graph is the vertex set ``range(g.n)`` and takes the same path.  Reads
+    only ``g.n`` and ``g.adj``, so it takes any ``Graph``; a parallel pair
+    counts as degree 2.
+
+    Returns ``(core, degree)``: ``core`` is the ascending list of the
+    vertices left, and ``degree[v]`` the degree of each core vertex inside
+    the core.  Since the core has no degree-1 vertex, that is 0 or at least
+    2; a peeled vertex keeps 1 and a vertex outside ``vertices`` has 0.
+    Degree-1 vertices are deleted last in, first out, from the ascending
+    list of the first ones.  The surviving edges do not depend on that
+    order, but which single vertex of a tree component survives does.
 
     Each call allocates lists of length ``g.n``, however small
     ``vertices`` is.  A caller that works through many small pieces of one
@@ -224,29 +217,15 @@ def _peel(g, vertices=None):
     return [v for v in order if alive[v]], degree
 
 
-def peel_degree_one(g, vertices=None):
-    """Vertices left after repeatedly deleting degree-1 vertices, ascending.
-
-    Peels ``G[vertices]`` (all of ``g`` when None) in ``g``'s own ids, with
-    no subgraph built; an id outside 0..n-1 raises ValueError.  Reads only
-    ``g.n`` and ``g.adj``, so it works for both containers; a parallel pair
-    counts as degree 2.  Degree-1 vertices are deleted last in, first out,
-    from the ascending list of the first ones.  The surviving edges do not
-    depend on that order, but which single vertex of a tree component
-    survives does.
-    """
-    return _peel(g, vertices)[0]
-
-
 def connected_components(g, vertices=None):
     """Maximal connected vertex sets, each sorted, ordered by smallest member.
 
     Splits ``G[vertices]`` (all of ``g`` when None) in ``g``'s own ids; an
     id outside 0..n-1 raises ValueError.  The whole graph is the vertex set
-    ``range(g.n)`` and takes the same path.  Works for both ``Graph`` and
-    ``CountedMultiGraph``.  Like :func:`_peel`, each call allocates a list
-    of length ``g.n`` even for a small set, so do not call it once per
-    piece of a large graph; the reason the list stays is given there.
+    ``range(g.n)`` and takes the same path.  Takes any ``Graph``.  Like
+    :func:`_peel`, each call allocates a list of length ``g.n`` even for a
+    small set, so do not call it once per piece of a large graph; the
+    reason the list stays is given there.
     """
     adj = g.adj
     order = range(g.n) if vertices is None else _ascending_ids(g, vertices)
@@ -367,7 +346,7 @@ def diameter(g):
 
 
 def shortest_cycle(g):
-    """Shortest cycle of a ``Graph`` or ``CountedMultiGraph``, or None.
+    """Shortest cycle of any ``Graph``, or None.
 
     Reads only ``n`` and ``adj``.  A pair of parallel edges counts as a cycle
     of length 2, and the first such pair ends the search.  Ties are broken by

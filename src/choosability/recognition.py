@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import Budget, BudgetExceededError
-from .graphs import _peel, connected_components, induced_subgraph, peel_degree_one
+from .graphs import _peel, connected_components, induced_subgraph
 
 KIND_K1 = "K1"
 KIND_EVEN_CYCLE = "even-cycle"
@@ -47,10 +47,10 @@ def compute_core(g):
     Returns ``(core, kept)`` where ``kept`` maps the core's dense ids back
     to ``g``'s ids.  The core's edges are independent of removal order; a
     tree component leaves one vertex, and which one depends on the order
-    of :func:`~choosability.graphs.peel_degree_one`.  Isolated vertices
-    survive as K1 components.
+    of :func:`~choosability.graphs._peel`.  Isolated vertices survive as
+    K1 components.
     """
-    return induced_subgraph(g, peel_degree_one(g))
+    return induced_subgraph(g, _peel(g)[0])
 
 
 def classify_core(g):

@@ -56,15 +56,11 @@ class CnfFormula:
 
 
 def normalize_assignment(phi, tau):
-    """Accept a dict {var: bool} or a sequence of n truth values; return a dict."""
-    if isinstance(tau, dict):
-        out = {i: bool(tau[i]) for i in range(1, phi.num_vars + 1)}
-    else:
-        values = list(tau)
-        if len(values) != phi.num_vars:
-            raise ValueError("assignment has %d values; need %d" % (len(values), phi.num_vars))
-        out = {i: bool(values[i - 1]) for i in range(1, phi.num_vars + 1)}
-    return out
+    """The sequence of n truth values ``tau`` as a dict {var: bool}."""
+    values = list(tau)
+    if len(values) != phi.num_vars:
+        raise ValueError("assignment has %d values; need %d" % (len(values), phi.num_vars))
+    return {i: bool(values[i - 1]) for i in range(1, phi.num_vars + 1)}
 
 
 def literal_true(lit, tau):
@@ -396,11 +392,13 @@ def decomposition_from_assignment(art, tau):
     to B and the mates to A; in each gadget the designated vertices of the
     false literals are extended via the tabulated independent set, and every
     designated row follows its designated vertex.  The result is re-checked
-    with :func:`decomposition_is_valid` before being returned.
+    with :func:`decomposition_is_valid` before being returned; when that
+    fails on a graph that ``build_H_phi`` of ``meta.formula`` does not
+    build, the error is a ValueError.
     """
     phi, (rows, tid, fid, dom, d0) = _sat3_layout(art)
     tau = normalize_assignment(phi, tau)
-    if not phi.satisfies(tau):
+    if not phi.satisfies(tau.values()):
         raise ValueError("assignment does not satisfy the formula")
     n, k = phi.num_vars, phi.num_clauses
 
@@ -424,13 +422,22 @@ def decomposition_from_assignment(art, tau):
             for c in range(1, 18):
                 a.add(pick(s, row, c))
 
-    return _rechecked(art.graph, a)
+    return _rechecked(art.graph, a, lambda: build_H_phi(phi))
 
 
-def _rechecked(g, a):
-    """The decomposition (A, V - A) of ``g``; InternalCheckError unless it is valid."""
+def _rechecked(g, a, rebuild):
+    """The decomposition (A, V - A) of ``g``, re-checked with ``decomposition_is_valid``.
+
+    Only when the re-check fails, ``rebuild()`` builds the reduction again
+    from the sidecar: a graph other than ``g`` means the graph file does
+    not hold that reduction, a ValueError; on the same graph the
+    construction itself failed, an InternalCheckError.
+    """
     decomp = Decomposition(tuple(sorted(a)), tuple(v for v in range(g.n) if v not in a))
     if not decomposition_is_valid(g, decomp):
+        if rebuild().graph != g:
+            raise ValueError("the graph is not the reduction of meta.formula; "
+                             "was the graph file edited?")
         raise InternalCheckError("constructed solution failed decomposition_is_valid")
     return decomp
 
@@ -588,11 +595,14 @@ def deletion_set_from_assignment(art, tau):
     every ``blue`` and ``red`` entry are vertex ids, the role of ``x`` has a
     ``var`` of the formula, ``kind`` is positive or negative); a malformed
     record is a ValueError.  The set is re-checked with
-    :func:`decomposition_is_valid` before being returned.
+    :func:`decomposition_is_valid` before being returned; when that fails
+    on a graph that ``build_G_phi_p`` of ``meta.formula`` and ``meta.p``
+    does not build, or ``meta.p`` is not a positive integer, the error is
+    a ValueError.
     """
     phi = CnfFormula.from_dict(art.meta.get("formula"))
     tau = normalize_assignment(phi, tau)
-    if not phi.satisfies(tau):
+    if not phi.satisfies(tau.values()):
         raise ValueError("assignment does not satisfy the formula")
 
     def vertices(record, key):
@@ -620,7 +630,14 @@ def deletion_set_from_assignment(art, tau):
             raise ValueError("gadget record %r: kind is not positive or negative" % (record,))
         blue, red = vertices(record, "blue"), vertices(record, "red")
         a.update(blue if tau[var] == (record["kind"] == "positive") else red)
-    return _rechecked(art.graph, a).a
+
+    def rebuild():
+        p = art.meta.get("p")
+        if type(p) is not int or p < 1:
+            raise ValueError("meta.p must be a positive integer, not %r" % (p,))
+        return build_G_phi_p(phi, p)
+
+    return _rechecked(art.graph, a, rebuild).a
 
 
 def compute_paper_p(k, epsilon):

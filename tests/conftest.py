@@ -37,6 +37,40 @@ def graph_reference(n, edges):
     return edges, tuple(tuple(sorted(a)) for a in adj)
 
 
+def counted_multigraph_reference(n, edges, provenance=None):
+    """``CountedMultiGraph``'s former constructor, from before it was a ``Graph``.
+
+    Checks the provenance, then each edge in input order, and builds the
+    adjacency itself.  Returns ``(n, edges, adj, counts, provenance)``.
+    """
+    if provenance is None:
+        provenance = tuple((v,) for v in range(n))
+    provenance = tuple(tuple(p) for p in provenance)
+    if len(provenance) != n:
+        raise ValueError("need one provenance entry per vertex")
+    seen_origins = set()
+    for v in range(n):
+        if not provenance[v]:
+            raise ValueError("provenance of vertex %d is empty" % v)
+        for orig in provenance[v]:
+            if orig in seen_origins:
+                raise ValueError("provenance lists must be pairwise disjoint")
+            seen_origins.add(orig)
+    normalized = []
+    for u, v in edges:
+        if u == v:
+            raise ValueError("self-loop at vertex %d" % u)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
+        normalized.append((u, v) if u < v else (v, u))
+    edges = tuple(sorted(normalized))
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return n, edges, tuple(map(tuple, adj)), tuple(len(p) for p in provenance), provenance
+
+
 def parse_graph_reference(text):
     """``dimacs.parse_graph`` as it was, checking every edge on its line.
 

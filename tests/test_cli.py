@@ -5,7 +5,7 @@ import stat
 
 import pytest
 
-from choosability import cli
+from choosability import cli, reductions
 from choosability.cli import main
 from choosability.errors import InternalCheckError
 from choosability.dimacs import MAX_GRAPH_VERTICES, parse_graph, write_graph
@@ -357,6 +357,67 @@ class TestReduceAndSolve:
         assert code == 2
         assert captured.err.startswith("error: meta.formula does not fit the graph")
         assert json.loads(captured.out)["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize("kind, options, side", [
+        ("sat3", [], "independent_side"), ("planar3sat", ["--p", "1"], "deleted")])
+    def test_extra_edge_in_the_graph_file_is_input_error(self, tmp_path, capsys,
+                                                         kind, options, side):
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 -3 0\n")
+        base = str(tmp_path / "art")
+        assert main(["reduce", kind, str(cnf), "--out", base] + options) == 0
+        capsys.readouterr()
+        code, report = run_json(capsys, ["solution-from-assignment", base, "--tau", "110"])
+        assert code == 0
+        # join two vertices of the independent side; the header's count grows by one
+        u, v = report["witnesses"][side][:2]
+        graph_path = tmp_path / "art.graph"
+        g = parse_graph(graph_path.read_text())
+        graph_path.write_text(write_graph(Graph(g.n, g.edges + ((u - 1, v - 1),))))
+        code = main(["--json", "solution-from-assignment", base, "--tau", "110"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: the graph is not the reduction of meta.formula")
+        assert json.loads(captured.out)["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize("kind, options", [("sat3", []), ("planar3sat", ["--p", "1"])])
+    def test_construction_fault_on_untouched_artifact_is_internal(self, tmp_path, capsys,
+                                                                 monkeypatch, kind, options):
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 -3 0\n")
+        base = str(tmp_path / "art")
+        assert main(["reduce", kind, str(cnf), "--out", base] + options) == 0
+        capsys.readouterr()
+        real = reductions._rechecked
+
+        def faulty(g, a, rebuild):
+            # a builder that also took both ends of an edge: A is not independent
+            return real(g, set(a) | set(g.edges[0]), rebuild)
+
+        monkeypatch.setattr(reductions, "_rechecked", faulty)
+        code = main(["--json", "solution-from-assignment", base, "--tau", "110"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["error"] == {
+            "kind": "internal",
+            "message": "InternalCheckError: constructed solution failed decomposition_is_valid"}
+
+    def test_planar3sat_rebuild_needs_a_positive_p(self, tmp_path, capsys, monkeypatch):
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 -3 0\n")
+        base = str(tmp_path / "art")
+        assert main(["reduce", "planar3sat", str(cnf), "--p", "1", "--out", base]) == 0
+        sidecar_path = tmp_path / "art.roles.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["meta"]["p"] = True
+        sidecar_path.write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        # meta.p is read only when the re-check fails
+        assert main(["solution-from-assignment", base, "--tau", "110"]) == 0
+        monkeypatch.setattr(reductions, "decomposition_is_valid", lambda g, d: False)
+        assert main(["solution-from-assignment", base, "--tau", "110"]) == 2
+        assert capsys.readouterr().err == (
+            "error: meta.p must be a positive integer, not True\n")
 
     def test_planar3sat_without_clauses(self, tmp_path, capsys):
         cnf = tmp_path / "phi.cnf"

@@ -7,11 +7,12 @@ from choosability.errors import BudgetExceededError
 from choosability.graphs import (CountedMultiGraph, Graph, _peel, connected_components,
                                  coloring_is_proper, delete_vertices, diameter,
                                  induced_subgraph, is_bipartite, is_triangle_free,
-                                 peel_degree_one, shortest_cycle)
+                                 shortest_cycle)
 from choosability.recognition import is_L_colorable
 
 from conftest import (brute_diameter, brute_girth, brute_lex_shortest_cycle,
-                      complete_bipartite, complete_graph, cycle_graph, disjoint_union,
+                      complete_bipartite, complete_graph, counted_multigraph_reference,
+                      cycle_graph, disjoint_union,
                       graph_classes, graph_reference, mask_to_graph, path_graph,
                       petersen_graph, vertex_pairs, vertex_set_corpus)
 
@@ -92,6 +93,45 @@ class TestGraphConstruction:
             CountedMultiGraph(2, [(0, 1)], provenance=((3,), (3,)))
         with pytest.raises(ValueError, match="empty"):
             CountedMultiGraph(1, [], provenance=((),))
+
+    def test_multigraph_matches_reference_with_parallel_pairs(self):
+        rng = random.Random(1606)
+        parallel = 0
+        for _ in range(300):
+            n = rng.randrange(1, 16)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(3 * n))
+                     if n > 1]
+            edges += [(v, u) for u, v in edges if rng.random() < 0.3]
+            rng.shuffle(edges)
+            parallel += len({tuple(sorted(e)) for e in edges}) < len(edges)
+            origins = rng.sample(range(4 * n), 2 * n)
+            cuts = sorted(rng.sample(range(1, 2 * n), n - 1))
+            provenance = [origins[a:b] for a, b in zip([0] + cuts, cuts + [2 * n])]
+            mg = CountedMultiGraph(n, edges, provenance)
+            assert isinstance(mg, Graph)
+            assert (mg.n, mg.edges, mg.adj, mg.counts, mg.provenance) == (
+                counted_multigraph_reference(n, edges, provenance))
+        assert parallel > 100
+
+    @pytest.mark.parametrize("edges, provenance, fault", [
+        ([(0, 1), (2, 2)], None, "self-loop at vertex 2"),
+        ([(0, 1), (1, 3)], None, r"edge \(1, 3\) out of range for n=3"),
+        ([(-1, 0)], None, r"edge \(-1, 0\) out of range for n=3"),
+        ([(0, 1)], ((0,), (), (2,)), "provenance of vertex 1 is empty"),
+        ([(0, 1)], ((0, 5), (1,), (5, 2)), "provenance lists must be pairwise disjoint"),
+    ], ids=["self-loop", "out-of-range", "negative", "empty-provenance",
+            "overlapping-provenance"])
+    def test_multigraph_fault_raises_its_message(self, edges, provenance, fault):
+        for build in (CountedMultiGraph, counted_multigraph_reference):
+            with pytest.raises(ValueError, match="^%s$" % fault):
+                build(3, edges, provenance)
+
+    def test_graph_and_multigraph_are_never_equal(self):
+        g, mg = Graph(2, [(0, 1)]), CountedMultiGraph(2, [(0, 1)])
+        assert g != mg and mg != g
+        assert g == Graph(2, [(0, 1)]) and mg == CountedMultiGraph.from_graph(g)
+        assert mg != CountedMultiGraph(2, [(0, 1)], provenance=((0,), (2,)))
+        assert repr(g) == "Graph(n=2, m=1)" and repr(mg) == "CountedMultiGraph(n=2, m=1)"
 
     def test_multigraph_adjacency_sorted_with_parallel_edges(self):
         rng = random.Random(4711)
@@ -339,7 +379,7 @@ class TestVertexSets:
         # the survivors, and so which vertex of a tree component is left
         for g, s in self.pairs():
             sub, kept = induced_subgraph(g, s)
-            assert peel_degree_one(g, s) == [kept[v] for v in peel_degree_one(sub)]
+            assert _peel(g, s)[0] == [kept[v] for v in _peel(sub)[0]]
 
     def test_components_match_induced_subgraph(self):
         for g, s in self.pairs():
@@ -349,7 +389,7 @@ class TestVertexSets:
 
     def test_none_is_the_whole_graph(self):
         g = disjoint_union(path_graph(3), cycle_graph(4))
-        assert peel_degree_one(g, range(g.n)) == peel_degree_one(g) == [0, 3, 4, 5, 6]
+        assert _peel(g, range(g.n))[0] == _peel(g)[0] == [0, 3, 4, 5, 6]
         assert connected_components(g, range(g.n)) == connected_components(g)
 
     def test_none_is_range_on_multigraphs_with_parallel_pairs(self):
@@ -371,13 +411,13 @@ class TestVertexSets:
 
     def test_multigraph_parallel_pair_counts_as_degree_two(self):
         mg = CountedMultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3)])
-        assert peel_degree_one(mg, [0, 1, 2]) == [0, 1]
+        assert _peel(mg, [0, 1, 2])[0] == [0, 1]
         assert connected_components(mg, [0, 2, 3]) == [(0,), (2, 3)]
 
     @pytest.mark.parametrize("bad", [[-1], [5], [0, 7], [-2, 4]])
     def test_out_of_range_ids(self, bad):
         g = cycle_graph(5)
-        for walk in (peel_degree_one, connected_components):
+        for walk in (_peel, connected_components):
             with pytest.raises(ValueError, match="out of range for n=5"):
                 walk(g, bad)
 
