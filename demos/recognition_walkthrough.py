@@ -5,19 +5,19 @@ components, and cross-checks the verdict against the contraction pipeline
 and (for small graphs) the exhaustive list-assignment oracle.
 """
 
-from choosability import (CountedMultiGraph, classify_core, compute_core,
-                          is_2_choosable, is_2_choosable_via_preprocessing,
-                          is_k_choosable_exhaustive, preprocess)
+from choosability import (CountedMultiGraph, classify_core, is_2_choosable,
+                          is_2_choosable_via_preprocessing, is_k_choosable_exhaustive,
+                          preprocess)
 from choosability.generators import gen_cycle, gen_theta
 
 
 def show(name, g):
-    core, kept = compute_core(g)
-    verdicts = classify_core(core)
+    verdicts = classify_core(g)
+    core_n = sum(len(v.vertices) for v in verdicts)
     fast, witness = is_2_choosable(g)
     pipeline = is_2_choosable_via_preprocessing(g)
     print("%-18s n=%-3d core=%-3d components=%-28s 2-choosable=%s (pipeline %s)"
-          % (name, g.n, core.n,
+          % (name, g.n, core_n,
              ",".join("%s%s" % (v.kind, "" if v.m is None else "(m=%d)" % v.m)
                       for v in verdicts),
              fast, pipeline))

@@ -7,7 +7,7 @@ against the exact solver on a random graph.
 
 from choosability import (CnfFormula, approx_2_del, build_G_phi_p, build_H_phi,
                           constraint_graph_P, decomposition_from_assignment,
-                          delete_vertices, deletion_set_from_assignment,
+                          deletion_set_from_assignment,
                           diameter, is_2_choosable, is_triangle_free,
                           min_2_del_exact, verify_lemma_2_2)
 from choosability.generators import gen_gnp
@@ -33,7 +33,7 @@ def main():
     g = gen_gnp(12, 0.25, seed=42)
     heuristic = approx_2_del(g)
     opt, exact = min_2_del_exact(g)
-    ok, _ = is_2_choosable(delete_vertices(g, heuristic)[0])
+    ok, _ = is_2_choosable(g, set(range(g.n)) - set(heuristic))
     print("\nrandom graph n=12: heuristic deletes %d (valid=%s), optimum %d"
           % (len(heuristic), ok, opt))
 

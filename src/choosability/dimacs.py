@@ -217,7 +217,8 @@ def write_artifact(art, base_path):
         "roles": {str(v): art.roles[v] for v in sorted(art.roles)},
         "meta": art.meta,
     }
-    _write_new_file(sidecar_path, json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+    # without indent, json.dumps uses the C encoder, about four times faster
+    _write_new_file(sidecar_path, json.dumps(sidecar, sort_keys=True) + "\n")
     return graph_path, sidecar_path
 
 

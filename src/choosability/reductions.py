@@ -7,6 +7,7 @@ recipes) can be re-checked mechanically rather than trusted.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from math import ceil
 
 from .errors import InternalCheckError
@@ -24,16 +25,20 @@ class CnfFormula:
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
+        if type(self.num_vars) is not int:
+            raise ValueError("the number of variables %r is not an integer" % (self.num_vars,))
         if self.num_vars < 1:
             raise ValueError("need at least one variable")
         for idx, clause in enumerate(self.clauses, 1):
             if len(clause) != 3:
                 raise ValueError("clause %d has %d literals; need exactly 3" % (idx, len(clause)))
-            if len(set(clause)) != 3:
-                raise ValueError("clause %d repeats a literal" % idx)
             for lit in clause:
+                if type(lit) is not int:
+                    raise ValueError("literal %r of clause %d is not an integer" % (lit, idx))
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError("literal %d of clause %d out of range" % (lit, idx))
+            if len(set(clause)) != 3:
+                raise ValueError("clause %d repeats a literal" % idx)
 
     @property
     def num_clauses(self):
@@ -216,7 +221,8 @@ def verify_lemma_2_2(art):
 # the satisfiability-to-decomposition construction
 # ---------------------------------------------------------------------------
 
-def _h_layout(n, k):
+def _h_layout(phi):
+    n, k = phi.num_vars, phi.num_clauses
     rows = n + 14 * k
 
     def tid(s, row, col):
@@ -232,26 +238,44 @@ def _h_layout(n, k):
     return rows, tid, fid, dom, d0
 
 
-def _sat3_layout(art):
-    """The formula of an H_phi artifact and its layout; ValueError if they do not fit the graph.
+#: the clause orders that older ``planar3sat`` sidecars record as ``meta.formula.rotation``
+_ROTATIONS = [list(r) for r in permutations((1, 2, 3))]
 
-    The formula fits when the layout has the graph's vertex count and every
-    gadget's copy of the constraint graph, placed by the formula's literals,
-    is there: each of its edges is an edge of the graph.
+
+def _rebuilt(art, kind):
+    """``(phi, artifact)``: the ``kind`` reduction of ``art.meta.formula``, built again.
+
+    ``kind`` is ``sat3`` (:func:`build_H_phi`) or ``planar3sat``
+    (:func:`build_G_phi_p` with ``meta.p``, a positive integer).  Older
+    ``planar3sat`` sidecars record a ``rotation`` with the formula: clause
+    j's literals were attached in the order ``rotation[j - 1]``, so they are
+    taken in that order.  ValueError unless the formula is valid and the
+    rebuilt graph is ``art.graph``.  Nothing else of the sidecar is read:
+    the solution builders take roles and gadget records from the rebuilt
+    artifact.
     """
-    phi = CnfFormula.from_dict(art.meta.get("formula"))
-    layout = _h_layout(phi.num_vars, phi.num_clauses)
-    g = art.graph
-    if g.n != layout[-1] + 1:
-        raise ValueError("meta.formula does not fit a graph on %d vertices" % g.n)
-    _, tid, fid, _, _ = layout
-    for s in range(1, phi.num_clauses + 1):
-        vmap = _identified_vertices(phi, s, tid, fid)
-        for a, b in P_EDGES_BY_LABEL:
-            if vmap[b] not in g.adj[vmap[a]]:
-                raise ValueError("meta.formula does not fit the graph: clause %d's copy of "
-                                 "the constraint graph lacks the edge %s-%s" % (s, a, b))
-    return phi, layout
+    formula = art.meta.get("formula")
+    phi = CnfFormula.from_dict(formula)
+    if kind == "sat3":
+        # H_phi is dense: a formula for another vertex count is not built
+        rebuilt = build_H_phi(phi) if _h_layout(phi)[-1] + 1 == art.graph.n else None
+    else:
+        p = art.meta.get("p")
+        if type(p) is not int or p < 1:
+            raise ValueError("meta.p must be a positive integer, not %r" % (p,))
+        rotation = formula.get("rotation")
+        if rotation is not None:
+            if not (isinstance(rotation, list) and len(rotation) == phi.num_clauses
+                    and all(r in _ROTATIONS for r in rotation)):
+                raise ValueError("meta.formula.rotation must hold one permutation "
+                                 "of 1, 2, 3 per clause")
+            phi = CnfFormula(phi.num_vars, [[clause[i - 1] for i in r]
+                                            for clause, r in zip(phi.clauses, rotation)])
+        rebuilt = build_G_phi_p(phi, p)
+    if rebuilt is None or rebuilt.graph != art.graph:
+        raise ValueError("the graph is not the reduction of meta.formula; "
+                         "was one of the files edited?")
+    return phi, rebuilt
 
 
 def _constraint_positions(phi, s):
@@ -287,7 +311,7 @@ def build_H_phi(phi):
     n, k = phi.num_vars, phi.num_clauses
     if k < 1:
         raise ValueError("need at least one clause")
-    rows, tid, fid, dom, d0 = _h_layout(n, k)
+    rows, tid, fid, dom, d0 = _h_layout(phi)
     _check_order(d0 + 1)
     edges = set()
 
@@ -355,10 +379,11 @@ def H_phi_four_coloring(art):
     details)`` with ``details["row_pairs"]`` mapping each row to its (true,
     false) colors; failure to find any row-uniform coloring raises
     InternalCheckError.  The row and side of each constraint-graph vertex
-    come from the formula, which :func:`_sat3_layout` has checked against
+    come from the formula, whose reduction :func:`_rebuilt` has matched to
     the graph; the role records are not read.
     """
-    phi, (rows, tid, fid, dom, d0) = _sat3_layout(art)
+    phi, _ = _rebuilt(art, "sat3")
+    rows, tid, fid, dom, d0 = _h_layout(phi)
     k = phi.num_clauses
 
     edges = [(2 * r, 2 * r + 1) for r in range(rows)]
@@ -391,12 +416,12 @@ def decomposition_from_assignment(art, tau):
     The apex joins A; a variable row sends the side matching the assignment
     to B and the mates to A; in each gadget the designated vertices of the
     false literals are extended via the tabulated independent set, and every
-    designated row follows its designated vertex.  The result is re-checked
-    with :func:`decomposition_is_valid` before being returned; when that
-    fails on a graph that ``build_H_phi`` of ``meta.formula`` does not
-    build, the error is a ValueError.
+    designated row follows its designated vertex.  Only ``meta.formula`` is
+    read, and the graph must be its reduction (:func:`_rebuilt`); the result
+    is re-checked with :func:`decomposition_is_valid` before being returned.
     """
-    phi, (rows, tid, fid, dom, d0) = _sat3_layout(art)
+    phi, _ = _rebuilt(art, "sat3")
+    rows, tid, fid, dom, d0 = _h_layout(phi)
     tau = normalize_assignment(phi, tau)
     if not phi.satisfies(tau.values()):
         raise ValueError("assignment does not satisfy the formula")
@@ -422,22 +447,18 @@ def decomposition_from_assignment(art, tau):
             for c in range(1, 18):
                 a.add(pick(s, row, c))
 
-    return _rechecked(art.graph, a, lambda: build_H_phi(phi))
+    return _rechecked(art.graph, a)
 
 
-def _rechecked(g, a, rebuild):
+def _rechecked(g, a):
     """The decomposition (A, V - A) of ``g``, re-checked with ``decomposition_is_valid``.
 
-    Only when the re-check fails, ``rebuild()`` builds the reduction again
-    from the sidecar: a graph other than ``g`` means the graph file does
-    not hold that reduction, a ValueError; on the same graph the
-    construction itself failed, an InternalCheckError.
+    The callers build A on the graph that :func:`_rebuilt` has matched to
+    the formula, so a failed re-check is a fault in the construction, an
+    InternalCheckError.
     """
     decomp = Decomposition(tuple(sorted(a)), tuple(v for v in range(g.n) if v not in a))
     if not decomposition_is_valid(g, decomp):
-        if rebuild().graph != g:
-            raise ValueError("the graph is not the reduction of meta.formula; "
-                             "was the graph file edited?")
         raise InternalCheckError("constructed solution failed decomposition_is_valid")
     return decomp
 
@@ -591,53 +612,21 @@ def deletion_set_from_assignment(art, tau):
     Takes every forbidden-gadget core, the blue vertices of positive
     connections whose variable is true (red otherwise), and per negative
     connection the red vertex when the variable is true (blue otherwise).
-    Each ``meta`` gadget record is checked as it is read (``core``, ``x`` and
-    every ``blue`` and ``red`` entry are vertex ids, the role of ``x`` has a
-    ``var`` of the formula, ``kind`` is positive or negative); a malformed
-    record is a ValueError.  The set is re-checked with
-    :func:`decomposition_is_valid` before being returned; when that fails
-    on a graph that ``build_G_phi_p`` of ``meta.formula`` and ``meta.p``
-    does not build, or ``meta.p`` is not a positive integer, the error is
-    a ValueError.
+    Only ``meta.formula`` and ``meta.p`` are read, and the graph must be
+    their reduction (:func:`_rebuilt`); the gadget records and roles are
+    those of the rebuilt artifact.  The set is re-checked with
+    :func:`decomposition_is_valid` before being returned.
     """
-    phi = CnfFormula.from_dict(art.meta.get("formula"))
+    phi, rebuilt = _rebuilt(art, "planar3sat")
     tau = normalize_assignment(phi, tau)
     if not phi.satisfies(tau.values()):
         raise ValueError("assignment does not satisfy the formula")
-
-    def vertices(record, key):
-        """``record[key]`` as a list of vertex ids; ``blue`` and ``red`` hold lists."""
-        ids = record.get(key) if isinstance(record, dict) else None
-        ids = ids if key in ("blue", "red") else [ids]
-        if not (isinstance(ids, list)
-                and all(isinstance(v, int) and 0 <= v < art.graph.n for v in ids)):
-            raise ValueError("gadget record %r: %s does not hold vertex ids" % (record, key))
-        return ids
-
-    forbidden, connections = art.meta.get("forbidden_gadgets"), art.meta.get("edge_gadgets")
-    if not (isinstance(forbidden, list) and isinstance(connections, list)):
-        raise ValueError("meta.forbidden_gadgets and meta.edge_gadgets must be lists")
-    a = set()
-    for record in forbidden:
-        a.update(vertices(record, "core"))
-    for record in connections:
-        role = art.roles.get(vertices(record, "x")[0])
-        var = role.get("var") if isinstance(role, dict) else None
-        if var not in range(1, phi.num_vars + 1):
-            raise ValueError("gadget record %r: the role of x has no var in 1..%d"
-                             % (record, phi.num_vars))
-        if record.get("kind") not in ("positive", "negative"):
-            raise ValueError("gadget record %r: kind is not positive or negative" % (record,))
-        blue, red = vertices(record, "blue"), vertices(record, "red")
-        a.update(blue if tau[var] == (record["kind"] == "positive") else red)
-
-    def rebuild():
-        p = art.meta.get("p")
-        if type(p) is not int or p < 1:
-            raise ValueError("meta.p must be a positive integer, not %r" % (p,))
-        return build_G_phi_p(phi, p)
-
-    return _rechecked(art.graph, a, rebuild).a
+    a = {record["core"] for record in rebuilt.meta["forbidden_gadgets"]}
+    for record in rebuilt.meta["edge_gadgets"]:
+        var = rebuilt.roles[record["x"]]["var"]
+        a.update(record["blue"] if tau[var] == (record["kind"] == "positive")
+                 else record["red"])
+    return _rechecked(art.graph, a).a
 
 
 def compute_paper_p(k, epsilon):

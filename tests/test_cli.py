@@ -35,6 +35,37 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def solved_artifact(tmp_path, capsys, kind):
+    """``(base, sidecar, answer)`` of the ``kind`` artifact of (1 or 2 or not 3), p = 1.
+
+    ``answer`` holds the verdicts and witnesses of solving it for 110.
+    """
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 -3 0\n")
+    base = str(tmp_path / "art")
+    options = ["--p", "1"] if kind == "planar3sat" else []
+    assert main(["reduce", kind, str(cnf), "--out", base] + options) == 0
+    capsys.readouterr()
+    code, report = run_json(capsys, ["solution-from-assignment", base, "--tau", "110"])
+    assert code == 0
+    with open(base + ".roles.json") as fh:
+        sidecar = json.load(fh)
+    return base, sidecar, (report["verdicts"], report["witnesses"])
+
+
+def solve_edited(capsys, base, sidecar):
+    """Write ``sidecar`` over the artifact's, solve for 110 with --json: ``(code, captured)``."""
+    with open(base + ".roles.json", "w") as fh:
+        json.dump(sidecar, fh)
+    code = main(["--json", "solution-from-assignment", base, "--tau", "110"])
+    return code, capsys.readouterr()
+
+
+def answer(captured):
+    report = json.loads(captured.out)
+    return report["verdicts"], report["witnesses"]
+
+
 class TestExitCodes:
     def test_check2_negative(self, c5_file, capsys):
         assert main(["check2", c5_file]) == 1
@@ -316,30 +347,49 @@ class TestReduceAndSolve:
         assert code == 0
         assert report["verdicts"]["kind"] == "deletion-set"
 
-    @pytest.mark.parametrize("drop", ["meta.formula", "kind", "roles", "meta.formula.num_vars",
-                                      "planar3sat/meta.edge_gadgets",
-                                      "planar3sat/meta.forbidden_gadgets",
-                                      "planar3sat/meta.edge_gadgets.0.blue",
-                                      "planar3sat/meta.edge_gadgets.0.red",
-                                      "planar3sat/roles.0.var"])
-    def test_solution_sidecar_missing_key(self, tmp_path, capsys, drop):
+    @pytest.mark.parametrize("drop, solves", [
+        ("meta.formula", False), ("kind", False), ("roles", False),
+        ("meta.formula.num_vars", False), ("planar3sat/meta.p", False),
+        # roles and gadget records are annotation: the builders read the rebuilt artifact's
+        ("roles.0", True),
+        ("planar3sat/meta.edge_gadgets", True),
+        ("planar3sat/meta.forbidden_gadgets", True),
+        ("planar3sat/meta.forbidden_gadgets.0", True),
+        ("planar3sat/meta.edge_gadgets.0.blue", True),
+        ("planar3sat/meta.edge_gadgets.0.red", True),
+        ("planar3sat/roles.0.var", True)])
+    def test_solution_sidecar_missing_key(self, tmp_path, capsys, drop, solves):
         kind, _, drop = drop.rpartition("/")
-        cnf = tmp_path / "phi.cnf"
-        cnf.write_text("p cnf 3 1\n1 2 -3 0\n")
-        base = str(tmp_path / "art")
-        options = ["--p", "1"] if kind else []
-        assert main(["reduce", kind or "sat3", str(cnf), "--out", base] + options) == 0
-        sidecar_path = tmp_path / "art.roles.json"
-        sidecar = json.loads(sidecar_path.read_text())
+        base, sidecar, intact = solved_artifact(tmp_path, capsys, kind or "sat3")
         *path, last = drop.split(".")
         record = sidecar
         for key in path:
             record = record[int(key)] if isinstance(record, list) else record[key]
-        del record[last]
-        sidecar_path.write_text(json.dumps(sidecar))
-        capsys.readouterr()
-        assert main(["solution-from-assignment", base, "--tau", "110"]) == 2
-        assert "error:" in capsys.readouterr().err
+        del record[int(last) if isinstance(record, list) else last]
+        code, captured = solve_edited(capsys, base, sidecar)
+        if solves:
+            assert code == 0 and answer(captured) == intact
+        else:
+            assert code == 2 and captured.err.startswith("error:")
+            assert json.loads(captured.out)["error"]["kind"] == "input"
+
+    def test_planar3sat_answer_ignores_swapped_blue_and_red(self, tmp_path, capsys):
+        base, sidecar, intact = solved_artifact(tmp_path, capsys, "planar3sat")
+        record = sidecar["meta"]["edge_gadgets"][0]
+        record["blue"], record["red"] = record["red"], record["blue"]
+        code, captured = solve_edited(capsys, base, sidecar)
+        assert code == 0 and answer(captured) == intact
+
+    @pytest.mark.parametrize("kind", ["sat3", "planar3sat"])
+    @pytest.mark.parametrize("field, value", [
+        ("num_vars", 3.0), ("clauses", [[1.0, 2, -3]]), ("clauses", [[True, 2, -3]])],
+        ids=["float-num-vars", "float-literal", "bool-literal"])
+    def test_formula_numbers_must_be_integers(self, tmp_path, capsys, kind, field, value):
+        base, sidecar, _ = solved_artifact(tmp_path, capsys, kind)
+        sidecar["meta"]["formula"][field] = value
+        code, captured = solve_edited(capsys, base, sidecar)
+        assert code == 2
+        assert captured.err.startswith("error: ") and "is not an integer" in captured.err
 
     def test_sat3_sidecar_with_other_clauses(self, tmp_path, capsys):
         # the artifact of (1 or 2 or not 3) with its formula's clause edited
@@ -355,7 +405,7 @@ class TestReduceAndSolve:
         code = main(["--json", "solution-from-assignment", base, "--tau", "110"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith("error: meta.formula does not fit the graph")
+        assert captured.err.startswith("error: the graph is not the reduction of meta.formula")
         assert json.loads(captured.out)["error"]["kind"] == "input"
 
     @pytest.mark.parametrize("kind, options, side", [
@@ -390,9 +440,9 @@ class TestReduceAndSolve:
         capsys.readouterr()
         real = reductions._rechecked
 
-        def faulty(g, a, rebuild):
+        def faulty(g, a):
             # a builder that also took both ends of an edge: A is not independent
-            return real(g, set(a) | set(g.edges[0]), rebuild)
+            return real(g, set(a) | set(g.edges[0]))
 
         monkeypatch.setattr(reductions, "_rechecked", faulty)
         code = main(["--json", "solution-from-assignment", base, "--tau", "110"])
@@ -402,22 +452,12 @@ class TestReduceAndSolve:
             "kind": "internal",
             "message": "InternalCheckError: constructed solution failed decomposition_is_valid"}
 
-    def test_planar3sat_rebuild_needs_a_positive_p(self, tmp_path, capsys, monkeypatch):
-        cnf = tmp_path / "phi.cnf"
-        cnf.write_text("p cnf 3 1\n1 2 -3 0\n")
-        base = str(tmp_path / "art")
-        assert main(["reduce", "planar3sat", str(cnf), "--p", "1", "--out", base]) == 0
-        sidecar_path = tmp_path / "art.roles.json"
-        sidecar = json.loads(sidecar_path.read_text())
+    def test_planar3sat_rebuild_needs_a_positive_p(self, tmp_path, capsys):
+        base, sidecar, _ = solved_artifact(tmp_path, capsys, "planar3sat")
         sidecar["meta"]["p"] = True
-        sidecar_path.write_text(json.dumps(sidecar))
-        capsys.readouterr()
-        # meta.p is read only when the re-check fails
-        assert main(["solution-from-assignment", base, "--tau", "110"]) == 0
-        monkeypatch.setattr(reductions, "decomposition_is_valid", lambda g, d: False)
-        assert main(["solution-from-assignment", base, "--tau", "110"]) == 2
-        assert capsys.readouterr().err == (
-            "error: meta.p must be a positive integer, not True\n")
+        code, captured = solve_edited(capsys, base, sidecar)
+        assert code == 2
+        assert captured.err == "error: meta.p must be a positive integer, not True\n"
 
     def test_planar3sat_without_clauses(self, tmp_path, capsys):
         cnf = tmp_path / "phi.cnf"

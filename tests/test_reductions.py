@@ -43,6 +43,10 @@ class TestCnfFormula:
             CnfFormula(2, [(1, 2, 3)])
         with pytest.raises(ValueError, match="exactly 3"):
             CnfFormula(3, [(1, 2)])
+        with pytest.raises(ValueError, match="not an integer"):
+            CnfFormula(3.0, [(1, 2, 3)])
+        with pytest.raises(ValueError, match="not an integer"):
+            CnfFormula(3, [(True, 2, 3)])
 
     def test_complementary_literals_allowed(self):
         phi = CnfFormula(2, [(1, -1, 2)])
@@ -383,7 +387,8 @@ def chain_formula(k, seed, shuffle):
 
 
 class TestMalformedArtifacts:
-    """A sidecar edited by hand is bad input: the builders raise ValueError, not another error."""
+    """The builders read only the formula and p: an edited formula or p is a ValueError,
+    and edited roles or gadget records change nothing."""
 
     PHI = CnfFormula(3, [(1, 2, -3)])
     TAU = (True, True, False)
@@ -404,7 +409,7 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize("path,value", [
         pytest.param(("edge_gadgets",), None, id="no-edge-gadgets"),
         pytest.param(("forbidden_gadgets",), None, id="no-forbidden-gadgets"),
-        pytest.param(("formula",), None, id="no-formula"),
+        pytest.param(("forbidden_gadgets", 0), None, id="no-first-forbidden-gadget"),
         pytest.param(("edge_gadgets",), {"0": {}}, id="edge-gadgets-object"),
         pytest.param(("edge_gadgets", 0), "record", id="record-string"),
         pytest.param(("forbidden_gadgets", 0, "core"), 10 ** 9, id="core-too-large"),
@@ -418,18 +423,37 @@ class TestMalformedArtifacts:
         pytest.param(("edge_gadgets", 0, "red"), None, id="no-red"),
         pytest.param(("edge_gadgets", 0, "red"), ["5"], id="red-string-id"),
     ])
-    def test_deletion_set_rejects(self, path, value):
+    def test_deletion_set_ignores_gadget_records(self, path, value):
         art = build_G_phi_p(self.PHI, 1)
-        assert deletion_set_from_assignment(art, self.TAU)
-        with pytest.raises(ValueError):
-            deletion_set_from_assignment(self.mutated(art, path, value), self.TAU)
+        intact = deletion_set_from_assignment(art, self.TAU)
+        assert deletion_set_from_assignment(self.mutated(art, path, value), self.TAU) == intact
 
     @pytest.mark.parametrize("var", [None, 0, 4, "1"])
-    def test_deletion_set_rejects_x_without_a_variable(self, var):
+    def test_deletion_set_ignores_the_role_of_x(self, var):
         art = build_G_phi_p(self.PHI, 1)
+        intact = deletion_set_from_assignment(art, self.TAU)
         x = art.meta["edge_gadgets"][0]["x"]
         art.roles[x] = {"role": "variable"} if var is None else {"role": "variable", "var": var}
-        with pytest.raises(ValueError, match="var"):
+        assert deletion_set_from_assignment(art, self.TAU) == intact
+
+    @pytest.mark.parametrize("path,value", [
+        pytest.param(("formula",), None, id="no-formula"),
+        pytest.param(("formula", "clauses"), [[1, 2, 3]], id="other-clause"),
+        pytest.param(("formula", "num_vars"), 4, id="other-num-vars"),
+        pytest.param(("formula", "num_vars"), 3.0, id="float-num-vars"),
+        pytest.param(("formula", "clauses"), [[True, 2, -3]], id="bool-literal"),
+        pytest.param(("formula", "rotation"), [[2, 1, 3]], id="other-rotation"),
+        pytest.param(("formula", "rotation"), [[1, 2, 2]], id="rotation-not-a-permutation"),
+        pytest.param(("formula", "rotation"), "123", id="rotation-string"),
+        pytest.param(("p",), None, id="no-p"),
+        pytest.param(("p",), 2, id="other-p"),
+        pytest.param(("p",), True, id="p-true"),
+        pytest.param(("p",), 1.0, id="p-float"),
+    ])
+    def test_deletion_set_rejects_a_formula_or_p_that_does_not_build_the_graph(self, path,
+                                                                               value):
+        art = self.mutated(build_G_phi_p(self.PHI, 1), path, value)
+        with pytest.raises(ValueError):
             deletion_set_from_assignment(art, self.TAU)
 
     @pytest.mark.parametrize("build", [decomposition_from_assignment,
@@ -448,7 +472,7 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize("clauses", [[[1, 2, 3]], [[2, 1, -3]], [[1, -2, -3]]])
     def test_sat3_rejects_a_formula_of_the_right_size_with_other_clauses(self, build, clauses):
         art = self.mutated(build_H_phi(self.PHI), ("formula", "clauses"), clauses)
-        with pytest.raises(ValueError, match="does not fit the graph"):
+        with pytest.raises(ValueError, match="is not the reduction of meta.formula"):
             build(art, self.TAU)
 
     @pytest.mark.parametrize("record", [
