@@ -1,23 +1,21 @@
 """Contraction-based 2-choosability test and the short-cycle deletion heuristic.
 
 ``preprocess`` peels degree-1 vertices with ``graphs._peel``, the package's
-one degree-1 peel, then in one linear sweep replaces every maximal chain of
-two or more adjacent degree-2 vertices by a single counted vertex (a cycle
-component contracts all but one of its vertices, yielding a two-vertex
-parallel pair).  After preprocessing, a connected graph is 2-choosable
-exactly when it lands in one of three counted shapes; ``approx_2_del``
-takes the contracted components one at a time and deletes a shortest cycle
-of each one outside the counted family, re-contracting only what is left
-of it, then expands each contracted vertex back to the first original
-vertex of its chain.
-
+one whole-set degree-1 peel, then in one linear sweep replaces every
+maximal chain of two or more adjacent degree-2 vertices by a single counted
+vertex (a cycle component contracts all but one of its vertices, yielding a
+two-vertex parallel pair).  After preprocessing, a connected graph is
+2-choosable exactly when it lands in one of three counted shapes.
 ``preprocess`` also takes a vertex set and contracts the sub-multigraph on
-it in the multigraph's own ids, and ``preprocessed_components`` splits in
-one pass over the edges, so a round builds each new piece once: one
-``CountedMultiGraph`` for the contracted remainder and one per component
-of it.  Every numbering, orientation and tie-break reads only the relative
-order of the ids, and restricting to a vertex set keeps that order, so
-the answers are those of contracting the relabelled sub-multigraph.
+it in the multigraph's own ids; every numbering, orientation and tie-break
+reads only the relative order of the ids, so the answer is that of
+contracting the relabelled sub-multigraph.
+
+``approx_2_del`` preprocesses once, then deletes a shortest cycle of each
+contracted component outside the counted family, on one mutable working
+multigraph in which a vertex keeps its id, re-peeling and re-contracting
+only around each deleted cycle; each contracted vertex it picks is expanded
+back to the first original vertex of its chain.
 """
 
 from dataclasses import dataclass
@@ -56,23 +54,66 @@ def preprocess(mg, vertices=None):
     vertex towards that vertex's smaller neighbour, and its last vertex is
     left out, so the cycle becomes a parallel pair.  Contracting a run
     changes no other vertex's degree, so one peel and one sweep over the
-    runs reach the fixpoint.  Uncontracted vertices come first in ascending
-    order, then one vertex per run in ascending order of its smallest id.
-    Every one of these choices reads only the relative order of the ids, so
-    the result equals that of the sub-multigraph on ``vertices`` relabelled
-    in ascending order.
+    runs reach the fixpoint.  The contraction is the one ``approx_2_del``
+    runs around each deleted cycle, here seeded with every vertex; the runs
+    get ids above every id of ``mg`` in ascending order of their smallest
+    vertex, so after relabelling in ascending order the uncontracted
+    vertices come first, then one vertex per run.  Every one of these
+    choices reads only the relative order of the ids, so the result equals
+    that of the sub-multigraph on ``vertices`` relabelled in ascending
+    order.
     """
     core, degree = _peel(mg, vertices)
     # a neighbour of a core vertex is in the core exactly when its degree
     # left by the peel is at least 2 (a peeled vertex keeps 1, an outside one 0)
-    adj = {v: [u for u in mg.adj[v] if degree[u] > 1] for v in core}
+    adj = [[] for _ in range(mg.n)]
+    for v in core:
+        adj[v] = [u for u in mg.adj[v] if degree[u] > 1]
+    work = _Working(adj, list(mg.provenance))
+    absorbed = _contract(work, core)
+    return _relabelled(work, [v for v in core if v not in absorbed] + list(range(mg.n, work.n)))
+
+
+class _Working:
+    """A mutable counted multigraph whose vertices keep their ids.
+
+    ``adj[v]`` is the sorted list of ``v``'s neighbours, one entry per
+    edge, and ``provenance[v]`` the original vertices ``v`` stands for.  A
+    deleted or contracted vertex keeps its slot with an empty list, and a
+    new vertex takes the next id, above every id so far; removing an entry
+    and appending a new id both keep the lists sorted.  Reads like a
+    ``Graph`` for ``connected_components`` and ``shortest_cycle``.
+    """
+
+    __slots__ = ("adj", "provenance")
+
+    def __init__(self, adj, provenance):
+        self.adj = adj
+        self.provenance = provenance
+
+    @property
+    def n(self):
+        return len(self.adj)
+
+
+def _contract(work, seeds):
+    """Contract every maximal degree-2 run of ``work`` through a vertex of ``seeds``.
+
+    ``seeds`` is ascending.  The runs get new ids in ascending order of
+    their smallest vertex, orientations as in :func:`preprocess`; returns
+    the set of vertices absorbed into them.
+    """
+    adj = work.adj
     walked = set()
     runs = []
-    for v in core:
+    for v in seeds:
         if v in walked or len(adj[v]) != 2 or adj[v][0] == adj[v][1]:
             continue
         ahead, closed = _degree_two_walk(adj, v, adj[v][0])
         if closed:
+            # a cycle component is walked from its smallest vertex
+            v = min(v, *ahead)
+            ahead = _degree_two_walk(adj, v, adj[v][0])[0]
             walked.add(ahead[-1])
             run = [v] + ahead[:-1]
         else:
@@ -82,17 +123,24 @@ def preprocess(mg, vertices=None):
         walked.update(run)
         if len(run) > 1:
             runs.append(run)
-    in_run = {u for run in runs for u in run}
-    kept = [v for v in core if v not in in_run]
-    new_id = {v: i for i, v in enumerate(kept)}
-    for r, run in enumerate(runs, len(kept)):
-        new_id.update(dict.fromkeys(run, r))
-    edges = [(new_id[u], new_id[v]) for v in core for u in adj[v]
-             if u > v and new_id[u] != new_id[v]]
-    return CountedMultiGraph(
-        len(kept) + len(runs), edges,
-        [mg.provenance[v] for v in kept]
-        + [tuple(x for u in run for x in mg.provenance[u]) for run in runs])
+    runs.sort(key=min)
+    provenance = work.provenance
+    absorbed = set()
+    for run in runs:
+        x = len(adj)
+        first, last = run[0], run[-1]
+        a, b = _other(adj[first], run[1]), _other(adj[last], run[-2])
+        # x is the largest id so far, so appending it keeps the lists sorted
+        adj[a].remove(first)
+        adj[a].append(x)
+        adj[b].remove(last)
+        adj[b].append(x)
+        adj.append([a, b] if a <= b else [b, a])
+        provenance.append(tuple(o for u in run for o in provenance[u]))
+        for u in run:
+            adj[u] = []
+        absorbed.update(run)
+    return absorbed
 
 
 def _degree_two_walk(adj, start, cur):
@@ -108,6 +156,18 @@ def _degree_two_walk(adj, start, cur):
         a, b = adj[cur]
         prev, cur = cur, (b if a == prev else a)
     return out, cur == start
+
+
+def _other(pair, u):
+    """The entry of a two-entry neighbour list that is not ``u``."""
+    return pair[1] if pair[0] == u else pair[0]
+
+
+def _relabelled(work, ids):
+    """``work`` on the ascending ``ids``, as a ``CountedMultiGraph`` relabelled in that order."""
+    index = {v: i for i, v in enumerate(ids)}
+    edges = [(index[v], index[u]) for v in ids for u in work.adj[v] if u > v]
+    return CountedMultiGraph(len(ids), edges, [work.provenance[v] for v in ids])
 
 
 def classify_c_prime(component):
@@ -179,35 +239,40 @@ def is_2_choosable_via_preprocessing(g):
 def approx_2_del(g):
     """Greedy short-cycle deletion heuristic for 2-choosable deletion.
 
-    Preprocess and split into components, then work through them one at a
-    time: a component in the counted family is dropped; otherwise a
-    shortest cycle of it is removed, and only what is left of that
-    component is re-preprocessed, as a vertex set of the component, and
-    split back onto the worklist.  Each removed contracted vertex is
-    expanded to the first original vertex of its chain.  The returned set
-    is re-validated; failure raises InternalCheckError.
+    Preprocess once and split into components, then work through them one
+    at a time on one mutable working multigraph in which a vertex keeps its
+    id: a component in the counted family is dropped; otherwise a shortest
+    cycle of it is deleted, and the component is repaired around the cut
+    (see :func:`_cut`) and split back onto the worklist.  Each removed
+    contracted vertex is expanded to the first original vertex of its
+    chain.  The returned set is re-validated; failure raises
+    InternalCheckError.
 
     Components never interact, and every choice made on one depends only
     on the relative order of its own vertices: the last-in, first-out
-    order of ``graphs._peel``, the numbering and run orientation of
-    ``preprocess``, and the lexicographic tie-break of ``shortest_cycle``.
-    Restricting to a component keeps that relative order, so each
-    component goes through the same rounds as it would inside the whole
-    graph, and the sorted union of the picks is the same.
+    order of the peel, the run orientation of the contraction, and the
+    lexicographic tie-break of ``shortest_cycle``.  The new runs of a round
+    get ids above every id so far, in ascending order of their smallest
+    vertex, which is the relative order ``preprocess`` gives them when it
+    relabels a component (kept vertices ascending, then the runs).  So each
+    component goes through the same rounds as it would if every round
+    re-preprocessed what is left of it, or the whole graph, and the sorted
+    union of the picks is the same.
     """
-    pending = preprocessed_components(preprocess(CountedMultiGraph.from_graph(g)))
+    contracted = preprocess(CountedMultiGraph.from_graph(g))
+    work = _Working([list(a) for a in contracted.adj], list(contracted.provenance))
+    pending = connected_components(contracted)
     chosen = []
     while pending:
         comp = pending.pop()
-        if classify_c_prime(comp).in_family:
+        # only 1, 2 and 5 vertices can be in the counted family
+        if len(comp) <= 5 and classify_c_prime(_relabelled(work, comp)).in_family:
             continue
-        cycle = shortest_cycle(comp)
+        cycle = shortest_cycle(work, comp)
         if cycle is None:
             raise InternalCheckError("contracted graph is acyclic but non-empty")
-        chosen.extend(comp.provenance[v][0] for v in cycle)
-        cut = set(cycle)
-        rest = [v for v in range(comp.n) if v not in cut]
-        pending.extend(preprocessed_components(preprocess(comp, rest)))
+        chosen.extend(work.provenance[v][0] for v in cycle)
+        pending.extend(connected_components(work, _cut(work, comp, cycle)))
     result = tuple(sorted(set(chosen)))
     if len(result) != len(chosen):
         raise InternalCheckError("expanded deletion picks collided")
@@ -216,3 +281,39 @@ def approx_2_del(g):
     if not ok:
         raise InternalCheckError("deletion set does not leave a 2-choosable graph")
     return result
+
+
+def _cut(work, comp, cycle):
+    """Delete ``cycle`` from the contracted component ``comp`` of ``work`` and repair it.
+
+    Only the vertices next to the cut change degree, so only they start
+    the peel (last in, first out from the ascending list of those left
+    with degree 1, as in :func:`graphs._peel`), and only the maximal
+    degree-2 runs through a vertex whose degree changed are contracted:
+    every other run of ``comp`` was contracted before.  Returns what is
+    left of ``comp``, ascending: its surviving ids, then the new runs.
+    """
+    adj = work.adj
+    gone = set(cycle)
+    touched = set()
+    for v in cycle:
+        for u in adj[v]:
+            if u not in gone:
+                adj[u].remove(v)
+                touched.add(u)
+        adj[v] = []
+    stack = sorted(u for u in touched if len(adj[u]) == 1)
+    while stack:
+        v = stack.pop()
+        if len(adj[v]) != 1:
+            continue
+        u = adj[v][0]
+        adj[v] = []
+        gone.add(v)
+        adj[u].remove(v)
+        touched.add(u)
+        if len(adj[u]) == 1:
+            stack.append(u)
+    first_new = work.n
+    gone |= _contract(work, sorted(touched - gone))
+    return [v for v in comp if v not in gone] + list(range(first_new, work.n))

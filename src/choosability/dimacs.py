@@ -235,10 +235,11 @@ def _read_artifact(base_path):
     sidecar_path = str(base_path) + ".roles.json"
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
+    # roles are annotation that no solution builder reads, so they may be left out
     if not (isinstance(sidecar, dict) and isinstance(sidecar.get("kind"), str)
-            and isinstance(sidecar.get("roles"), dict)
+            and isinstance(sidecar.get("roles", {}), dict)
             and isinstance(sidecar.get("meta", {}), dict)):
-        raise ParseError("%s: need an object with a string 'kind', an object 'roles' "
-                         "and an optional object 'meta'" % sidecar_path)
-    roles = {int(v): rec for v, rec in sidecar["roles"].items()}
+        raise ParseError("%s: need an object with a string 'kind', an optional object "
+                         "'roles' and an optional object 'meta'" % sidecar_path)
+    roles = {int(v): rec for v, rec in sidecar.get("roles", {}).items()}
     return ReductionArtifact(sidecar["kind"], g, roles, sidecar.get("meta", {})), text

@@ -6,9 +6,10 @@ whose lengths are the counts; the contraction pipeline uses it.  All values
 are immutable after construction; every query is a pure function with
 deterministic tie-breaking (ascending vertex ids).  ``_peel``,
 ``connected_components`` and ``shortest_cycle`` read only ``n`` and ``adj``,
-so they take any ``Graph``; the first two also work inside a vertex set of
-the graph, in its own ids, and ``shortest_cycle`` runs one bounded BFS per
-root and one depth-first search at the root that wins.
+so they take any ``Graph`` (and the deletion heuristic's mutable working
+multigraph); all three also work inside a vertex set of the graph, in its
+own ids, and ``shortest_cycle`` runs one bounded BFS per root and one
+depth-first search at the root that wins.
 """
 
 from collections import deque
@@ -345,64 +346,104 @@ def diameter(g):
     return best
 
 
-def shortest_cycle(g):
-    """Shortest cycle of any ``Graph``, or None.
+def shortest_cycle(g, vertices=None):
+    """Shortest cycle of ``G[vertices]`` (all of ``g`` when None), or None.
 
-    Reads only ``n`` and ``adj``.  A pair of parallel edges counts as a cycle
-    of length 2, and the first such pair ends the search.  Ties are broken by
-    the lexicographically smallest vertex sequence; the sequence starts at
-    the smallest vertex of the cycle and closure back to it is implied.
+    Works in ``g``'s own ids with no subgraph built; an id outside 0..n-1
+    raises ValueError.  Reads only ``n`` and ``adj``, so it takes any
+    ``Graph``, and any object whose ``adj[v]`` lists are sorted.  A pair of
+    parallel edges counts as a cycle of length 2, and the first such pair
+    ends the search.  Ties are broken by the lexicographically smallest
+    vertex sequence; the sequence starts at the smallest vertex of the cycle
+    and closure back to it is implied.  Every choice reads only the relative
+    order of the ids, so the answer is that of the restriction relabelled in
+    ascending order, mapped back.
 
     Otherwise one bounded BFS per root ``v0`` finds the shortest cycle whose
     smallest vertex is ``v0`` (Itai and Rodeh, 1978): the BFS runs over ids
     above ``v0`` and labels each vertex with the neighbour of ``v0`` it
     descends from, so an edge between two labels closes a simple cycle.  The
     first root to reach the minimum length is the first vertex of the
-    answer, and one depth-first search there lists the cycle.
+    answer, and a triangle, the shortest cycle left, ends the scan.  The
+    BFS state lives in lists of length ``g.n`` allocated once per call, and
+    each BFS stamps the vertices it labels with a mark of its own (its
+    root), so no root clears or allocates anything.  The winning root's BFS
+    runs once more under a fresh mark to restore its labels, and one
+    depth-first search there lists the cycle.
     """
     adj = g.adj
-    for u in range(g.n):
+    order = range(g.n) if vertices is None else _ascending_ids(g, vertices)
+    inside = [vertices is None] * g.n
+    if vertices is not None:
+        for v in order:
+            inside[v] = True
+    for u in order:
         for a, b in zip(adj[u], adj[u][1:]):
-            if a == b and a > u:
+            if a == b and a > u and inside[a]:
                 return [u, a]
 
-    # no parallel pairs from here on: the graph is simple
-    best, root, root_dist = g.n + 1, None, None
-    for v0 in range(g.n):
-        frontier = [w for w in adj[v0] if w > v0]
-        if len(frontier) < 2:
-            continue
-        dist = dict.fromkeys(frontier, 1)
-        branch = {w: w for w in frontier}
-        found = best
-        depth = 1
-        # closures found while expanding depth d have length 2d+1 or more
-        while frontier and 2 * depth + 1 < found:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w <= v0:
-                        continue
-                    if w not in dist:
-                        dist[w] = depth + 1
-                        branch[w] = branch[u]
-                        nxt.append(w)
-                    elif branch[w] != branch[u]:
-                        found = min(found, depth + dist[w] + 1)
-            frontier = nxt
-            depth += 1
+    # no parallel pairs from here on: G[vertices] is simple
+    stamp = [-1] * g.n
+    dist = [0] * g.n
+    branch = [0] * g.n
+    best, root = g.n + 1, None
+    for v0 in order:
+        found = _root_bfs(adj, inside, v0, best, v0, stamp, dist, branch)
         if found < best:
-            best, root, root_dist = found, v0, dist
+            best, root = found, v0
+            if best == 3:
+                break
     if root is None:
         return None
-    return _lex_smallest_cycle(adj, root, best, root_dist)
+    # a stamp no root used, so the first run's labels count as unvisited
+    _root_bfs(adj, inside, root, best + 1, g.n, stamp, dist, branch)
+    return _lex_smallest_cycle(adj, root, best, g.n, stamp, dist)
 
 
-def _lex_smallest_cycle(adj, v0, length, dist):
+def _root_bfs(adj, inside, v0, found, mark, stamp, dist, branch):
+    """Length of the shortest cycle with smallest vertex v0 if below ``found``, else ``found``.
+
+    Labels every vertex it reaches with ``stamp[w] = mark``, its distance to
+    v0 through ids above v0 and the neighbour of v0 it descends from.  A
+    vertex counts as unvisited unless its stamp is ``mark``, so ``mark``
+    must differ from that of every earlier BFS on the same lists.  It stops
+    at the first depth ``d`` with ``2d + 1 >= found``, so every vertex
+    within ``found // 2`` of v0 is labelled.
+    """
+    frontier = [w for w in adj[v0] if w > v0 and inside[w]]
+    if len(frontier) < 2:
+        return found
+    for w in frontier:
+        stamp[w] = mark
+        dist[w] = 1
+        branch[w] = w
+    depth = 1
+    # closures found while expanding depth d have length 2d+1 or more
+    while frontier and 2 * depth + 1 < found:
+        nxt = []
+        for u in frontier:
+            label = branch[u]
+            for w in adj[u]:
+                if w <= v0 or not inside[w]:
+                    continue
+                if stamp[w] != mark:
+                    stamp[w] = mark
+                    dist[w] = depth + 1
+                    branch[w] = label
+                    nxt.append(w)
+                elif branch[w] != label and depth + dist[w] + 1 < found:
+                    found = depth + dist[w] + 1
+        frontier = nxt
+        depth += 1
+    return found
+
+
+def _lex_smallest_cycle(adj, v0, length, mark, stamp, dist):
     """Lexicographically smallest cycle of ``length`` whose smallest vertex is v0.
 
-    ``dist`` holds the distance to v0 through ids above v0 of every vertex
-    within ``length // 2`` of it; no vertex further out lies on such a cycle.
+    The vertices labelled ``stamp[w] == mark`` carry in ``dist`` their distance
+    to v0 through ids above v0, and include every vertex within
+    ``length // 2`` of it; no vertex further out lies on such a cycle.
     """
     path = [v0]
     on_path = {v0}
@@ -414,7 +455,7 @@ def _lex_smallest_cycle(adj, v0, length, dist):
         for w in stack[-1]:
             if w == v0 and remaining == 0:
                 return path
-            if w <= v0 or w in on_path or dist.get(w, length + 1) > remaining:
+            if stamp[w] != mark or dist[w] > remaining or w in on_path:
                 continue
             path.append(w)
             on_path.add(w)

@@ -506,6 +506,18 @@ def multigraph_restrict(mg, vertices):
     return CountedMultiGraph(len(kept), edges, tuple(mg.provenance[v] for v in kept))
 
 
+def random_multigraph(rng, n):
+    """Random multigraph on n vertices where about one edge in five is doubled."""
+    from choosability.graphs import CountedMultiGraph
+
+    edges = []
+    if n >= 2:
+        for _ in range(rng.randrange(0, 2 * n + 1)):
+            u, v = rng.sample(range(n), 2)
+            edges += [(u, v)] * (2 if rng.random() < 0.2 else 1)
+    return CountedMultiGraph(n, edges)
+
+
 def multigraph_delete(mg, drop):
     """The former ``graphs.multigraph_delete``: ``mg`` without ``drop``, relabelled."""
     dropped = set(drop)
@@ -515,8 +527,9 @@ def multigraph_delete(mg, drop):
 def approx_2_del_global(g):
     """The deletion heuristic re-contracting the whole graph every round.
 
-    Kept as a reference for ``approx_2_del``'s per-component worklist,
-    which must return the same set.
+    Kept as a reference for ``approx_2_del``'s rounds on one working
+    multigraph with stable ids, re-contracted only around each deleted
+    cycle, which must return the same set.
     """
     from choosability.approx import classify_c_prime, preprocess
     from choosability.errors import InternalCheckError

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from choosability.approx import (KIND_K1_COUNTED, KIND_K23_ONE_ODD,
-                                 KIND_NOT_IN_FAMILY, KIND_PARALLEL_PAIR_EVEN,
-                                 approx_2_del, classify_c_prime,
+                                 KIND_NOT_IN_FAMILY, KIND_PARALLEL_PAIR_EVEN, _cut,
+                                 _relabelled, _Working, approx_2_del, classify_c_prime,
                                  is_2_choosable_via_preprocessing, preprocess,
                                  preprocessed_components)
 from choosability.generators import gen_gnp
@@ -16,11 +16,21 @@ from choosability.reductions import CnfFormula, build_G_phi_p
 
 from conftest import (approx_2_del_global, cycle_graph, disjoint_union, dumbbell_graph,
                       graph_classes, multigraph_delete, multigraph_restrict, path_graph,
-                      petersen_graph, spider_graph, theta_graph, vertex_set_corpus)
+                      petersen_graph, random_multigraph, spider_graph, theta_graph,
+                      vertex_set_corpus)
 
 
 def lift(g):
     return CountedMultiGraph.from_graph(g)
+
+
+def gnm(n, m, rng):
+    """G(n, m): ``m`` distinct random edges on ``n`` vertices."""
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, edges)
 
 
 def tailed_triangles(k):
@@ -30,16 +40,6 @@ def tailed_triangles(k):
         b = 5 * i
         edges += [(b, b + 1), (b + 1, b + 2), (b, b + 2), (b + 2, b + 3), (b + 3, b + 4)]
     return Graph(5 * k, edges)
-
-
-def random_multigraph(rng, n):
-    """Random multigraph on n vertices where about one edge in five is doubled."""
-    edges = []
-    if n >= 2:
-        for _ in range(rng.randrange(0, 2 * n + 1)):
-            u, v = rng.sample(range(n), 2)
-            edges += [(u, v)] * (2 if rng.random() < 0.2 else 1)
-    return CountedMultiGraph(n, edges)
 
 
 def assert_vertex_set_form(mg, vertices):
@@ -301,6 +301,36 @@ class TestApprox2Del:
         cases.append(build_G_phi_p(phi, 2).graph)
         for g in cases:
             assert approx_2_del(g) == approx_2_del_global(g)
+
+    def test_matches_whole_graph_loop_over_many_rounds(self):
+        # each of these takes dozens of rounds, most of them on one large component
+        rng = random.Random(250)
+        cases = [gnm(n, 5 * n // 4, rng) for n in (250, 500, 1000)]
+        cases += [spider_graph(20), spider_graph(30), dumbbell_graph(7, 9, 6)]
+        phi = CnfFormula(7, [(1, 2, 3), (3, 4, 5), (5, 6, 7)])
+        cases.append(build_G_phi_p(phi, 2).graph)
+        for g in cases:
+            assert approx_2_del(g) == approx_2_del_global(g)
+
+    def test_round_on_working_multigraph_is_preprocess_of_the_rest(self):
+        # a round deletes a shortest cycle and repairs only around it; what is
+        # left, relabelled in ascending order, is preprocess of the rest
+        rng = random.Random(1998)
+        rounds = 0
+        for trial in range(40):
+            g = gen_gnp(rng.randrange(10, 80), rng.choice([0.04, 0.08, 0.15]), seed=9500 + trial)
+            current = preprocess(lift(g))
+            work = _Working([list(a) for a in current.adj], list(current.provenance))
+            ids = list(range(current.n))
+            cycle = shortest_cycle(current)
+            while cycle is not None:
+                assert shortest_cycle(work, ids) == [ids[v] for v in cycle]
+                ids = _cut(work, ids, [ids[v] for v in cycle])
+                current = preprocess(current, [v for v in range(current.n) if v not in cycle])
+                assert _relabelled(work, ids) == current
+                cycle = shortest_cycle(current)
+                rounds += 1
+        assert rounds > 100
 
     def test_disjoint_union_is_shifted_union(self):
         parts = [spider_graph(3), petersen_graph(), cycle_graph(5), cycle_graph(6),

@@ -348,10 +348,10 @@ class TestReduceAndSolve:
         assert report["verdicts"]["kind"] == "deletion-set"
 
     @pytest.mark.parametrize("drop, solves", [
-        ("meta.formula", False), ("kind", False), ("roles", False),
+        ("meta.formula", False), ("kind", False),
         ("meta.formula.num_vars", False), ("planar3sat/meta.p", False),
         # roles and gadget records are annotation: the builders read the rebuilt artifact's
-        ("roles.0", True),
+        ("roles", True), ("roles.0", True),
         ("planar3sat/meta.edge_gadgets", True),
         ("planar3sat/meta.forbidden_gadgets", True),
         ("planar3sat/meta.forbidden_gadgets.0", True),

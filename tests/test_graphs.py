@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from choosability import graphs
 from choosability.errors import BudgetExceededError
 from choosability.graphs import (CountedMultiGraph, Graph, _peel, connected_components,
                                  coloring_is_proper, delete_vertices, diameter,
@@ -13,8 +14,9 @@ from choosability.recognition import is_L_colorable
 from conftest import (brute_diameter, brute_girth, brute_lex_shortest_cycle,
                       complete_bipartite, complete_graph, counted_multigraph_reference,
                       cycle_graph, disjoint_union,
-                      graph_classes, graph_reference, mask_to_graph, path_graph,
-                      petersen_graph, vertex_pairs, vertex_set_corpus)
+                      graph_classes, graph_reference, mask_to_graph, multigraph_restrict,
+                      path_graph, petersen_graph, random_multigraph, vertex_pairs,
+                      vertex_set_corpus)
 
 
 def k_colorable(g, k, budget=None):
@@ -323,6 +325,60 @@ class TestShortestCycle:
         assert parallel > 500
 
 
+class TestShortestCycleOnVertexSets:
+    """``shortest_cycle(g, S)`` is the brute-force answer on the restriction, mapped back."""
+
+    @staticmethod
+    def expected(g, vertices):
+        kept = sorted(set(vertices))
+        if isinstance(g, CountedMultiGraph):
+            sub = multigraph_restrict(g, kept)
+        else:
+            sub = induced_subgraph(g, kept)[0]
+        cycle = brute_lex_shortest_cycle(sub)
+        return None if cycle is None else [kept[v] for v in cycle]
+
+    def test_vertex_set_corpus(self):
+        for g, sets in vertex_set_corpus():
+            for vertices in sets:
+                assert shortest_cycle(g, vertices) == self.expected(g, vertices)
+
+    def test_multigraphs_with_parallel_pairs(self):
+        rng = random.Random(1978)
+        pair_cut = pair_kept = 0
+        for _ in range(300):
+            mg = random_multigraph(rng, rng.randrange(2, 12))
+            vertices = [v for v in range(mg.n) if rng.random() < 0.7]
+            got = shortest_cycle(mg, vertices)
+            assert got == self.expected(mg, vertices)
+            if len(set(mg.edges)) < len(mg.edges):
+                pair_kept += got is not None and len(got) == 2
+                pair_cut += got is None or len(got) > 2
+        # some sets keep a parallel pair, others leave out an end of every pair
+        assert pair_kept > 30 and pair_cut > 30
+
+    def test_none_is_the_whole_graph(self):
+        g = petersen_graph()
+        assert shortest_cycle(g, range(g.n)) == shortest_cycle(g) == [0, 1, 2, 3, 4]
+        assert shortest_cycle(g, []) is None
+
+    def test_triangle_at_smaller_root_ends_the_scan(self, monkeypatch):
+        # triangles 0-1-2 and 3-4-5: root 0 finds a triangle and no later
+        # root is scanned; its BFS then runs once more to restore its labels
+        roots = []
+        bfs = graphs._root_bfs
+
+        def recording(adj, inside, v0, *rest):
+            roots.append(v0)
+            return bfs(adj, inside, v0, *rest)
+
+        monkeypatch.setattr(graphs, "_root_bfs", recording)
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert shortest_cycle(g, [1, 2, 0, 3, 4, 5]) == [0, 1, 2]
+        assert roots == [0, 0]
+        assert shortest_cycle(g, [3, 4, 5]) == [3, 4, 5]
+
+
 class TestProperColoring:
     def test_odd_cycle_needs_three(self):
         assert k_colorable(cycle_graph(5), 2) == (False, None)
@@ -417,7 +473,7 @@ class TestVertexSets:
     @pytest.mark.parametrize("bad", [[-1], [5], [0, 7], [-2, 4]])
     def test_out_of_range_ids(self, bad):
         g = cycle_graph(5)
-        for walk in (_peel, connected_components):
+        for walk in (_peel, connected_components, shortest_cycle):
             with pytest.raises(ValueError, match="out of range for n=5"):
                 walk(g, bad)
 
