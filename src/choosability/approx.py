@@ -5,23 +5,27 @@ one whole-set degree-1 peel, then in one linear sweep replaces every
 maximal chain of two or more adjacent degree-2 vertices by a single counted
 vertex (a cycle component contracts all but one of its vertices, yielding a
 two-vertex parallel pair).  After preprocessing, a connected graph is
-2-choosable exactly when it lands in one of three counted shapes.
-``preprocess`` also takes a vertex set and contracts the sub-multigraph on
-it in the multigraph's own ids; every numbering, orientation and tie-break
-reads only the relative order of the ids, so the answer is that of
-contracting the relabelled sub-multigraph.
+2-choosable exactly when it lands in one of three counted shapes, which
+``_counted_kind`` tells apart.  ``preprocess`` also takes a vertex set and
+contracts the sub-multigraph on it in the multigraph's own ids; every
+numbering, orientation and tie-break reads only the relative order of the
+ids, so the answer is that of contracting the relabelled sub-multigraph.
 
-``approx_2_del`` preprocesses once, then deletes a shortest cycle of each
-contracted component outside the counted family, on one mutable working
-multigraph in which a vertex keeps its id, re-peeling and re-contracting
-only around each deleted cycle; each contracted vertex it picks is expanded
-back to the first original vertex of its chain.
+``approx_2_del`` runs the same peel and contraction straight on the input
+graph into one mutable working multigraph in which a vertex keeps its id,
+and builds no ``CountedMultiGraph``.  It then deletes a shortest cycle of
+each contracted component outside the counted family, re-peeling,
+re-contracting and re-splitting only around each deleted cycle, while
+``shortest_cycle`` keeps its per-root certificates on that multigraph
+between rounds; each contracted vertex it picks is expanded back to the
+first original vertex of its chain.
 """
 
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .graphs import CountedMultiGraph, _peel, connected_components, shortest_cycle
+from .graphs import (CountedMultiGraph, _CycleSearch, _peel, connected_components,
+                     shortest_cycle)
 from .recognition import is_2_choosable
 
 KIND_K1_COUNTED = "K1-counted"
@@ -63,15 +67,26 @@ def preprocess(mg, vertices=None):
     that of the sub-multigraph on ``vertices`` relabelled in ascending
     order.
     """
-    core, degree = _peel(mg, vertices)
+    work, ids = _contracted(mg, list(mg.provenance), vertices)
+    return _relabelled(work, ids)
+
+
+def _contracted(g, provenance, vertices=None):
+    """Peel and contract ``g[vertices]`` into a new working multigraph.
+
+    ``provenance`` is the list of ``g``'s provenance tuples (one singleton
+    per vertex for a simple graph).  Returns the working multigraph and its
+    vertices, ascending: the uncontracted core vertices, then one per run.
+    """
+    core, degree = _peel(g, vertices)
     # a neighbour of a core vertex is in the core exactly when its degree
     # left by the peel is at least 2 (a peeled vertex keeps 1, an outside one 0)
-    adj = [[] for _ in range(mg.n)]
+    adj = [[] for _ in range(g.n)]
     for v in core:
-        adj[v] = [u for u in mg.adj[v] if degree[u] > 1]
-    work = _Working(adj, list(mg.provenance))
-    absorbed = _contract(work, core)
-    return _relabelled(work, [v for v in core if v not in absorbed] + list(range(mg.n, work.n)))
+        adj[v] = [u for u in g.adj[v] if degree[u] > 1]
+    work = _Working(adj, provenance)
+    absorbed = _contract(work, core)[0]
+    return work, [v for v in core if v not in absorbed] + list(range(g.n, work.n))
 
 
 class _Working:
@@ -82,14 +97,21 @@ class _Working:
     deleted or contracted vertex keeps its slot with an empty list, and a
     new vertex takes the next id, above every id so far; removing an entry
     and appending a new id both keep the lists sorted.  Reads like a
-    ``Graph`` for ``connected_components`` and ``shortest_cycle``.
+    ``Graph`` for ``connected_components`` and ``shortest_cycle``, which
+    keeps its BFS lists and root certificates in ``cycle_search`` from one
+    call to the next; ``owner`` and ``mark`` are the labels of
+    :func:`_split`, kept the same way.  Every list indexed by vertex grows
+    when it is next used, so no round allocates anything of length ``n``.
     """
 
-    __slots__ = ("adj", "provenance")
+    __slots__ = ("adj", "provenance", "cycle_search", "owner", "mark")
 
     def __init__(self, adj, provenance):
         self.adj = adj
         self.provenance = provenance
+        self.cycle_search = _CycleSearch()
+        self.owner = []
+        self.mark = 0
 
     @property
     def n(self):
@@ -100,8 +122,9 @@ def _contract(work, seeds):
     """Contract every maximal degree-2 run of ``work`` through a vertex of ``seeds``.
 
     ``seeds`` is ascending.  The runs get new ids in ascending order of
-    their smallest vertex, orientations as in :func:`preprocess`; returns
-    the set of vertices absorbed into them.
+    their smallest vertex, orientations as in :func:`preprocess`.  Returns
+    the set of vertices absorbed into them and the set of run ends, the
+    other vertices whose adjacency changed.
     """
     adj = work.adj
     walked = set()
@@ -126,6 +149,7 @@ def _contract(work, seeds):
     runs.sort(key=min)
     provenance = work.provenance
     absorbed = set()
+    ends = set()
     for run in runs:
         x = len(adj)
         first, last = run[0], run[-1]
@@ -140,7 +164,9 @@ def _contract(work, seeds):
         for u in run:
             adj[u] = []
         absorbed.update(run)
-    return absorbed
+        ends.add(a)
+        ends.add(b)
+    return absorbed, ends
 
 
 def _degree_two_walk(adj, start, cur):
@@ -175,32 +201,40 @@ def classify_c_prime(component):
     for v in range(component.n):
         if component.degree(v) == 1:
             raise ValueError("degree-1 vertex %d present; input is not preprocessed" % v)
-    if component.n == 1:
-        return CPrimeVerdict(KIND_K1_COUNTED)
-    if component.n == 2 and len(component.edges) == 2:
-        if sum(component.counts) % 2 == 0:
-            return CPrimeVerdict(KIND_PARALLEL_PAIR_EVEN)
-        return CPrimeVerdict(KIND_NOT_IN_FAMILY)
-    if _is_counted_k23(component):
-        return CPrimeVerdict(KIND_K23_ONE_ODD)
-    return CPrimeVerdict(KIND_NOT_IN_FAMILY)
+    return CPrimeVerdict(_counted_kind(component.adj, component.counts, range(component.n)))
 
 
-def _is_counted_k23(c):
-    """Underlying K_{2,3}; hub counts 1; at most one count>1, odd, on a degree-2 vertex."""
-    if c.n != 5 or len(c.edges) != 6 or len(set(c.edges)) != 6:
-        return False
-    hubs = [v for v in range(5) if c.degree(v) == 3]
-    legs = [v for v in range(5) if c.degree(v) == 2]
+def _counted_kind(adj, counts, vertices):
+    """Kind of the connected, preprocessed counted component on ``vertices``.
+
+    ``adj[v]`` lists ``v``'s neighbours, one entry per edge, and
+    ``counts[v]`` its count; only the entries of ``vertices`` are read.
+    The family is a single vertex, a parallel pair of even summed count,
+    and an underlying K_{2,3} whose hubs count 1 and whose legs carry at
+    most one count above 1, odd.
+    """
+    if len(vertices) == 1:
+        return KIND_K1_COUNTED
+    degree = [len(adj[v]) for v in vertices]
+    if len(vertices) == 2 and sum(degree) == 4:
+        if (counts[vertices[0]] + counts[vertices[1]]) % 2 == 0:
+            return KIND_PARALLEL_PAIR_EVEN
+        return KIND_NOT_IN_FAMILY
+    if len(vertices) != 5 or sum(degree) != 12:
+        return KIND_NOT_IN_FAMILY
+    if any(len(set(adj[v])) != len(adj[v]) for v in vertices):
+        return KIND_NOT_IN_FAMILY
+    hubs = [v for v, d in zip(vertices, degree) if d == 3]
+    legs = [v for v, d in zip(vertices, degree) if d == 2]
     # five vertices, six distinct edges and two non-adjacent degree-3 hubs force K_{2,3}
-    if len(hubs) != 2 or len(legs) != 3 or hubs[1] in c.adj[hubs[0]]:
-        return False
-    if any(c.counts[h] != 1 for h in hubs):
-        return False
-    heavy = [v for v in legs if c.counts[v] > 1]
-    if len(heavy) > 1:
-        return False
-    return all(c.counts[v] % 2 == 1 for v in heavy)
+    if len(hubs) != 2 or len(legs) != 3 or hubs[1] in adj[hubs[0]]:
+        return KIND_NOT_IN_FAMILY
+    if any(counts[h] != 1 for h in hubs):
+        return KIND_NOT_IN_FAMILY
+    heavy = [v for v in legs if counts[v] > 1]
+    if len(heavy) > 1 or any(counts[v] % 2 == 0 for v in heavy):
+        return KIND_NOT_IN_FAMILY
+    return KIND_K23_ONE_ODD
 
 
 def preprocessed_components(mg):
@@ -232,47 +266,55 @@ def is_2_choosable_via_preprocessing(g):
     Lifts the simple graph to unit counts, preprocesses, and accepts exactly
     when every component classifies into the counted family.
     """
-    reduced = preprocess(CountedMultiGraph.from_graph(g))
-    return all(classify_c_prime(comp).in_family for comp in preprocessed_components(reduced))
+    work, ids = _contracted(g, [(v,) for v in range(g.n)])
+    counts = [len(p) for p in work.provenance]
+    return all(_counted_kind(work.adj, counts, comp) != KIND_NOT_IN_FAMILY
+               for comp in connected_components(work, ids))
 
 
 def approx_2_del(g):
     """Greedy short-cycle deletion heuristic for 2-choosable deletion.
 
-    Preprocess once and split into components, then work through them one
-    at a time on one mutable working multigraph in which a vertex keeps its
-    id: a component in the counted family is dropped; otherwise a shortest
-    cycle of it is deleted, and the component is repaired around the cut
-    (see :func:`_cut`) and split back onto the worklist.  Each removed
-    contracted vertex is expanded to the first original vertex of its
-    chain.  The returned set is re-validated; failure raises
+    Peel and contract ``g`` once into a working multigraph with unit
+    provenance (no ``preprocess`` call and no ``CountedMultiGraph``) and
+    split it into components, then work through them one at a time on that
+    multigraph, in which a vertex keeps its id: a component in the counted
+    family is dropped; otherwise a shortest cycle of it is deleted, and the
+    component is repaired and split around the cut (see :func:`_cut`) back
+    onto the worklist.  ``shortest_cycle`` keeps its per-root certificates
+    on the multigraph, and each cut drops those whose BFS read a changed
+    adjacency list, so a round searches again only near the cut.  Each
+    removed contracted vertex is expanded to the first original vertex of
+    its chain.  The returned set is re-validated; failure raises
     InternalCheckError.
 
     Components never interact, and every choice made on one depends only
     on the relative order of its own vertices: the last-in, first-out
     order of the peel, the run orientation of the contraction, and the
-    lexicographic tie-break of ``shortest_cycle``.  The new runs of a round
-    get ids above every id so far, in ascending order of their smallest
-    vertex, which is the relative order ``preprocess`` gives them when it
-    relabels a component (kept vertices ascending, then the runs).  So each
-    component goes through the same rounds as it would if every round
-    re-preprocessed what is left of it, or the whole graph, and the sorted
-    union of the picks is the same.
+    lexicographic tie-break of ``shortest_cycle``.  The runs get ids above
+    every id of ``g``, and the new runs of a round ids above every id so
+    far, in ascending order of their smallest vertex, which is the relative
+    order ``preprocess`` gives them when it relabels a component (kept
+    vertices ascending, then the runs).  So each component goes through the
+    same rounds as it would if every round re-preprocessed what is left of
+    it, or the whole graph, and the sorted union of the picks is the same.
     """
-    contracted = preprocess(CountedMultiGraph.from_graph(g))
-    work = _Working([list(a) for a in contracted.adj], list(contracted.provenance))
-    pending = connected_components(contracted)
+    work, ids = _contracted(g, [(v,) for v in range(g.n)])
+    pending = connected_components(work, ids)
     chosen = []
+    provenance = work.provenance
     while pending:
         comp = pending.pop()
         # only 1, 2 and 5 vertices can be in the counted family
-        if len(comp) <= 5 and classify_c_prime(_relabelled(work, comp)).in_family:
-            continue
+        if len(comp) <= 5:
+            counts = {v: len(provenance[v]) for v in comp}
+            if _counted_kind(work.adj, counts, comp) != KIND_NOT_IN_FAMILY:
+                continue
         cycle = shortest_cycle(work, comp)
         if cycle is None:
             raise InternalCheckError("contracted graph is acyclic but non-empty")
-        chosen.extend(work.provenance[v][0] for v in cycle)
-        pending.extend(connected_components(work, _cut(work, comp, cycle)))
+        chosen.extend(provenance[v][0] for v in cycle)
+        pending.extend(_cut(work, comp, cycle))
     result = tuple(sorted(set(chosen)))
     if len(result) != len(chosen):
         raise InternalCheckError("expanded deletion picks collided")
@@ -284,14 +326,17 @@ def approx_2_del(g):
 
 
 def _cut(work, comp, cycle):
-    """Delete ``cycle`` from the contracted component ``comp`` of ``work`` and repair it.
+    """Delete ``cycle`` from the connected component ``comp`` of ``work`` and repair it.
 
     Only the vertices next to the cut change degree, so only they start
     the peel (last in, first out from the ascending list of those left
     with degree 1, as in :func:`graphs._peel`), and only the maximal
     degree-2 runs through a vertex whose degree changed are contracted:
-    every other run of ``comp`` was contracted before.  Returns what is
-    left of ``comp``, ascending: its surviving ids, then the new runs.
+    every other run of ``comp`` was contracted before.  Every vertex whose
+    adjacency list changed is handed to ``work.cycle_search.forget``.
+    Returns the components of what is left of ``comp``, each sorted, in
+    ascending order of their smallest vertex, as :func:`_split` finds
+    them from the survivors next to the cut and the new runs.
     """
     adj = work.adj
     gone = set(cycle)
@@ -315,5 +360,74 @@ def _cut(work, comp, cycle):
         if len(adj[u]) == 1:
             stack.append(u)
     first_new = work.n
-    gone |= _contract(work, sorted(touched - gone))
-    return [v for v in comp if v not in gone] + list(range(first_new, work.n))
+    absorbed, ends = _contract(work, sorted(touched - gone))
+    work.cycle_search.forget(gone | touched | absorbed | ends)
+    gone |= absorbed
+    runs = range(first_new, work.n)
+    return _split(work, comp, gone, sorted(touched - gone) + list(runs), runs)
+
+
+def _split(work, comp, gone, seeds, runs):
+    """Components of ``comp`` minus ``gone`` plus ``runs``, searched from ``seeds``.
+
+    ``comp`` was connected before the cut, so every component of what is
+    left holds a seed.  One breadth-first search per seed runs in lockstep,
+    one vertex each per sweep; searches that meet are merged, and a merged
+    group that runs out of vertices is a whole component.  The sweeps stop
+    when at most one group is still running: what no finished group holds
+    is then one component.  So the cost is about the number of seeds times
+    the smaller components, not the whole of ``comp``.  The labels live in
+    ``work.owner``, under marks above every mark of an earlier split.
+    """
+    adj = work.adj
+    owner = work.owner
+    owner += [-1] * (work.n - len(owner))
+    base = work.mark
+    work.mark = base + len(seeds)
+    parent = list(range(len(seeds)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    queues = []
+    for i, s in enumerate(seeds):
+        owner[s] = base + i
+        queues.append([s])
+    heads = [0] * len(seeds)
+    running = list(range(len(seeds)))
+    while len({find(i) for i in running}) > 1:
+        still = []
+        for i in running:
+            queue = queues[i]
+            if heads[i] == len(queue):
+                continue
+            u = queue[heads[i]]
+            heads[i] += 1
+            for w in adj[u]:
+                o = owner[w] - base
+                if o < 0:
+                    owner[w] = base + i
+                    queue.append(w)
+                elif o != i:
+                    a, b = find(i), find(o)
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+            still.append(i)
+        running = still
+    live = {find(i) for i in running}
+    members = {}
+    for i, queue in enumerate(queues):
+        group = find(i)
+        if group not in live:
+            members.setdefault(group, []).extend(queue)
+    pieces = [tuple(sorted(piece)) for piece in members.values()]
+    if live:
+        done = {v for piece in pieces for v in piece}
+        rest = [v for v in comp if v not in gone and v not in done]
+        rest += [x for x in runs if x not in done]
+        pieces.append(tuple(rest))
+    pieces.sort()
+    return pieces

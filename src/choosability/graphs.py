@@ -8,8 +8,10 @@ deterministic tie-breaking (ascending vertex ids).  ``_peel``,
 ``connected_components`` and ``shortest_cycle`` read only ``n`` and ``adj``,
 so they take any ``Graph`` (and the deletion heuristic's mutable working
 multigraph); all three also work inside a vertex set of the graph, in its
-own ids, and ``shortest_cycle`` runs one bounded BFS per root and one
-depth-first search at the root that wins.
+own ids.  ``shortest_cycle`` runs one bounded BFS per root and one
+depth-first search at the root that wins; it keeps each root's result in a
+``_CycleSearch``, which the working multigraph carries from one round to
+the next.
 """
 
 from collections import deque
@@ -193,7 +195,9 @@ def _peel(g, vertices=None):
     pieces in one call, rather than call this once per piece.  The lists
     stay: a variant that kept this state in dicts, so that one call per
     piece would be cheap, made the benchmark's ``exact`` wall_ref 14% and
-    ``pipeline`` wall_ref 16% slower (Python 3.11, 2-vCPU VM).
+    ``pipeline`` wall_ref 16% slower (Python 3.11, 2-vCPU VM).  The
+    deletion heuristic calls it once per graph, not per piece: its rounds
+    peel only around each deleted cycle, in ``approx._cut``.
     """
     adj = g.adj
     order = range(g.n) if vertices is None else _ascending_ids(g, vertices)
@@ -226,7 +230,9 @@ def connected_components(g, vertices=None):
     ``range(g.n)`` and takes the same path.  Takes any ``Graph``.  Like
     :func:`_peel`, each call allocates a list of length ``g.n`` even for a
     small set, so do not call it once per piece of a large graph; the
-    reason the list stays is given there.
+    reason the list stays is given there.  The deletion heuristic calls it
+    once per graph; a round splits only the component it cut, in
+    ``approx._split``, searching from the cut.
     """
     adj = g.adj
     order = range(g.n) if vertices is None else _ascending_ids(g, vertices)
@@ -346,6 +352,86 @@ def diameter(g):
     return best
 
 
+class _CycleSearch:
+    """What :func:`shortest_cycle` keeps between calls on one changing graph.
+
+    A graph that carries one as ``cycle_search`` (the deletion heuristic's
+    working multigraph) gets the same store on every call; any other graph
+    gets a fresh one, with no certificate, for each call.  The lists are
+    indexed by vertex, and a kept store grows them as new ids are
+    appended:
+
+    - ``stamp``, ``dist`` and ``branch`` hold the BFS labels; a vertex counts
+      as labelled by a BFS only when its stamp is that BFS's mark, and
+      ``mark`` is above every mark used so far, so no call clears them;
+    - ``low[v]`` is what the last BFS from root ``v`` returned and
+      ``tight[v]`` whether that was below its bound (the exact length of
+      the shortest cycle whose smallest vertex is ``v``) or only a lower
+      bound; a dropped certificate reads 0 and not tight;
+    - ``pair[v]`` is ``v``'s parallel-pair partner above it, -1 for none,
+      None when not known;
+    - ``readers[v]`` lists the roots whose BFS expanded ``v``, that is,
+      read its adjacency; a BFS also reads its root's own.
+
+    A BFS is a function of the adjacency lists it read, so its result
+    stays valid until one of them changes; :meth:`forget` drops exactly the
+    certificates that read a changed list: those of the changed vertices
+    themselves and of their readers.  A kept store needs every
+    vertex set it is given to be a union of components, so that no
+    neighbour lies outside: ``inside`` is then all True.
+    """
+
+    __slots__ = ("inside", "stamp", "dist", "branch", "mark", "low", "tight", "pair", "readers")
+
+    def __init__(self, n=0, vertices=None):
+        """A store for one call on ``n`` vertices, or an empty one to keep and grow.
+
+        A store for one call is dropped before anything could be forgotten,
+        so its vertices share one throwaway readers list, which costs no
+        allocation per vertex.  ``inside`` marks ``vertices`` (all when None).
+        """
+        self.inside = [vertices is None] * n
+        if vertices is not None:
+            for v in vertices:
+                self.inside[v] = True
+        self.stamp = [-1] * n
+        self.dist = [0] * n
+        self.branch = [0] * n
+        self.mark = 0
+        self.low = [0] * n
+        self.tight = [False] * n
+        self.pair = [None] * n
+        self.readers = [[]] * n
+
+    def grow(self, n):
+        """Extend every list to ``n`` vertices; a new vertex has no certificate."""
+        extra = n - len(self.stamp)
+        if extra > 0:
+            self.inside += [True] * extra
+            self.stamp += [-1] * extra
+            self.dist += [0] * extra
+            self.branch += [0] * extra
+            self.low += [0] * extra
+            self.tight += [False] * extra
+            self.pair += [None] * extra
+            self.readers += [[] for _ in range(extra)]
+
+    def forget(self, changed):
+        """Drop every certificate that read the adjacency of a vertex in ``changed``."""
+        low, tight, pair, readers = self.low, self.tight, self.pair, self.readers
+        known = len(low)
+        for v in changed:
+            if v >= known:
+                continue
+            pair[v] = None
+            low[v] = 0
+            tight[v] = False
+            for root in readers[v]:
+                low[root] = 0
+                tight[root] = False
+            readers[v] = []
+
+
 def shortest_cycle(g, vertices=None):
     """Shortest cycle of ``G[vertices]`` (all of ``g`` when None), or None.
 
@@ -364,43 +450,75 @@ def shortest_cycle(g, vertices=None):
     above ``v0`` and labels each vertex with the neighbour of ``v0`` it
     descends from, so an edge between two labels closes a simple cycle.  The
     first root to reach the minimum length is the first vertex of the
-    answer, and a triangle, the shortest cycle left, ends the scan.  The
-    BFS state lives in lists of length ``g.n`` allocated once per call, and
-    each BFS stamps the vertices it labels with a mark of its own (its
-    root), so no root clears or allocates anything.  The winning root's BFS
-    runs once more under a fresh mark to restore its labels, and one
-    depth-first search there lists the cycle.
+    answer, and a triangle, the shortest cycle left, ends the scan.  Each
+    BFS stamps the vertices it labels with a mark of its own, so no root
+    clears or allocates anything.  The winning root's BFS runs once more
+    under a fresh mark to restore its labels, and one depth-first search
+    there lists the cycle.
+
+    The scan keeps a certificate per root in a :class:`_CycleSearch`: it
+    starts from one more than the smallest exact value, reuses an exact
+    value, skips a lower bound that is at least the best length so far,
+    and runs the BFS again for the rest.  A graph that carries a store as
+    ``cycle_search`` keeps it across calls, so after a small change only
+    the roots whose BFS read a changed adjacency list search again; any
+    other graph starts with an empty store, in which every root searches.
     """
     adj = g.adj
     order = range(g.n) if vertices is None else _ascending_ids(g, vertices)
-    inside = [vertices is None] * g.n
-    if vertices is not None:
-        for v in order:
-            inside[v] = True
+    search = getattr(g, "cycle_search", None)
+    if search is None:
+        search = _CycleSearch(g.n, None if vertices is None else order)
+    else:
+        search.grow(g.n)
+    inside, pair, low, tight = search.inside, search.pair, search.low, search.tight
+    # the smallest exact certificate bounds the answer from above
+    best = g.n
     for u in order:
-        for a, b in zip(adj[u], adj[u][1:]):
-            if a == b and a > u and inside[a]:
-                return [u, a]
+        a = pair[u]
+        if a is None:
+            # the smallest neighbour above u joined to it by two edges, or -1
+            a = -1
+            for x, y in zip(adj[u], adj[u][1:]):
+                if x == y and x > u and inside[x]:
+                    a = x
+                    break
+            pair[u] = a
+        if a >= 0:
+            return [u, a]
+        if tight[u] and low[u] < best:
+            best = low[u]
 
     # no parallel pairs from here on: G[vertices] is simple
-    stamp = [-1] * g.n
-    dist = [0] * g.n
-    branch = [0] * g.n
-    best, root = g.n + 1, None
+    stamp, dist, branch, readers = search.stamp, search.dist, search.branch, search.readers
+    # roots stamp with base + v0 and the restoring run with base + n, all
+    # above every mark of an earlier call on the same store
+    base = search.mark
+    search.mark = base + g.n + 1
+    best, root = best + 1, None
     for v0 in order:
-        found = _root_bfs(adj, inside, v0, best, v0, stamp, dist, branch)
+        found = low[v0]
+        if not tight[v0]:
+            if found >= best:
+                continue
+            # an odd bound 2D + 1 expands the same depths as 2D, and every
+            # length below it comes out exact, so a tie at an even best is
+            # certified exact at no extra cost
+            bound = best | 1
+            found = _root_bfs(adj, inside, v0, bound, base + v0, stamp, dist, branch, readers)
+            low[v0] = found
+            tight[v0] = found < bound
         if found < best:
             best, root = found, v0
             if best == 3:
                 break
     if root is None:
         return None
-    # a stamp no root used, so the first run's labels count as unvisited
-    _root_bfs(adj, inside, root, best + 1, g.n, stamp, dist, branch)
-    return _lex_smallest_cycle(adj, root, best, g.n, stamp, dist)
+    _root_bfs(adj, inside, root, best + 1, base + g.n, stamp, dist, branch, readers)
+    return _lex_smallest_cycle(adj, root, best, base + g.n, stamp, dist)
 
 
-def _root_bfs(adj, inside, v0, found, mark, stamp, dist, branch):
+def _root_bfs(adj, inside, v0, found, mark, stamp, dist, branch, readers):
     """Length of the shortest cycle with smallest vertex v0 if below ``found``, else ``found``.
 
     Labels every vertex it reaches with ``stamp[w] = mark``, its distance to
@@ -408,7 +526,9 @@ def _root_bfs(adj, inside, v0, found, mark, stamp, dist, branch):
     vertex counts as unvisited unless its stamp is ``mark``, so ``mark``
     must differ from that of every earlier BFS on the same lists.  It stops
     at the first depth ``d`` with ``2d + 1 >= found``, so every vertex
-    within ``found // 2`` of v0 is labelled.
+    within ``found // 2`` of v0 is labelled.  It reads the adjacency of v0
+    and of every vertex it expands, and appends v0 to the ``readers`` list
+    of each vertex it expands.
     """
     frontier = [w for w in adj[v0] if w > v0 and inside[w]]
     if len(frontier) < 2:
@@ -422,6 +542,7 @@ def _root_bfs(adj, inside, v0, found, mark, stamp, dist, branch):
     while frontier and 2 * depth + 1 < found:
         nxt = []
         for u in frontier:
+            readers[u].append(v0)
             label = branch[u]
             for w in adj[u]:
                 if w <= v0 or not inside[w]:

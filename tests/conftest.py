@@ -531,16 +531,18 @@ def approx_2_del_global(g):
     multigraph with stable ids, re-contracted only around each deleted
     cycle, which must return the same set.
     """
-    from choosability.approx import classify_c_prime, preprocess
+    from choosability.approx import classify_c_prime, preprocess, preprocessed_components
     from choosability.errors import InternalCheckError
     from choosability.graphs import (CountedMultiGraph, connected_components,
                                      delete_vertices, shortest_cycle)
     from choosability.recognition import is_2_choosable
 
     def _drop_family_components(mg):
+        # preprocessed_components builds every piece in one pass over the
+        # edges, as multigraph_restrict per component would (a test pins it)
         doomed = []
-        for comp in connected_components(mg):
-            if classify_c_prime(multigraph_restrict(mg, comp)).in_family:
+        for comp, piece in zip(connected_components(mg), preprocessed_components(mg)):
+            if classify_c_prime(piece).in_family:
                 doomed.extend(comp)
         if not doomed:
             return mg

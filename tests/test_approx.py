@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from choosability import graphs
 from choosability.approx import (KIND_K1_COUNTED, KIND_K23_ONE_ODD,
                                  KIND_NOT_IN_FAMILY, KIND_PARALLEL_PAIR_EVEN, _cut,
                                  _relabelled, _Working, approx_2_del, classify_c_prime,
@@ -31,6 +32,12 @@ def gnm(n, m, rng):
         u, v = rng.sample(range(n), 2)
         edges.add((min(u, v), max(u, v)))
     return Graph(n, edges)
+
+
+def disjoint_triangles(k):
+    """k disjoint triangles."""
+    return Graph(3 * k, [e for i in range(k) for e in ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2),
+                                                       (3 * i, 3 * i + 2))])
 
 
 def tailed_triangles(k):
@@ -303,18 +310,30 @@ class TestApprox2Del:
             assert approx_2_del(g) == approx_2_del_global(g)
 
     def test_matches_whole_graph_loop_over_many_rounds(self):
-        # each of these takes dozens of rounds, most of them on one large component
+        # each of these takes dozens of rounds, most of them on one large
+        # component; the triangles take one round per component
         rng = random.Random(250)
         cases = [gnm(n, 5 * n // 4, rng) for n in (250, 500, 1000)]
-        cases += [spider_graph(20), spider_graph(30), dumbbell_graph(7, 9, 6)]
+        cases += [spider_graph(20), spider_graph(30), spider_graph(50), dumbbell_graph(7, 9, 6)]
         phi = CnfFormula(7, [(1, 2, 3), (3, 4, 5), (5, 6, 7)])
         cases.append(build_G_phi_p(phi, 2).graph)
+        cases.append(build_G_phi_p(phi, 3).graph)
+        cases.append(disjoint_triangles(150))
         for g in cases:
             assert approx_2_del(g) == approx_2_del_global(g)
+        # the whole-graph loop re-contracts everything each round, so 2,000
+        # triangles would take it a minute; components never interact in it,
+        # so its answer is the shifted union of its answer on one triangle
+        one = approx_2_del_global(cycle_graph(3))
+        expected = tuple(sorted(3 * i + v for i in range(2000) for v in one))
+        assert approx_2_del(disjoint_triangles(2000)) == expected
 
     def test_round_on_working_multigraph_is_preprocess_of_the_rest(self):
         # a round deletes a shortest cycle and repairs only around it; what is
-        # left, relabelled in ascending order, is preprocess of the rest
+        # left, relabelled in ascending order, is preprocess of the rest, and
+        # the cut component splits into the components of what is left of it.
+        # The working multigraph keeps one certificate state across the
+        # rounds, and each round's cycle is that of a search with none
         rng = random.Random(1998)
         rounds = 0
         for trial in range(40):
@@ -324,13 +343,50 @@ class TestApprox2Del:
             ids = list(range(current.n))
             cycle = shortest_cycle(current)
             while cycle is not None:
-                assert shortest_cycle(work, ids) == [ids[v] for v in cycle]
-                ids = _cut(work, ids, [ids[v] for v in cycle])
+                found = shortest_cycle(work, ids)
+                assert found == [ids[v] for v in cycle]
+                assert found == shortest_cycle(_Working(work.adj, work.provenance), ids)
+                comp = next(c for c in connected_components(work, ids) if found[0] in c)
+                pieces = _cut(work, comp, found)
+                left = sorted(v for piece in pieces for v in piece)
+                assert pieces == connected_components(work, left)
+                ids = sorted(set(ids).difference(comp).union(left))
                 current = preprocess(current, [v for v in range(current.n) if v not in cycle])
                 assert _relabelled(work, ids) == current
                 cycle = shortest_cycle(current)
                 rounds += 1
         assert rounds > 100
+
+    def test_root_whose_ball_met_the_cut_searches_again(self, monkeypatch):
+        # two Petersen graphs, on 0..9 and 10..19; vertex 20 closes the
+        # 4-cycle 10-11-20-14 and carries the triangle 20-21-22.  Round one
+        # cuts the triangle, which takes the 4-cycle with it: root 10 read
+        # the adjacency of 11 and 14, so it must search again, or its stale
+        # length 4 would win; roots 0..9 keep their certificates
+        p = petersen_graph()
+        edges = list(p.edges) + [(u + 10, v + 10) for u, v in p.edges]
+        edges += [(11, 20), (14, 20), (20, 21), (21, 22), (20, 22)]
+        g = Graph(23, edges)
+        work = _Working([list(a) for a in g.adj], [(v,) for v in range(g.n)])
+        searched = []
+        root_bfs = graphs._root_bfs
+
+        def recorded(adj, inside, v0, *rest):
+            searched.append(v0)
+            return root_bfs(adj, inside, v0, *rest)
+
+        monkeypatch.setattr(graphs, "_root_bfs", recorded)
+        assert shortest_cycle(work, range(23)) == [20, 21, 22]
+        assert work.cycle_search.low[10] == 4 and work.cycle_search.tight[10]
+        assert _cut(work, range(10, 23), [20, 21, 22]) == [tuple(range(10, 20))]
+        assert not work.cycle_search.tight[10]
+        searched.clear()
+        assert shortest_cycle(work, range(20)) == [0, 1, 2, 3, 4]
+        assert 10 in searched
+        # only the winning root runs again, to restore its labels
+        assert [v for v in searched if v < 10] == [0]
+        monkeypatch.undo()
+        assert shortest_cycle(_Working(work.adj, work.provenance), range(20)) == [0, 1, 2, 3, 4]
 
     def test_disjoint_union_is_shifted_union(self):
         parts = [spider_graph(3), petersen_graph(), cycle_graph(5), cycle_graph(6),
