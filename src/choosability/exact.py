@@ -6,13 +6,24 @@ near-3-choosability are hitting-set problems, and one bounded search tree,
 obstruction to branch on.  Searches are budgeted by node-expansion counters
 (never wall clock), break ties deterministically, and refuse graphs above a
 size cap that callers may raise.
+
+The search holds vertex sets as Python ints, bit v standing for vertex v,
+and reads the adjacency from ``g.adj_bits()``, so the deletion solvers
+refuse a graph with parallel edges.  The minimal obstruction is found and
+shrunk on these bitmasks by a private peel, :func:`_peel_bits`, that
+deletes vertices with at most one neighbour left and starts only from the
+neighbours of the vertices just taken away; the components it leaves are
+classified by :func:`~choosability.recognition._classify_component`, the
+one shape test.  ``decomposition_is_valid`` and ``min_2_del_bruteforce``
+stay on :func:`~choosability.recognition.is_2_choosable`, so they check the
+bitmask search independently.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import Budget
-from .recognition import is_2_choosable
+from .recognition import KIND_OUTSIDE, _classify_component, is_2_choosable
 
 DEFAULT_NEAR3_CAP = 25
 DEFAULT_DEL_CAP = 20
@@ -50,21 +61,34 @@ def near_3_decide(g, budget=None, cap=DEFAULT_NEAR3_CAP):
     return Decomposition(found[1], tuple(v for v in range(g.n) if v not in a))
 
 
+def _members(mask):
+    """The vertices of a bitmask as an ascending tuple."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def _hitting_set(obstruction, bud, stage):
     """Minimum vertex set hitting every obstruction, as ``(size, sorted tuple)``.
 
-    ``obstruction(chosen)`` is None when ``chosen`` is a solution, else the
-    vertices one of which every solution containing ``chosen`` must contain
-    (empty when none can).  Only a strictly larger size is pruned, so every
-    minimum solution is reached and the lexicographically first is returned;
-    None when there is no solution.  Depth-first with an explicit stack of
+    Vertex sets are bitmasks.  ``obstruction(chosen)`` is None when
+    ``chosen`` is a solution, else the ascending tuple of vertices one of
+    which every solution containing ``chosen`` must contain (empty when
+    none can).  Only a strictly larger size is pruned, so every minimum
+    solution is reached and the lexicographically first is returned; None
+    when there is no solution.  Depth-first with an explicit stack of
     (node, untried branch vertices), so deep trees cannot exhaust the
-    recursion limit.
+    recursion limit.  ``seen`` holds one int per expanded node, so the
+    memory of a search still grows with its budget, by about a hundred
+    bytes a node with the set's own overhead.
     """
     best = None
     seen = set()
     stack = []
-    chosen = frozenset()
+    chosen = 0
     while True:
         bud.charge(stage=stage)
         branches = ()
@@ -72,58 +96,154 @@ def _hitting_set(obstruction, bud, stage):
             seen.add(chosen)
             obs = obstruction(chosen)
             if obs is None:
-                cand = (len(chosen), tuple(sorted(chosen)))
+                cand = (chosen.bit_count(), _members(chosen))
                 if best is None or cand < best:
                     best = cand
-            elif best is None or len(chosen) + 1 <= best[0]:
+            elif best is None or chosen.bit_count() + 1 <= best[0]:
                 branches = obs
         stack.append((chosen, iter(branches)))
         while stack:
             parent, untried = stack[-1]
             v = next(untried, None)
             if v is not None:
-                chosen = parent | {v}
+                chosen = parent | 1 << v
                 break
             stack.pop()
         else:
             return best
 
 
-def _minimal_obstruction(g, removed):
+def _peel_bits(bits, alive, todo):
+    """Repeatedly delete the vertices of ``alive`` with at most one neighbour in it.
+
+    ``bits`` is the adjacency as bitmasks; only the vertices of ``todo``,
+    and the neighbours of the ones deleted, are looked at, so ``todo`` must
+    hold every vertex of ``alive`` that may start out with at most one
+    neighbour.  Returns what is left, the 2-core of ``G[alive]``.
+    """
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        if alive & low:
+            nbrs = bits[low.bit_length() - 1] & alive
+            if not nbrs & (nbrs - 1):
+                alive ^= low
+                todo |= nbrs
+    return alive
+
+
+def _offending_component(g, bits, core):
+    """First component of ``G[core]`` outside the 2-choosable family, as a bitmask.
+
+    ``core`` is a bitmask with no vertex of degree below 2 in ``G[core]``.
+    Components are found by breadth-first search on bitmasks in order of
+    smallest vertex and classified by
+    :func:`~choosability.recognition._classify_component`; 0 when none is
+    outside.
+    """
+    adj = g.adj
+    while core:
+        comp = todo = core & -core
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = bits[low.bit_length() - 1] & core & ~comp
+            comp |= new
+            todo |= new
+        core ^= comp
+        members = _members(comp)
+        degree = {v: (bits[v] & comp).bit_count() for v in members}
+        if _classify_component(members, adj, degree)[0] == KIND_OUTSIDE:
+            return comp
+    return 0
+
+
+def _two_core(g):
+    """The 2-core of g as a bitmask: :func:`_peel_bits` of the whole graph."""
+    everyone = (1 << g.n) - 1
+    return _peel_bits(g.adj_bits(), everyone, everyone)
+
+
+def _minimal_obstruction(g, core, removed):
     """Vertex-minimal non-2-choosable induced subgraph of g minus ``removed``.
 
-    Shrinks the offending core component: each vertex, in ascending order,
-    goes when the rest is still not 2-choosable, and then only the rest's
-    offending core component is kept.  Every test runs on a vertex set of
-    ``g`` itself, so no subgraph is built.  Returns the sorted vertex tuple
-    in g's ids, or None when g minus ``removed`` is 2-choosable.
+    ``core`` is the bitmask :func:`_two_core` of g and ``removed`` a vertex
+    bitmask.  The 2-core of g minus ``removed`` is that of ``core`` minus
+    ``removed``, so the peel starts from the neighbours of the removed
+    vertices alone.  Its first component outside the 2-choosable family,
+    by smallest vertex, is shrunk: each vertex, in ascending order, goes
+    when the rest is still not 2-choosable, and then only the rest's
+    offending core component is kept.  That component is a core too, so
+    each step re-peels from the deleted vertex's neighbours alone.  Returns
+    the sorted vertex tuple, or None when g minus ``removed`` is
+    2-choosable.
     """
-    ok, current = is_2_choosable(g, [v for v in range(g.n) if v not in removed])
-    if ok:
+    bits = g.adj_bits()
+    rest = core & ~removed
+    todo = 0
+    for v in _members(core & removed):
+        todo |= bits[v]
+    current = _offending_component(g, bits, _peel_bits(bits, rest, todo & rest))
+    if not current:
         return None
-    for v in current:
-        if v not in current:
+    for v in _members(current):
+        low = 1 << v
+        if not current & low:
             continue
-        ok, core = is_2_choosable(g, [u for u in current if u != v])
-        if not ok:
-            current = core
-    return current
+        rest = current ^ low
+        shrunk = _offending_component(g, bits, _peel_bits(bits, rest, bits[v] & rest))
+        if shrunk:
+            current = shrunk
+    return _members(current)
 
 
 def _obstruction_cache(g):
-    """Minimal-obstruction callback; reuses any earlier find disjoint from ``chosen``."""
-    found = []
+    """Minimal-obstruction callback; reuses any earlier find disjoint from ``chosen``.
+
+    ``g`` must be simple: a parallel pair is one bit of ``g.adj_bits()``,
+    where ``is_2_choosable`` counts it as a 2-cycle, so the two would
+    disagree; a repeated edge raises ValueError.
+    """
+    for e, f in zip(g.edges, g.edges[1:]):
+        if e == f:
+            raise ValueError("parallel edge (%d, %d): the exact solvers take a simple graph" % e)
+    core = _two_core(g)
+    found = []      # (bitmask, sorted tuple) of every obstruction found so far
 
     def obstruction(chosen):
-        for obs in found:
-            if chosen.isdisjoint(obs):
+        for mask, obs in found:
+            if not chosen & mask:
                 return obs
-        obs = _minimal_obstruction(g, chosen)
+        obs = _minimal_obstruction(g, core, chosen)
         if obs is not None:
-            found.append(obs)
+            found.append((sum(1 << v for v in obs), obs))
         return obs
 
     return obstruction
+
+
+def _uncovered_edge(g):
+    """Callback: the first edge of ``g.edges`` with neither end in ``chosen``, or None.
+
+    ``g.edges`` is sorted with the smaller end first, so that edge is the
+    smallest vertex u outside ``chosen`` with a neighbour above it outside
+    ``chosen``, and the lowest such neighbour; no edge is scanned.
+    """
+    above = [b >> (u + 1) << (u + 1) for u, b in enumerate(g.adj_bits())]
+    starts = sum(1 << u for u, b in enumerate(above) if b)
+
+    def first_uncovered(chosen):
+        todo = starts & ~chosen
+        while todo:
+            low = todo & -todo
+            u = low.bit_length() - 1
+            nbrs = above[u] & ~chosen
+            if nbrs:
+                return u, (nbrs & -nbrs).bit_length() - 1
+            todo ^= low
+        return None
+
+    return first_uncovered
 
 
 def min_near_3(g, budget=None, cap=DEFAULT_NEAR3_CAP):
@@ -135,14 +255,14 @@ def min_near_3(g, budget=None, cap=DEFAULT_NEAR3_CAP):
     """
     if g.n > cap:
         raise ValueError("n=%d exceeds cap %d" % (g.n, cap))
-    adj = g.adj_sets()
+    bits = g.adj_bits()
     hit = _obstruction_cache(g)
 
     def obstruction(chosen):
         obs = hit(chosen)
         if obs is None:
             return None
-        return tuple(v for v in obs if chosen.isdisjoint(adj[v]))
+        return tuple(v for v in obs if not bits[v] & chosen)
 
     return _hitting_set(obstruction, Budget.ensure(budget), "near3-check")
 
@@ -162,14 +282,7 @@ def min_vertex_cover_exact(g, budget=None, cap=DEFAULT_DEL_CAP):
     """Minimum vertex cover via hitting-set search on the first uncovered edge."""
     if g.n > cap:
         raise ValueError("n=%d exceeds cap %d" % (g.n, cap))
-
-    def first_uncovered(chosen):
-        for u, v in g.edges:
-            if u not in chosen and v not in chosen:
-                return u, v
-        return None
-
-    return _hitting_set(first_uncovered, Budget.ensure(budget), "vc-branch")
+    return _hitting_set(_uncovered_edge(g), Budget.ensure(budget), "vc-branch")
 
 
 def min_2_del_bruteforce(g, budget=None):

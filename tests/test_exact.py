@@ -5,11 +5,12 @@ from itertools import combinations
 import pytest
 
 from choosability.errors import Budget, BudgetExceededError
-from choosability.exact import (Decomposition, _minimal_obstruction, decomposition_is_valid,
-                                min_2_del_bruteforce, min_2_del_exact, min_near_3,
-                                min_vertex_cover_exact, near_3_decide)
+from choosability.exact import (Decomposition, _minimal_obstruction, _two_core,
+                                _uncovered_edge, decomposition_is_valid, min_2_del_bruteforce,
+                                min_2_del_exact, min_near_3, min_vertex_cover_exact,
+                                near_3_decide)
 from choosability.generators import gen_gnp
-from choosability.graphs import Graph, delete_vertices, induced_subgraph
+from choosability.graphs import CountedMultiGraph, Graph, delete_vertices, induced_subgraph
 from choosability.recognition import is_2_choosable
 from choosability.reductions import (build_clause_gadget_planar, build_forbidden_gadget,
                                      constraint_graph_P, triangle_reduction)
@@ -168,9 +169,9 @@ class TestMin2Del:
         for n in range(1, 7):
             for g in graph_classes(n):
                 if is_2_choosable(g)[0]:
-                    assert _minimal_obstruction(g, frozenset()) is None
+                    assert _minimal_obstruction(g, _two_core(g), 0) is None
                     continue
-                obs = _minimal_obstruction(g, frozenset())
+                obs = _minimal_obstruction(g, _two_core(g), 0)
                 assert not is_2_choosable(induced_subgraph(g, obs)[0])[0]
                 for v in obs:
                     rest = [u for u in obs if u != v]
@@ -178,15 +179,32 @@ class TestMin2Del:
 
     def test_minimal_obstruction_matches_subgraph_reference(self):
         # the same tuple as the shrink that built a subgraph per step, so the
-        # search branches the same way
+        # search branches the same way; the shrink takes a bitmask, the
+        # reference a vertex set
         cases = [(g, [frozenset(r) for size in range(g.n + 1)
                       for r in combinations(range(g.n), size)])
                  for n in range(1, 7) for g in graph_classes(n)]
         cases += [(g, [frozenset(range(g.n)) - frozenset(s) for s in sets])
                   for g, sets in vertex_set_corpus()]
+        rng = random.Random(1979)
+        triangles = Graph(18, [(3 * i + a, 3 * i + b) for i in range(6)
+                               for a, b in ((0, 1), (1, 2), (0, 2))])
+        shapes = ([spider_graph(k) for k in range(3, 9)]
+                  + [dumbbell_graph(3, 3, 1), dumbbell_graph(3, 4, 2), dumbbell_graph(4, 6, 3),
+                     dumbbell_graph(5, 5, 1)]
+                  + [theta_graph(*paths) for paths in ((1, 2, 2), (2, 2, 6), (1, 3, 3),
+                                                       (2, 4, 4), (3, 3, 5))]
+                  + [complete_bipartite(2, n) for n in range(1, 9)]
+                  + [complete_bipartite(a, b) for a in range(1, 7) for b in range(a, 7)]
+                  + [triangles])
+        for g in shapes:
+            sets = [frozenset()] + [frozenset([v]) for v in range(g.n)]
+            sets += [frozenset(v for v in range(g.n) if rng.random() < 0.25) for _ in range(20)]
+            cases.append((g, sets))
         for g, removed_sets in cases:
+            core = _two_core(g)
             for removed in removed_sets:
-                assert (_minimal_obstruction(g, removed)
+                assert (_minimal_obstruction(g, core, sum(1 << v for v in removed))
                         == minimal_obstruction_reference(g, removed)), (g.edges, removed)
 
     @pytest.mark.parametrize("solve,name,used,answer", [
@@ -194,10 +212,19 @@ class TestMin2Del:
         (min_near_3, "clause", 2311, (4, (0, 6, 13, 20))),
         (min_2_del_exact, "spider", 154, (1, (16,))),
         (min_near_3, "spider", 214, (1, (16,))),
+        (min_vertex_cover_exact, "clause", 3823,
+         (12, (0, 1, 2, 6, 8, 11, 13, 15, 18, 20, 22, 25))),
+        (min_vertex_cover_exact, "spider", 331, (8, (0, 2, 4, 6, 8, 10, 12, 14))),
+        (min_2_del_exact, "K8,10", 21811, (7, tuple(range(7)))),
+        (min_near_3, "K8,10", 764, (7, tuple(range(7)))),
+        (min_vertex_cover_exact, "K8,10", 73, (8, tuple(range(8)))),
     ])
     def test_node_counts_pinned(self, solve, name, used, answer):
-        # the counts of the shrink that built a subgraph per step
-        g = build_clause_gadget_planar(1).graph if name == "clause" else spider_graph(4)
+        # counts of the shrink that built a subgraph per step and of the search
+        # on vertex sets; the bitmask search must branch exactly as they did
+        g = {"clause": lambda: build_clause_gadget_planar(1).graph,
+             "spider": lambda: spider_graph(4),
+             "K8,10": lambda: complete_bipartite(8, 10)}[name]()
         bud = Budget()
         assert solve(g, budget=bud, cap=g.n) == answer
         assert bud.used == used
@@ -223,6 +250,15 @@ class TestMin2Del:
         with pytest.raises(BudgetExceededError):
             min_2_del_exact(complete_graph(9), budget=20)
 
+    def test_parallel_edges_rejected(self):
+        # a parallel pair is one bit of the bitmask search but a 2-cycle to
+        # is_2_choosable, so C4 with a doubled pendant edge would get two answers
+        g = CountedMultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 4)])
+        for solve in (min_2_del_exact, min_near_3, near_3_decide):
+            with pytest.raises(ValueError, match="parallel edge"):
+                solve(g)
+        assert min_2_del_exact(CountedMultiGraph.from_graph(cycle_graph(5))) == (1, (0,))
+
     def test_deep_search_within_recursion_limit(self):
         # 200 disjoint triangles put the first solution 200 levels down; a
         # recursive search would need a frame per level
@@ -243,6 +279,15 @@ class TestMin2Del:
 
 
 class TestMinVertexCover:
+    def test_first_uncovered_edge(self):
+        # the bitmask search picks the edge a scan of g.edges in order picks
+        for g in graph_classes(6):
+            first_uncovered = _uncovered_edge(g)
+            for chosen in range(1 << g.n):
+                expected = next(((u, v) for u, v in g.edges
+                                 if not (chosen >> u & 1 or chosen >> v & 1)), None)
+                assert first_uncovered(chosen) == expected, (g.edges, chosen)
+
     def test_single_edge(self):
         assert min_vertex_cover_exact(Graph(2, [(0, 1)])) == (1, (0,))
 
