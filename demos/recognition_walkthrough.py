@@ -37,7 +37,7 @@ def main():
     print("\nContraction pipeline on theta(2,2,8):")
     reduced = preprocess(CountedMultiGraph.from_graph(gen_theta(2, 2, 8)))
     print("  contracted to %d vertices, counts %s, provenance %s"
-          % (reduced.n, reduced.counts, reduced.provenance))
+          % (reduced.n, [len(p) for p in reduced.provenance], reduced.provenance))
 
 
 if __name__ == "__main__":

@@ -7,17 +7,16 @@ generators for the satisfiability reduction constructions.
 
 __version__ = "0.1.0"
 
-from .approx import (CPrimeVerdict, approx_2_del, classify_c_prime,
-                     is_2_choosable_via_preprocessing, preprocess,
-                     preprocessed_components)
+from .approx import (CountedMultiGraph, CPrimeVerdict, approx_2_del,
+                     classify_c_prime, is_2_choosable_via_preprocessing,
+                     preprocess, preprocessed_components)
 from .errors import Budget, BudgetExceededError, InternalCheckError
 from .exact import (Decomposition, decomposition_is_valid,
                     min_2_del_bruteforce, min_2_del_exact, min_near_3,
                     min_vertex_cover_exact, near_3_decide)
-from .graphs import (CountedMultiGraph, Graph, connected_components,
-                     coloring_is_proper, delete_vertices, diameter,
-                     induced_subgraph, is_bipartite, is_triangle_free,
-                     shortest_cycle)
+from .graphs import (Graph, connected_components, coloring_is_proper,
+                     delete_vertices, diameter, induced_subgraph,
+                     is_bipartite, is_triangle_free, shortest_cycle)
 from .recognition import (CoreClassification, classify_core, compute_core,
                           format_list_assignment, is_2_choosable,
                           is_k_choosable_exhaustive, is_L_colorable,

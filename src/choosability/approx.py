@@ -3,7 +3,8 @@
 ``preprocess`` peels degree-1 vertices with ``graphs._peel``, the package's
 one whole-set degree-1 peel, then in one linear sweep replaces every
 maximal chain of two or more adjacent degree-2 vertices by a single counted
-vertex (a cycle component contracts all but one of its vertices, yielding a
+vertex of a ``CountedMultiGraph``, the package's one counted multigraph (a
+cycle component contracts all but one of its vertices, yielding a
 two-vertex parallel pair).  After preprocessing, a connected graph is
 2-choosable exactly when it lands in one of three counted shapes, which
 ``_counted_kind`` tells apart.  ``preprocess`` also takes a vertex set and
@@ -12,8 +13,8 @@ numbering, orientation and tie-break reads only the relative order of the
 ids, so the answer is that of contracting the relabelled sub-multigraph.
 
 ``approx_2_del`` runs the same peel and contraction straight on the input
-graph into one mutable working multigraph in which a vertex keeps its id,
-and builds no ``CountedMultiGraph``.  It then deletes a shortest cycle of
+graph into one ``CountedMultiGraph`` in which a vertex keeps its id, and
+builds no relabelled copy.  It then deletes a shortest cycle of
 each contracted component outside the counted family, re-peeling,
 re-contracting and re-splitting only around each deleted cycle, while
 ``shortest_cycle`` keeps its per-root certificates on that multigraph
@@ -24,8 +25,7 @@ first original vertex of its chain.
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .graphs import (CountedMultiGraph, _CycleSearch, _peel, connected_components,
-                     shortest_cycle)
+from .graphs import _CycleSearch, _peel, connected_components, shortest_cycle
 from .recognition import is_2_choosable
 
 KIND_K1_COUNTED = "K1-counted"
@@ -43,13 +43,48 @@ class CPrimeVerdict:
         return self.kind != KIND_NOT_IN_FAMILY
 
 
+class CountedMultiGraph:
+    """A mutable counted multigraph whose vertices keep their ids.
+
+    ``adj[v]`` is the sorted list of ``v``'s neighbours, one entry per
+    edge, and ``provenance[v]`` the non-empty tuple of original vertices
+    ``v`` stands for; the tuples are disjoint, and their lengths are the
+    counts.  A deleted or contracted vertex keeps its slot with an empty
+    list, and a new vertex takes the next id, above every id so far;
+    removing an entry and appending a new id both keep the lists sorted.
+    ``cycle_search`` is None, so ``shortest_cycle`` starts afresh on each
+    call, unless the heuristic keeps its BFS lists and root certificates
+    there between rounds; ``owner`` and ``mark`` are the labels of
+    :func:`_split`, kept the same way.  Every list indexed by vertex grows
+    when it is next used, so no round allocates anything of length ``n``.
+    """
+
+    __slots__ = ("adj", "provenance", "cycle_search", "owner", "mark")
+
+    def __init__(self, adj, provenance):
+        self.adj = adj
+        self.provenance = provenance
+        self.cycle_search = None
+        self.owner = []
+        self.mark = 0
+
+    @classmethod
+    def from_graph(cls, g):
+        """The ``Graph`` ``g`` as a counted multigraph: copied adjacency lists, unit provenance."""
+        return cls([list(a) for a in g.adj], [(v,) for v in range(g.n)])
+
+    @property
+    def n(self):
+        return len(self.adj)
+
+
 def preprocess(mg, vertices=None):
     """Peel degree-1 vertices, then contract every maximal degree-2 run.
 
     Works on ``mg[vertices]`` (all of ``mg`` when None) in ``mg``'s own
     ids: the peel, the runs and the edges are read from ``mg.adj`` inside
-    the set, and only the result is built; an id outside 0..n-1 raises
-    ValueError.
+    the set, and only the resulting ``CountedMultiGraph`` is built; an id
+    outside 0..n-1 raises ValueError.
 
     A run is a maximal chain of two or more adjacent degree-2 vertices.  It
     becomes one counted vertex carrying the run's summed count and its
@@ -84,38 +119,9 @@ def _contracted(g, provenance, vertices=None):
     adj = [[] for _ in range(g.n)]
     for v in core:
         adj[v] = [u for u in g.adj[v] if degree[u] > 1]
-    work = _Working(adj, provenance)
+    work = CountedMultiGraph(adj, provenance)
     absorbed = _contract(work, core)[0]
     return work, [v for v in core if v not in absorbed] + list(range(g.n, work.n))
-
-
-class _Working:
-    """A mutable counted multigraph whose vertices keep their ids.
-
-    ``adj[v]`` is the sorted list of ``v``'s neighbours, one entry per
-    edge, and ``provenance[v]`` the original vertices ``v`` stands for.  A
-    deleted or contracted vertex keeps its slot with an empty list, and a
-    new vertex takes the next id, above every id so far; removing an entry
-    and appending a new id both keep the lists sorted.  Reads like a
-    ``Graph`` for ``connected_components`` and ``shortest_cycle``, which
-    keeps its BFS lists and root certificates in ``cycle_search`` from one
-    call to the next; ``owner`` and ``mark`` are the labels of
-    :func:`_split`, kept the same way.  Every list indexed by vertex grows
-    when it is next used, so no round allocates anything of length ``n``.
-    """
-
-    __slots__ = ("adj", "provenance", "cycle_search", "owner", "mark")
-
-    def __init__(self, adj, provenance):
-        self.adj = adj
-        self.provenance = provenance
-        self.cycle_search = _CycleSearch()
-        self.owner = []
-        self.mark = 0
-
-    @property
-    def n(self):
-        return len(self.adj)
 
 
 def _contract(work, seeds):
@@ -190,18 +196,20 @@ def _other(pair, u):
 
 
 def _relabelled(work, ids):
-    """``work`` on the ascending ``ids``, as a ``CountedMultiGraph`` relabelled in that order."""
+    """``work`` on the ascending ``ids``, which hold every neighbour, relabelled in that order."""
     index = {v: i for i, v in enumerate(ids)}
-    edges = [(index[v], index[u]) for v in ids for u in work.adj[v] if u > v]
-    return CountedMultiGraph(len(ids), edges, [work.provenance[v] for v in ids])
+    return CountedMultiGraph([[index[u] for u in work.adj[v]] for v in ids],
+                             [work.provenance[v] for v in ids])
 
 
 def classify_c_prime(component):
     """Classify one connected, fully preprocessed counted component."""
+    adj = component.adj
     for v in range(component.n):
-        if component.degree(v) == 1:
+        if len(adj[v]) == 1:
             raise ValueError("degree-1 vertex %d present; input is not preprocessed" % v)
-    return CPrimeVerdict(_counted_kind(component.adj, component.counts, range(component.n)))
+    counts = [len(p) for p in component.provenance]
+    return CPrimeVerdict(_counted_kind(adj, counts, range(component.n)))
 
 
 def _counted_kind(adj, counts, vertices):
@@ -240,24 +248,14 @@ def _counted_kind(adj, counts, vertices):
 def preprocessed_components(mg):
     """Split a counted multigraph into its connected component multigraphs.
 
-    A connected ``mg`` is returned as it is.  Otherwise one pass over the
-    edges hands each to its component, and each piece is built once,
-    relabelled in ascending order of its vertices.
+    A connected ``mg`` is returned as it is.  Otherwise each piece is
+    built once from its own adjacency lists, relabelled in ascending order
+    of its vertices.
     """
     comps = connected_components(mg)
     if len(comps) == 1:
         return [mg]
-    piece = [0] * mg.n
-    local = [0] * mg.n
-    for c, comp in enumerate(comps):
-        for i, v in enumerate(comp):
-            piece[v] = c
-            local[v] = i
-    edges = [[] for _ in comps]
-    for u, v in mg.edges:
-        edges[piece[u]].append((local[u], local[v]))
-    return [CountedMultiGraph(len(comp), es, [mg.provenance[v] for v in comp])
-            for comp, es in zip(comps, edges)]
+    return [_relabelled(mg, comp) for comp in comps]
 
 
 def is_2_choosable_via_preprocessing(g):
@@ -275,8 +273,8 @@ def is_2_choosable_via_preprocessing(g):
 def approx_2_del(g):
     """Greedy short-cycle deletion heuristic for 2-choosable deletion.
 
-    Peel and contract ``g`` once into a working multigraph with unit
-    provenance (no ``preprocess`` call and no ``CountedMultiGraph``) and
+    Peel and contract ``g`` once into a working ``CountedMultiGraph`` with
+    unit provenance (no ``preprocess`` call and no relabelled copy) and
     split it into components, then work through them one at a time on that
     multigraph, in which a vertex keeps its id: a component in the counted
     family is dropped; otherwise a shortest cycle of it is deleted, and the
@@ -300,6 +298,7 @@ def approx_2_del(g):
     it, or the whole graph, and the sorted union of the picks is the same.
     """
     work, ids = _contracted(g, [(v,) for v in range(g.n)])
+    work.cycle_search = _CycleSearch()
     pending = connected_components(work, ids)
     chosen = []
     provenance = work.provenance

@@ -8,15 +8,15 @@ obstruction to branch on.  Searches are budgeted by node-expansion counters
 size cap that callers may raise.
 
 The search holds vertex sets as Python ints, bit v standing for vertex v,
-and reads the adjacency from ``g.adj_bits()``, so the deletion solvers
-refuse a graph with parallel edges.  The minimal obstruction is found and
-shrunk on these bitmasks by a private peel, :func:`_peel_bits`, that
-deletes vertices with at most one neighbour left and starts only from the
-neighbours of the vertices just taken away; the components it leaves are
-classified by :func:`~choosability.recognition._classify_component`, the
-one shape test.  ``decomposition_is_valid`` and ``min_2_del_bruteforce``
-stay on :func:`~choosability.recognition.is_2_choosable`, so they check the
-bitmask search independently.
+and reads the adjacency of the simple ``Graph`` from ``g.adj_bits()``.  The
+minimal obstruction is found and shrunk on these bitmasks by a private
+peel, :func:`_peel_bits`, that deletes vertices with at most one neighbour
+left and starts only from the neighbours of the vertices just taken away;
+the components it leaves are classified by
+:func:`~choosability.recognition._classify_component`, the one shape test.
+``decomposition_is_valid`` and ``min_2_del_bruteforce`` stay on
+:func:`~choosability.recognition.is_2_choosable`, so they check the bitmask
+search independently.
 """
 
 from dataclasses import dataclass
@@ -198,15 +198,7 @@ def _minimal_obstruction(g, core, removed):
 
 
 def _obstruction_cache(g):
-    """Minimal-obstruction callback; reuses any earlier find disjoint from ``chosen``.
-
-    ``g`` must be simple: a parallel pair is one bit of ``g.adj_bits()``,
-    where ``is_2_choosable`` counts it as a 2-cycle, so the two would
-    disagree; a repeated edge raises ValueError.
-    """
-    for e, f in zip(g.edges, g.edges[1:]):
-        if e == f:
-            raise ValueError("parallel edge (%d, %d): the exact solvers take a simple graph" % e)
+    """Minimal-obstruction callback; reuses any earlier find disjoint from ``chosen``."""
     core = _two_core(g)
     found = []      # (bitmask, sorted tuple) of every obstruction found so far
 

@@ -1,19 +1,19 @@
-"""Graph containers and the structural queries every other module builds on.
+"""The graph container and the structural queries every other module builds on.
 
-``Graph`` is simple, undirected, on dense 0-based ids.  ``CountedMultiGraph``
-is a ``Graph`` that allows parallel edges and carries per-vertex provenance
-whose lengths are the counts; the contraction pipeline uses it.  All values
-are immutable after construction; every query is a pure function with
-deterministic tie-breaking (ascending vertex ids).  ``_peel``,
-``connected_components`` and ``shortest_cycle`` read only ``n`` and ``adj``,
-so they take any ``Graph`` (and the deletion heuristic's mutable working
-multigraph); all three also work inside a vertex set of the graph, in its
-own ids.  ``shortest_cycle`` runs one bounded BFS per root and one
-depth-first search at the root that wins; it keeps each root's result in a
-``_CycleSearch``, which the working multigraph carries from one round to
-the next.
+``Graph`` is simple, undirected, on dense 0-based ids, and immutable after
+construction; every query is a pure function with deterministic
+tie-breaking (ascending vertex ids).  ``_peel``, ``connected_components``
+and ``shortest_cycle`` read only ``n`` and ``adj``, so they take a ``Graph``
+and the counted multigraph of the contraction pipeline,
+``approx.CountedMultiGraph``, alike, where a parallel pair is a repeated
+neighbour; all three also work inside a vertex set of the graph, in its own
+ids.  ``shortest_cycle`` runs one bounded BFS per root and one depth-first
+search at the root that wins; it keeps each root's result in a
+``_CycleSearch``, which the deletion heuristic's multigraph carries from
+one round to the next.
 """
 
+from bisect import bisect_left
 from collections import deque
 
 from .errors import InternalCheckError
@@ -31,14 +31,10 @@ class Graph:
     construction time.  The edges are checked in sorted order, so when an
     input has several faults the one reported is the first in that order,
     and an edge in a message is written (smaller, larger) whatever order
-    it was given in.  ``adj[v]`` is a sorted tuple of neighbours.  This is
-    the one constructor that checks edges and builds ``adj``; a subclass
-    that sets ``_parallel_edges`` keeps repeated edges instead of rejecting
-    them.
+    it was given in.  ``adj[v]`` is a sorted tuple of neighbours.
     """
 
-    __slots__ = ("n", "edges", "adj", "_adj_sets", "_adj_bits")
-    _parallel_edges = False
+    __slots__ = ("n", "edges", "adj", "_adj_bits")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -53,7 +49,7 @@ class Graph:
                 raise ValueError("self-loop at vertex %d" % u)
             if u < 0 or v >= n:
                 raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
-            if e == prev and not self._parallel_edges:
+            if e == prev:
                 raise ValueError("duplicate edge (%d, %d)" % e)
             prev = e
         self.n = n
@@ -63,7 +59,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = tuple(map(tuple, adj))
-        self._adj_sets = None
         self._adj_bits = None
 
     @property
@@ -72,11 +67,6 @@ class Graph:
 
     def degree(self, v):
         return len(self.adj[v])
-
-    def adj_sets(self):
-        if self._adj_sets is None:
-            self._adj_sets = tuple(set(a) for a in self.adj)
-        return self._adj_sets
 
     def adj_bits(self):
         """Adjacency as one big int bitmask per vertex."""
@@ -89,7 +79,9 @@ class Graph:
         return self._adj_bits
 
     def has_edge(self, u, v):
-        return v in self.adj_sets()[u]
+        a = self.adj[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.n == other.n
@@ -120,49 +112,6 @@ def delete_vertices(g, drop):
     return induced_subgraph(g, (v for v in range(g.n) if v not in dropped))
 
 
-class CountedMultiGraph(Graph):
-    """A ``Graph`` with parallel edges allowed and per-vertex provenance.
-
-    Self-loops and out-of-range endpoints are still rejected.
-    ``provenance[v]`` is the non-empty, ordered tuple of original vertex ids
-    the vertex stands for; provenance tuples are pairwise disjoint, and
-    ``counts[v]`` is the length of ``provenance[v]``.  Equal only to a
-    ``CountedMultiGraph`` with the same edges and provenance.
-    """
-
-    __slots__ = ("counts", "provenance")
-    _parallel_edges = True
-
-    def __init__(self, n, edges, provenance=None):
-        if provenance is None:
-            provenance = tuple((v,) for v in range(n))
-        provenance = tuple(tuple(p) for p in provenance)
-        if len(provenance) != n:
-            raise ValueError("need one provenance entry per vertex")
-        seen_origins = set()
-        for v in range(n):
-            if not provenance[v]:
-                raise ValueError("provenance of vertex %d is empty" % v)
-            for orig in provenance[v]:
-                if orig in seen_origins:
-                    raise ValueError("provenance lists must be pairwise disjoint")
-                seen_origins.add(orig)
-        super().__init__(n, edges)
-        self.counts = tuple(len(p) for p in provenance)
-        self.provenance = provenance
-
-    @classmethod
-    def from_graph(cls, g):
-        """Lift a simple graph to unit counts and singleton provenance."""
-        return cls(g.n, g.edges)
-
-    def __eq__(self, other):
-        return super().__eq__(other) and self.provenance == other.provenance
-
-    def __hash__(self):
-        return hash((self.n, self.edges, self.provenance))
-
-
 def _ascending_ids(g, vertices):
     """``vertices`` ascending without repeats; ValueError for an id outside 0..n-1."""
     order = sorted(set(vertices))
@@ -178,8 +127,8 @@ def _peel(g, vertices=None):
     Peels ``G[vertices]`` (all of ``g`` when None) in ``g``'s own ids, with
     no subgraph built; an id outside 0..n-1 raises ValueError.  The whole
     graph is the vertex set ``range(g.n)`` and takes the same path.  Reads
-    only ``g.n`` and ``g.adj``, so it takes any ``Graph``; a parallel pair
-    counts as degree 2.
+    only ``g.n`` and ``g.adj``, so it takes a ``Graph`` or a counted
+    multigraph; a parallel pair counts as degree 2.
 
     Returns ``(core, degree)``: ``core`` is the ascending list of the
     vertices left, and ``degree[v]`` the degree of each core vertex inside
@@ -227,10 +176,10 @@ def connected_components(g, vertices=None):
 
     Splits ``G[vertices]`` (all of ``g`` when None) in ``g``'s own ids; an
     id outside 0..n-1 raises ValueError.  The whole graph is the vertex set
-    ``range(g.n)`` and takes the same path.  Takes any ``Graph``.  Like
-    :func:`_peel`, each call allocates a list of length ``g.n`` even for a
-    small set, so do not call it once per piece of a large graph; the
-    reason the list stays is given there.  The deletion heuristic calls it
+    ``range(g.n)`` and takes the same path.  Takes a ``Graph`` or a counted
+    multigraph.  Like :func:`_peel`, each call allocates a list of length
+    ``g.n`` even for a small set, so do not call it once per piece of a
+    large graph; the reason the list stays is given there.  The deletion heuristic calls it
     once per graph; a round splits only the component it cut, in
     ``approx._split``, searching from the cut.
     """
@@ -356,7 +305,7 @@ class _CycleSearch:
     """What :func:`shortest_cycle` keeps between calls on one changing graph.
 
     A graph that carries one as ``cycle_search`` (the deletion heuristic's
-    working multigraph) gets the same store on every call; any other graph
+    counted multigraph) gets the same store on every call; any other graph
     gets a fresh one, with no certificate, for each call.  The lists are
     indexed by vertex, and a kept store grows them as new ids are
     appended:
@@ -436,11 +385,11 @@ def shortest_cycle(g, vertices=None):
     """Shortest cycle of ``G[vertices]`` (all of ``g`` when None), or None.
 
     Works in ``g``'s own ids with no subgraph built; an id outside 0..n-1
-    raises ValueError.  Reads only ``n`` and ``adj``, so it takes any
-    ``Graph``, and any object whose ``adj[v]`` lists are sorted.  A pair of
-    parallel edges counts as a cycle of length 2, and the first such pair
-    ends the search.  Ties are broken by the lexicographically smallest
-    vertex sequence; the sequence starts at the smallest vertex of the cycle
+    raises ValueError.  Reads only ``n`` and ``adj``, so it takes a
+    ``Graph``, and any object whose ``adj[v]`` lists are sorted.  A parallel
+    pair counts as a cycle of length 2, and the first such pair ends the
+    search.  Ties are broken by the lexicographically smallest vertex
+    sequence; the sequence starts at the smallest vertex of the cycle
     and closure back to it is implied.  Every choice reads only the relative
     order of the ids, so the answer is that of the restriction relabelled in
     ascending order, mapped back.

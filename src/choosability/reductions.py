@@ -61,10 +61,18 @@ class CnfFormula:
 
 
 def normalize_assignment(phi, tau):
-    """The sequence of n truth values ``tau`` as a dict {var: bool}."""
+    """The sequence of n truth values ``tau`` as a dict {var: bool}.
+
+    A truth value is a ``bool`` or the int 0 or 1; anything else, such as
+    the character ``"0"``, raises ValueError rather than being read by its
+    truthiness.
+    """
     values = list(tau)
     if len(values) != phi.num_vars:
         raise ValueError("assignment has %d values; need %d" % (len(values), phi.num_vars))
+    for value in values:
+        if type(value) not in (bool, int) or value not in (0, 1):
+            raise ValueError("truth value %r is not a bool, 0 or 1" % (value,))
     return {i: bool(values[i - 1]) for i in range(1, phi.num_vars + 1)}
 
 
@@ -154,14 +162,19 @@ def _maximal_independent_supersets(g, u):
     G - N[U], so the count is 1 exactly when G - N[U] has no edge, and
     ``superset`` is then U + (V - N[U]); otherwise it is None.
     """
-    adj = g.adj_sets()
+    bits = g.adj_bits()
     u = set(u)
-    if any(adj[v] & u for v in u):
+    chosen = sum(1 << v for v in u)
+    if any(bits[v] & chosen for v in u):
         return 0, None
-    rest = set(range(g.n)) - u - set().union(*(adj[v] for v in u))
-    if any(adj[v] & rest for v in rest):
+    covered = chosen
+    for v in u:
+        covered |= bits[v]
+    rest = [v for v in range(g.n) if not covered >> v & 1]
+    free = sum(1 << v for v in rest)
+    if any(bits[v] & free for v in rest):
         return 2, None
-    return 1, tuple(sorted(u | rest))
+    return 1, tuple(sorted(u.union(rest)))
 
 
 def verify_lemma_2_2(art):
@@ -510,6 +523,7 @@ def _add_forbidden(builder, p, root, gadget_id):
 
 def build_forbidden_gadget(p):
     """Standalone forbidden gadget on exactly 3p+5 vertices (fresh root)."""
+    _check_order(3 * p + 5)
     builder = _ArtifactBuilder()
     root = builder.vertex(role="gadget-root")
     _add_forbidden(builder, p, root, "standalone")
@@ -531,6 +545,7 @@ def _add_clause_gadget(builder, p, j):
 
 def build_clause_gadget_planar(p):
     """Standalone clause gadget on 9p+18 vertices."""
+    _check_order(9 * p + 18)
     builder = _ArtifactBuilder()
     c, w = _add_clause_gadget(builder, p, 1)
     return builder.artifact("clause-gadget", p=p,
@@ -571,7 +586,8 @@ def _add_edge_gadget(builder, kind, p, x, c, edge_id):
 
 
 def build_edge_gadget(kind, p):
-    """Standalone positive or negative edge gadget with fresh endpoints."""
+    """Standalone edge gadget with fresh endpoints: 30p+55 vertices if positive, else 12p+22."""
+    _check_order(30 * p + 55 if kind == "positive" else 12 * p + 22)
     builder = _ArtifactBuilder()
     x = builder.vertex(role="variable", var=1)
     c = builder.vertex(role="hexagon-c", clause=1, slot=1)

@@ -38,7 +38,7 @@ def graph_reference(n, edges):
 
 
 def counted_multigraph_reference(n, edges, provenance=None):
-    """``CountedMultiGraph``'s former constructor, from before it was a ``Graph``.
+    """The former ``graphs.CountedMultiGraph`` constructor, from before it was a ``Graph``.
 
     Checks the provenance, then each edge in input order, and builds the
     adjacency itself.  Returns ``(n, edges, adj, counts, provenance)``.
@@ -69,6 +69,34 @@ def counted_multigraph_reference(n, edges, provenance=None):
         adj[u].append(v)
         adj[v].append(u)
     return n, edges, tuple(map(tuple, adj)), tuple(len(p) for p in provenance), provenance
+
+
+def counted(n, edges, provenance=None):
+    """An ``approx.CountedMultiGraph`` on ``n`` vertices from an edge list.
+
+    Repeated edges become parallel pairs, and ``provenance`` defaults to
+    one singleton per vertex; the edges and provenance are checked and the
+    adjacency built by :func:`counted_multigraph_reference`.
+    """
+    from choosability.approx import CountedMultiGraph
+
+    _, _, adj, _, provenance = counted_multigraph_reference(n, edges, provenance)
+    return CountedMultiGraph([list(a) for a in adj], list(provenance))
+
+
+def adj_and_provenance(mg):
+    """``(adj, provenance)`` of a counted multigraph as nested tuples, to compare two."""
+    return tuple(map(tuple, mg.adj)), tuple(mg.provenance)
+
+
+def counts(mg):
+    """The counts of a counted multigraph: its provenance lengths."""
+    return tuple(len(p) for p in mg.provenance)
+
+
+def multigraph_edges(mg):
+    """The edges of a counted multigraph, ``(u, v)`` with u < v, sorted, one per parallel edge."""
+    return [(u, v) for u in range(mg.n) for v in mg.adj[u] if u < v]
 
 
 def parse_graph_reference(text):
@@ -498,24 +526,21 @@ def multigraph_restrict(mg, vertices):
     ``preprocess(mg, vertices)`` and ``preprocessed_components``, which
     must return what contracting or splitting this restriction returns.
     """
-    from choosability.graphs import CountedMultiGraph
-
     kept = tuple(sorted(set(vertices)))
     index = {v: i for i, v in enumerate(kept)}
-    edges = [(index[u], index[v]) for u, v in mg.edges if u in index and v in index]
-    return CountedMultiGraph(len(kept), edges, tuple(mg.provenance[v] for v in kept))
+    edges = [(index[u], index[v]) for u, v in multigraph_edges(mg)
+             if u in index and v in index]
+    return counted(len(kept), edges, [mg.provenance[v] for v in kept])
 
 
 def random_multigraph(rng, n):
     """Random multigraph on n vertices where about one edge in five is doubled."""
-    from choosability.graphs import CountedMultiGraph
-
     edges = []
     if n >= 2:
         for _ in range(rng.randrange(0, 2 * n + 1)):
             u, v = rng.sample(range(n), 2)
             edges += [(u, v)] * (2 if rng.random() < 0.2 else 1)
-    return CountedMultiGraph(n, edges)
+    return counted(n, edges)
 
 
 def multigraph_delete(mg, drop):
@@ -531,10 +556,10 @@ def approx_2_del_global(g):
     multigraph with stable ids, re-contracted only around each deleted
     cycle, which must return the same set.
     """
-    from choosability.approx import classify_c_prime, preprocess, preprocessed_components
+    from choosability.approx import (CountedMultiGraph, classify_c_prime, preprocess,
+                                     preprocessed_components)
     from choosability.errors import InternalCheckError
-    from choosability.graphs import (CountedMultiGraph, connected_components,
-                                     delete_vertices, shortest_cycle)
+    from choosability.graphs import connected_components, delete_vertices, shortest_cycle
     from choosability.recognition import is_2_choosable
 
     def _drop_family_components(mg):

@@ -4,21 +4,21 @@ import pytest
 
 from choosability import graphs
 from choosability.approx import (KIND_K1_COUNTED, KIND_K23_ONE_ODD,
-                                 KIND_NOT_IN_FAMILY, KIND_PARALLEL_PAIR_EVEN, _cut,
-                                 _relabelled, _Working, approx_2_del, classify_c_prime,
-                                 is_2_choosable_via_preprocessing, preprocess,
-                                 preprocessed_components)
+                                 KIND_NOT_IN_FAMILY, KIND_PARALLEL_PAIR_EVEN,
+                                 CountedMultiGraph, _cut, _relabelled, approx_2_del,
+                                 classify_c_prime, is_2_choosable_via_preprocessing,
+                                 preprocess, preprocessed_components)
 from choosability.generators import gen_gnp
-from choosability.graphs import (CountedMultiGraph, Graph, connected_components,
-                                 delete_vertices, shortest_cycle)
+from choosability.graphs import (Graph, _CycleSearch, connected_components, delete_vertices,
+                                 shortest_cycle)
 from choosability.recognition import compute_core, is_2_choosable
 
 from choosability.reductions import CnfFormula, build_G_phi_p
 
-from conftest import (approx_2_del_global, cycle_graph, disjoint_union, dumbbell_graph,
-                      graph_classes, multigraph_delete, multigraph_restrict, path_graph,
-                      petersen_graph, random_multigraph, spider_graph, theta_graph,
-                      vertex_set_corpus)
+from conftest import (adj_and_provenance, approx_2_del_global, counted, counts, cycle_graph,
+                      disjoint_union, dumbbell_graph, graph_classes, multigraph_delete,
+                      multigraph_edges, multigraph_restrict, path_graph, petersen_graph,
+                      random_multigraph, spider_graph, theta_graph, vertex_set_corpus)
 
 
 def lift(g):
@@ -52,42 +52,40 @@ def tailed_triangles(k):
 def assert_vertex_set_form(mg, vertices):
     """``preprocess`` on a vertex set and the one-pass split match the references."""
     out = preprocess(mg, vertices)
-    assert out == preprocess(multigraph_restrict(mg, vertices))
-    assert preprocessed_components(out) == [multigraph_restrict(out, comp)
-                                            for comp in connected_components(out)]
+    assert adj_and_provenance(out) == adj_and_provenance(
+        preprocess(multigraph_restrict(mg, vertices)))
+    assert ([adj_and_provenance(piece) for piece in preprocessed_components(out)]
+            == [adj_and_provenance(multigraph_restrict(out, comp))
+                for comp in connected_components(out)])
 
 
 class TestPreprocess:
     def test_cycle_contracts_to_parallel_pair(self):
         out = preprocess(lift(cycle_graph(6)))
-        assert out.n == 2
-        assert out.edges == ((0, 1), (0, 1))
-        assert sorted(out.counts) == [1, 5]
-        assert out.counts == (1, 5)
-        assert out.provenance == ((5,), (0, 1, 2, 3, 4))
+        assert adj_and_provenance(out) == (((1, 1), (0, 0)), ((5,), (0, 1, 2, 3, 4)))
 
     def test_path_peels_to_k1(self):
         out = preprocess(lift(path_graph(3)))
-        assert out.n == 1 and out.edges == ()
-        assert out.counts == (1,)
+        assert out.n == 1 and out.adj == [[]]
+        assert counts(out) == (1,)
 
     def test_theta_224_contracts_long_path(self):
         out = preprocess(lift(theta_graph(2, 2, 4)))
         assert out.n == 5
-        assert sorted(out.counts) == [1, 1, 1, 1, 3]
-        heavy = out.counts.index(3)
-        assert out.degree(heavy) == 2
+        assert sorted(counts(out)) == [1, 1, 1, 1, 3]
+        heavy = counts(out).index(3)
+        assert len(out.adj[heavy]) == 2
         assert out.provenance[heavy] == (4, 5, 6)
 
     def test_triangle(self):
         out = preprocess(lift(cycle_graph(3)))
-        assert out.n == 2 and len(out.edges) == 2
-        assert sum(out.counts) == 3
+        assert out.n == 2 and out.adj == [[1, 1], [0, 0]]
+        assert sum(counts(out)) == 3
 
     def test_single_degree_2_vertices_not_contracted(self):
         out = preprocess(lift(theta_graph(2, 2, 2)))
         assert out.n == 5
-        assert all(c == 1 for c in out.counts)
+        assert all(c == 1 for c in counts(out))
 
     def test_idempotent(self):
         rng = random.Random(11)
@@ -96,18 +94,18 @@ class TestPreprocess:
                   for s in range(40)]
         for g in cases:
             once = preprocess(lift(g))
-            assert preprocess(once) == once
+            assert adj_and_provenance(preprocess(once)) == adj_and_provenance(once)
 
     def test_count_conservation_without_peeling(self):
         # no degree-1 vertices, so contraction must conserve total count
         for g in (cycle_graph(9), theta_graph(2, 2, 8), petersen_graph()):
             out = preprocess(lift(g))
-            assert sum(out.counts) == g.n
+            assert sum(counts(out)) == g.n
 
     def test_peeling_reduces_by_removed_count(self):
         g = path_graph(6)  # peels to one vertex
         out = preprocess(lift(g))
-        assert sum(out.counts) == 1
+        assert sum(counts(out)) == 1
 
     def test_no_adjacent_degree_2_with_distinct_neighbors(self):
         rng = random.Random(5)
@@ -115,11 +113,11 @@ class TestPreprocess:
             g = gen_gnp(rng.randrange(3, 35), rng.choice([0.08, 0.12, 0.25]), seed=100 + s)
             out = preprocess(lift(g))
             for v in range(out.n):
-                assert out.degree(v) != 1
-                if out.degree(v) == 2:
+                assert len(out.adj[v]) != 1
+                if len(out.adj[v]) == 2:
                     a, b = out.adj[v]
                     if a != b:
-                        assert out.degree(a) >= 3 and out.degree(b) >= 3
+                        assert len(out.adj[a]) >= 3 and len(out.adj[b]) >= 3
 
     def test_survivors_match_compute_core(self):
         # both peel with the same routine, so even the vertex a tree
@@ -139,12 +137,13 @@ class TestPreprocess:
                        (13, 14), (14, 12)])
         first = preprocess(lift(g))
         second = multigraph_delete(first, shortest_cycle(first))
-        assert second.provenance == ((0,), (1,), (4,), (11,), (2, 3), (5, 6), (7, 8), (9, 10))
+        assert second.provenance == [(0,), (1,), (4,), (11,), (2, 3), (5, 6), (7, 8), (9, 10)]
         out = preprocess(second)
-        assert out.provenance == ((0,), (1,), (7, 8), (9, 10), (2, 3, 4, 5, 6))
-        assert out.counts == (1, 1, 2, 2, 5)
+        assert out.provenance == [(0,), (1,), (7, 8), (9, 10), (2, 3, 4, 5, 6)]
+        assert counts(out) == (1, 1, 2, 2, 5)
         cut = set(shortest_cycle(first))
-        assert preprocess(first, [v for v in range(first.n) if v not in cut]) == out
+        rest = preprocess(first, [v for v in range(first.n) if v not in cut])
+        assert adj_and_provenance(rest) == adj_and_provenance(out)
 
 
 class TestPreprocessOnVertexSets:
@@ -172,7 +171,8 @@ class TestPreprocessOnVertexSets:
         doubled = 0
         for _ in range(600):
             mg = random_multigraph(rng, rng.randrange(0, 12))
-            doubled += len(set(mg.edges)) < len(mg.edges)
+            edges = multigraph_edges(mg)
+            doubled += len(set(edges)) < len(edges)
             for _ in range(3):
                 assert_vertex_set_form(mg, [v for v in range(mg.n) if rng.random() < 0.7])
         assert doubled > 200
@@ -189,13 +189,25 @@ class TestPreprocessOnVertexSets:
     def test_split_of_connected_graph_is_the_graph(self):
         mg = preprocess(lift(petersen_graph()))
         assert preprocessed_components(mg)[0] is mg
-        assert preprocessed_components(CountedMultiGraph(0, [])) == []
+        assert preprocessed_components(counted(0, [])) == []
 
     def test_split_builds_each_piece_from_its_own_edges(self):
         pieces = preprocessed_components(preprocess(lift(tailed_triangles(3))))
-        assert [p.provenance for p in pieces] == [((2,), (0, 1)), ((7,), (5, 6)),
-                                                  ((12,), (10, 11))]
-        assert all(p.edges == ((0, 1), (0, 1)) for p in pieces)
+        assert [p.provenance for p in pieces] == [[(2,), (0, 1)], [(7,), (5, 6)],
+                                                  [(12,), (10, 11)]]
+        assert all(p.adj == [[1, 1], [0, 0]] for p in pieces)
+
+    def test_results_keep_sorted_symmetric_lists(self):
+        # shortest_cycle and the heuristic's list edits rely on sorted lists
+        rng = random.Random(1960)
+        for _ in range(300):
+            mg = random_multigraph(rng, rng.randrange(0, 14))
+            out = preprocess(mg, [v for v in range(mg.n) if rng.random() < 0.8])
+            for piece in [out] + preprocessed_components(out):
+                for v in range(piece.n):
+                    assert piece.adj[v] == sorted(piece.adj[v])
+                    for u in set(piece.adj[v]):
+                        assert piece.adj[u].count(v) == piece.adj[v].count(u)
 
     @pytest.mark.parametrize("bad", [[-1], [5], [0, 1, 5]])
     def test_out_of_range_ids_rejected(self, bad):
@@ -205,42 +217,42 @@ class TestPreprocessOnVertexSets:
 
 class TestCPrimeClassification:
     def test_counted_k1(self):
-        mg = CountedMultiGraph(1, [], provenance=((0, 1, 2, 3, 4, 5, 6),))
+        mg = counted(1, [], provenance=((0, 1, 2, 3, 4, 5, 6),))
         assert classify_c_prime(mg).kind == KIND_K1_COUNTED
 
     def test_parallel_pair_even_sum(self):
-        mg = CountedMultiGraph(2, [(0, 1), (0, 1)], provenance=(tuple(range(5)), (9,)))
+        mg = counted(2, [(0, 1), (0, 1)], provenance=(tuple(range(5)), (9,)))
         assert classify_c_prime(mg).kind == KIND_PARALLEL_PAIR_EVEN
 
     def test_parallel_pair_odd_sum(self):
-        mg = CountedMultiGraph(2, [(0, 1), (0, 1)], provenance=(tuple(range(4)), (9,)))
+        mg = counted(2, [(0, 1), (0, 1)], provenance=(tuple(range(4)), (9,)))
         assert classify_c_prime(mg).kind == KIND_NOT_IN_FAMILY
 
     def test_counted_k23(self):
         k23 = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
-        mg = CountedMultiGraph(5, k23, provenance=((0,), (1,), (2, 3, 4), (5,), (6,)))
+        mg = counted(5, k23, provenance=((0,), (1,), (2, 3, 4), (5,), (6,)))
         assert classify_c_prime(mg).kind == KIND_K23_ONE_ODD
-        all_ones = CountedMultiGraph(5, k23)
+        all_ones = counted(5, k23)
         assert classify_c_prime(all_ones).kind == KIND_K23_ONE_ODD
 
     def test_counted_k23_rejections(self):
         k23 = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
-        even = CountedMultiGraph(5, k23, provenance=((0,), (1,), (2, 3), (4,), (5,)))
+        even = counted(5, k23, provenance=((0,), (1,), (2, 3), (4,), (5,)))
         assert classify_c_prime(even).kind == KIND_NOT_IN_FAMILY
-        hub_heavy = CountedMultiGraph(5, k23, provenance=((0, 1, 2), (3,), (4,), (5,), (6,)))
+        hub_heavy = counted(5, k23, provenance=((0, 1, 2), (3,), (4,), (5,), (6,)))
         assert classify_c_prime(hub_heavy).kind == KIND_NOT_IN_FAMILY
-        two_heavy = CountedMultiGraph(5, k23, provenance=((0,), (1,), (2, 3, 4), (5, 6, 7), (8,)))
+        two_heavy = counted(5, k23, provenance=((0,), (1,), (2, 3, 4), (5, 6, 7), (8,)))
         assert classify_c_prime(two_heavy).kind == KIND_NOT_IN_FAMILY
 
     def test_house_outside(self):
         # C5 plus the chord 0-2: degrees 3, 3, 2, 2, 2 on five vertices and
         # six edges, but the hubs are adjacent
-        house = CountedMultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+        house = counted(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
         assert classify_c_prime(house).kind == KIND_NOT_IN_FAMILY
 
     def test_rejects_unpreprocessed(self):
         with pytest.raises(ValueError, match="not preprocessed"):
-            classify_c_prime(CountedMultiGraph(2, [(0, 1)]))
+            classify_c_prime(counted(2, [(0, 1)]))
 
 
 class TestPipelineEquivalence:
@@ -254,7 +266,7 @@ class TestPipelineEquivalence:
         out = preprocess(lift(theta_graph(2, 2, 6)))
         verdicts = [classify_c_prime(c) for c in preprocessed_components(out)]
         assert [v.kind for v in verdicts] == [KIND_K23_ONE_ODD]
-        assert 5 in out.counts
+        assert 5 in counts(out)
 
     def test_agreement_small_classes(self):
         for n in range(0, 7):
@@ -339,20 +351,21 @@ class TestApprox2Del:
         for trial in range(40):
             g = gen_gnp(rng.randrange(10, 80), rng.choice([0.04, 0.08, 0.15]), seed=9500 + trial)
             current = preprocess(lift(g))
-            work = _Working([list(a) for a in current.adj], list(current.provenance))
+            work = CountedMultiGraph([list(a) for a in current.adj], list(current.provenance))
+            work.cycle_search = _CycleSearch()
             ids = list(range(current.n))
             cycle = shortest_cycle(current)
             while cycle is not None:
                 found = shortest_cycle(work, ids)
                 assert found == [ids[v] for v in cycle]
-                assert found == shortest_cycle(_Working(work.adj, work.provenance), ids)
+                assert found == shortest_cycle(CountedMultiGraph(work.adj, work.provenance), ids)
                 comp = next(c for c in connected_components(work, ids) if found[0] in c)
                 pieces = _cut(work, comp, found)
                 left = sorted(v for piece in pieces for v in piece)
                 assert pieces == connected_components(work, left)
                 ids = sorted(set(ids).difference(comp).union(left))
                 current = preprocess(current, [v for v in range(current.n) if v not in cycle])
-                assert _relabelled(work, ids) == current
+                assert adj_and_provenance(_relabelled(work, ids)) == adj_and_provenance(current)
                 cycle = shortest_cycle(current)
                 rounds += 1
         assert rounds > 100
@@ -367,7 +380,8 @@ class TestApprox2Del:
         edges = list(p.edges) + [(u + 10, v + 10) for u, v in p.edges]
         edges += [(11, 20), (14, 20), (20, 21), (21, 22), (20, 22)]
         g = Graph(23, edges)
-        work = _Working([list(a) for a in g.adj], [(v,) for v in range(g.n)])
+        work = CountedMultiGraph.from_graph(g)
+        work.cycle_search = _CycleSearch()
         searched = []
         root_bfs = graphs._root_bfs
 
@@ -386,7 +400,8 @@ class TestApprox2Del:
         # only the winning root runs again, to restore its labels
         assert [v for v in searched if v < 10] == [0]
         monkeypatch.undo()
-        assert shortest_cycle(_Working(work.adj, work.provenance), range(20)) == [0, 1, 2, 3, 4]
+        fresh = CountedMultiGraph(work.adj, work.provenance)
+        assert shortest_cycle(fresh, range(20)) == [0, 1, 2, 3, 4]
 
     def test_disjoint_union_is_shifted_union(self):
         parts = [spider_graph(3), petersen_graph(), cycle_graph(5), cycle_graph(6),

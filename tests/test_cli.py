@@ -179,6 +179,13 @@ class TestJsonErrors:
         assert code == 2 and err == "error: line 2: self-loop at vertex 1\n"
         assert body == {"kind": "input", "message": "line 2: self-loop at vertex 1"}
 
+    def test_gadget_above_vertex_limit(self, capsys):
+        # the positive edge gadget has 30p + 55 vertices: 100,015 at p = 3332
+        code, body, err = self.run_error(capsys, ["verify", "gadgets", "--p", "3332"])
+        message = "the reduction would have 100015 vertices; the limit is 100000"
+        assert code == 2 and body == {"kind": "input", "message": message}
+        assert err == "error: %s\n" % message
+
     def test_budget_exceeded(self, c6_file, capsys):
         code, body, err = self.run_error(capsys, ["check2", c6_file, "--oracle", "--budget", "3"])
         assert code == 3 and err == "budget exceeded: node-expansion budget of 3 exceeded\n"

@@ -10,7 +10,7 @@ from choosability.exact import (Decomposition, _minimal_obstruction, _two_core,
                                 min_2_del_exact, min_near_3, min_vertex_cover_exact,
                                 near_3_decide)
 from choosability.generators import gen_gnp
-from choosability.graphs import CountedMultiGraph, Graph, delete_vertices, induced_subgraph
+from choosability.graphs import Graph, delete_vertices, induced_subgraph
 from choosability.recognition import is_2_choosable
 from choosability.reductions import (build_clause_gadget_planar, build_forbidden_gadget,
                                      constraint_graph_P, triangle_reduction)
@@ -249,15 +249,6 @@ class TestMin2Del:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             min_2_del_exact(complete_graph(9), budget=20)
-
-    def test_parallel_edges_rejected(self):
-        # a parallel pair is one bit of the bitmask search but a 2-cycle to
-        # is_2_choosable, so C4 with a doubled pendant edge would get two answers
-        g = CountedMultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 4)])
-        for solve in (min_2_del_exact, min_near_3, near_3_decide):
-            with pytest.raises(ValueError, match="parallel edge"):
-                solve(g)
-        assert min_2_del_exact(CountedMultiGraph.from_graph(cycle_graph(5))) == (1, (0,))
 
     def test_deep_search_within_recursion_limit(self):
         # 200 disjoint triangles put the first solution 200 levels down; a

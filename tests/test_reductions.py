@@ -48,6 +48,15 @@ class TestCnfFormula:
         with pytest.raises(ValueError, match="not an integer"):
             CnfFormula(3, [(True, 2, 3)])
 
+    def test_truth_values_are_bools_or_zero_and_one(self):
+        phi = CnfFormula(3, [(1, 2, -3)])
+        assert phi.satisfies((0, 0, 0)) and phi.satisfies((False, True, 1))
+        assert not phi.satisfies((0, 0, 1)) and not phi.satisfies((False, False, True))
+        # a string's characters are all truthy, so "001" used to read as (1, 1, 1)
+        for bad in ("001", "000", (0, 0, 2), (0, 0, -1), (0.0, 0, 1), (0, None, 1)):
+            with pytest.raises(ValueError, match="is not a bool, 0 or 1"):
+                phi.satisfies(bad)
+
     def test_complementary_literals_allowed(self):
         phi = CnfFormula(2, [(1, -1, 2)])
         assert phi.satisfies((False, False))
@@ -127,7 +136,7 @@ class TestHPhi:
                 trues.setdefault(rec["row"], {})[(rec["gadget"], rec["col"])] = v
             elif rec["role"] in ("variable-false", "clause-false"):
                 falses.setdefault(rec["row"], {})[(rec["gadget"], rec["col"])] = v
-        adj = art.graph.adj_sets()
+        adj = [set(a) for a in art.graph.adj]
         for row in (1, 4, 20, 31):
             assert len(trues[row]) == 34 and len(falses[row]) == 34
             for pos_t, t in trues[row].items():
@@ -136,7 +145,7 @@ class TestHPhi:
 
     def test_dominating_roles_revalidate(self):
         art = build_H_phi(CnfFormula(3, [(1, 2, 3)]))
-        adj = art.graph.adj_sets()
+        adj = [set(a) for a in art.graph.adj]
         column = {}
         for v, rec in art.roles.items():
             if rec["role"].startswith(("variable", "clause")):
@@ -152,7 +161,7 @@ class TestHPhi:
     def test_embedded_copy_is_isomorphic_to_p(self):
         phi = CnfFormula(3, [(1, -2, 3), (-1, 2, 3)])
         art = build_H_phi(phi)
-        adj = art.graph.adj_sets()
+        adj = [set(a) for a in art.graph.adj]
         for s in (1, 2):
             vmap = {rec["p_label"]: v for v, rec in art.roles.items()
                     if rec.get("gadget") == s and rec.get("p_label")}
@@ -205,6 +214,15 @@ class TestHPhi:
         art = build_H_phi(phi)
         with pytest.raises(ValueError, match="does not satisfy"):
             decomposition_from_assignment(art, (False, False, True))
+        with pytest.raises(ValueError, match="does not satisfy"):
+            decomposition_from_assignment(art, (0, 0, 1))
+
+    def test_assignment_of_zeros_and_ones(self):
+        art = build_H_phi(CnfFormula(3, [(1, 2, -3)]))
+        assert (decomposition_from_assignment(art, (1, 1, 0))
+                == decomposition_from_assignment(art, (True, True, False)))
+        with pytest.raises(ValueError, match="'1' is not a bool, 0 or 1"):
+            decomposition_from_assignment(art, "110")
 
 
 class TestForbiddenGadget:
@@ -362,6 +380,8 @@ class TestGPhiP:
         art = build_G_phi_p(phi, 1)
         with pytest.raises(ValueError, match="does not satisfy"):
             deletion_set_from_assignment(art, (False, False, False))
+        with pytest.raises(ValueError, match="'0' is not a bool, 0 or 1"):
+            deletion_set_from_assignment(art, "001")
 
 
 def is_planar(g, extra_edges=()):
@@ -568,7 +588,12 @@ class TestVertexLimit:
         lambda: build_G_phi_p(CnfFormula(4, [(1, -2, 3), (-1, -3, -4)]), 2),
         lambda: build_G_phi_p(gen_formula(5, 4, seed=3), 3),
         lambda: triangle_reduction(cycle_graph(7)),
-    ], ids=["H_phi-1", "H_phi-2", "G_phi_p-1", "G_phi_p-2", "G_phi_p-random", "triangle"])
+        lambda: build_forbidden_gadget(3),
+        lambda: build_clause_gadget_planar(2),
+        lambda: build_edge_gadget("positive", 2),
+        lambda: build_edge_gadget("negative", 3),
+    ], ids=["H_phi-1", "H_phi-2", "G_phi_p-1", "G_phi_p-2", "G_phi_p-random", "triangle",
+            "forbidden", "clause", "positive-edge", "negative-edge"])
     def test_count_is_exact(self, build, monkeypatch):
         n = build().graph.n
         monkeypatch.setattr(reductions, "MAX_GRAPH_VERTICES", n)
