@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -594,3 +597,135 @@ class TestReduceAndSolve:
         assert minimum["verdicts"]["minimum_size"] == len(side)
         assert minimum["witnesses"]["independent_set"] == side
         assert minimum["counters"]["nodes"] == plain["counters"]["nodes"] > 0
+
+
+def gc_paused_call(argv):
+    """``main(argv)`` with the cyclic collector off: ``(code, objects gc.collect() then finds)``."""
+    enabled = gc.isenabled()
+    gc.collect()                          # garbage that fixtures and earlier tests left
+    gc.disable()
+    try:
+        code = main(argv)
+        return code, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestProcessState:
+    """main pauses the cyclic collector and shares one parser across calls."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case,code", [("-h", 0), ("stats", 0), ("check2", 1),
+                                           ("usage", 2), ("input", 2), ("budget", 3),
+                                           ("internal", 4)])
+    def test_main_restores_the_gc_state(self, c5_file, c6_file, tmp_path, capsys, monkeypatch,
+                                        enabled, case, code):
+        argv = {"-h": ["-h"], "stats": ["stats", c5_file], "check2": ["check2", c5_file],
+                "usage": ["stats"], "input": ["stats", str(tmp_path / "missing.graph")],
+                "budget": ["check2", c6_file, "--oracle", "--budget", "3"],
+                "internal": ["stats", c5_file]}[case]
+        if case == "internal":
+            def handler(args, run):
+                raise InternalCheckError("re-check failed")
+            monkeypatch.setitem(cli._HANDLERS, "stats", handler)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "{c5}"],
+        ["check2", "{c5}"],
+        ["check2", "{c5}", "--witness"],
+        ["check2", "{c5}", "--oracle", "--witness"],
+        ["core", "{c5}"],
+        ["near3", "{c5}"],
+        ["near3", "{c5}", "--min"],
+        ["del2", "{c5}"],
+        ["del2", "{c5}", "--exact"],
+        ["reduce", "sat3", "{cnf}"],
+        ["reduce", "sat3", "{cnf}", "--out", "{tmp}/fresh"],
+        ["reduce", "planar3sat", "{cnf}", "--p", "1"],
+        ["reduce", "vc", "{c5}"],
+        ["solution-from-assignment", "{tmp}/sat3", "--tau", "110"],
+        ["solution-from-assignment", "{tmp}/planar3sat", "--tau", "110"],
+        ["verify", "gadgets", "--p", "1"],
+        ["gen", "gnp", "--n", "12", "--prob", "0.3", "--seed", "5"],
+        ["gen", "cycle", "--n", "7", "--out", "{tmp}/c7.graph"],
+        ["gen", "theta", "--paths", "1", "2", "3"],
+        ["gen", "formula", "--vars", "4", "--clauses", "6", "--seed", "2"],
+    ])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_no_command_leaves_cyclic_garbage(self, c5_file, tmp_path, capsys, argv, json_flag):
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 -3 0\n")
+        for kind, options in (("sat3", []), ("planar3sat", ["--p", "1"])):
+            assert main(["reduce", kind, str(cnf), "--out", str(tmp_path / kind)] + options) == 0
+        argv = [a.format(c5=c5_file, cnf=cnf, tmp=tmp_path) for a in argv]
+        code, garbage = gc_paused_call(json_flag + argv)
+        assert code in (0, 1) and garbage == 0
+
+    @pytest.mark.parametrize("argv", [["del2", "--exact"], ["near3"]])
+    def test_budget_exceeded_leaves_no_cyclic_garbage(self, tmp_path, capsys, argv):
+        # 40 disjoint triangles; each search spends its whole budget
+        path = tmp_path / "triangles.graph"
+        edges = [(3 * i + a, 3 * i + b) for i in range(40) for a, b in ((0, 1), (0, 2), (1, 2))]
+        path.write_text(write_graph(Graph(120, edges)))
+        command = ["--json"] + argv[:1] + [str(path)] + argv[1:] + [
+            "--budget", "20000", "--cap", "120"]
+        assert gc_paused_call(command) == (3, 0)
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("bad", [["stats"], ["gen", "gnp", "--n", "x"], ["--json", "bogus"]])
+    def test_usage_error_then_valid_call(self, c5_file, capsys, bad):
+        assert main(bad) == 2
+        capsys.readouterr()
+        code, report = run_json(capsys, ["stats", c5_file])
+        assert code == 0 and report["verdicts"]["n"] == 5
+
+    def test_options_do_not_carry_over(self, c5_file, capsys):
+        code, report = run_json(capsys, ["check2", c5_file, "--witness"])
+        assert code == 1 and report["witnesses"]
+        assert main(["check2", c5_file]) == 1
+        assert capsys.readouterr().out == "not 2-choosable\n"
+        code, report = run_json(capsys, ["check2", c5_file])
+        assert code == 1 and report["witnesses"] == {}
+
+    def test_defaults_follow_the_module_constants(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "k34.graph"
+        path.write_text(write_graph(complete_bipartite(3, 4)))
+        command = ["--json", "near3", str(path)]
+        assert main(command) in (0, 1)
+        monkeypatch.setattr(cli, "DEFAULT_NODE_BUDGET", 5)
+        assert main(command) == 3
+        assert main(command + ["--budget", "1000"]) in (0, 1)   # an explicit value still wins
+        monkeypatch.setattr(cli, "DEFAULT_NEAR3_CAP", 6)
+        assert main(command + ["--budget", "1000"]) == 2         # n=7 exceeds cap 6
+        assert main(command + ["--budget", "1000", "--cap", "7"]) in (0, 1)
+        monkeypatch.undo()
+        capsys.readouterr()
+        code, report = run_json(capsys, ["near3", str(path)])
+        assert code in (0, 1) and report["counters"]["nodes"] > 5
+
+    @pytest.mark.parametrize("argv,code", [(["--json", "core"], 0),
+                                           (["--json", "check2", "--witness"], 1)])
+    def test_reader_closing_stdout_early(self, tmp_path, argv, code):
+        # the report lists all 29,999 vertices, more than a pipe buffer holds;
+        # the cycle is odd, so check2 exits 1
+        path = tmp_path / "c29999.graph"
+        path.write_text(write_graph(cycle_graph(29999)))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.Popen([sys.executable, "-m", "choosability.cli"] + argv + [str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code
+        assert err == b""
