@@ -7,10 +7,11 @@ human-readable output with a machine-readable report; identical arguments,
 inputs and seeds give byte-identical reports except for the runtime counter.
 With ``--json`` before the command, exits 2, 3 and 4 print
 ``{"error": {"kind", "message"}}`` on stdout instead (kind ``usage`` for an
-argument error that argparse finds, ``input``, ``budget`` or ``internal``; a
-budget error also carries the search's ``stats``); stderr is the same either
-way.  A reader that closes stdout early ends the output quietly: the exit
-code stays the command's own.
+argument error that argparse finds, a negative ``--budget`` or ``--cap``
+among them, ``input``, ``budget`` or ``internal``; a budget error also
+carries the search's ``stats``); stderr is the same either way.  A reader
+that closes stdout early ends the output quietly: the exit code stays the
+command's own.
 
 ``main`` pauses the cyclic garbage collector for the length of one command
 and restores the caller's setting on every exit path.  A command allocates
@@ -64,6 +65,17 @@ class _ArgumentParser(argparse.ArgumentParser):
             raise _UsageError(message) from None
 
 
+def _non_negative_int(text):
+    """The argparse type of ``--budget`` and ``--cap``: an int of 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("invalid non-negative int value: %r" % text)
+    return value
+
+
 @functools.cache
 def build_parser():
     """The command-line parser, built on the first call and shared after it.
@@ -89,24 +101,24 @@ def build_parser():
     p.add_argument("--oracle", action="store_true",
                    help="use the exhaustive list-assignment oracle")
     p.add_argument("--witness", action="store_true", help="print the witness")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None, help="oracle size cap override")
+    p.add_argument("--budget", type=_non_negative_int, default=None)
+    p.add_argument("--cap", type=_non_negative_int, default=None, help="oracle size cap override")
 
     p = sub.add_parser("near3", help="near-3-choosable decomposition")
     p.add_argument("graph")
     p.add_argument("--min", action="store_true", dest="minimize",
                    help="report the minimum independent deleted set and its size")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_non_negative_int, default=None,
                    help="node budget (default %d)" % DEFAULT_NODE_BUDGET)
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_non_negative_int, default=None,
                    help="size cap (default %d)" % DEFAULT_NEAR3_CAP)
 
     p = sub.add_parser("del2", help="2-choosable deletion set")
     p.add_argument("graph")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_non_negative_int, default=None,
                    help="node budget of --exact (default %d)" % DEFAULT_NODE_BUDGET)
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_non_negative_int, default=None,
                    help="size cap of --exact (default %d)" % DEFAULT_DEL_CAP)
 
     p = sub.add_parser("reduce", help="build a reduction artifact")

@@ -169,6 +169,15 @@ def is_k_choosable_exhaustive(g, k, budget=None, cap=None):
     the frontier.  A skipped subtree is therefore one already proven to
     hold no uncolorable assignment, and since the enumeration order is
     unchanged the first witness found is the same as without the memo.
+
+    When a frame is pushed, its colorings are grouped once by their
+    projection onto the next frontier, and each such base is paired with
+    its *blocked* colors: those that some earlier neighbour of the vertex
+    has under every coloring with that base.  A list then extends a base
+    by each of its colors outside the blocked set, so trying a list costs
+    one set build over the bases instead of a walk over every coloring.
+    The extended sets are the same as those of the walk, so node counts,
+    budget charges and witnesses are unchanged.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -196,26 +205,23 @@ def is_k_choosable_exhaustive(g, k, budget=None, cap=None):
     candidates_after = {}   # colors used so far -> the next vertex's lists
     done = set()    # keys of frames proven to hold no witness
     # depth-first with an explicit stack, one frame per listed vertex:
-    # (key, untried lists), the key being (depth, colors used so far,
-    # feasible colorings of the prefix projected onto the frontier)
-    stack = [((0, 0, frozenset([()])), iter(_canonical_lists(0, k)))] if g.n else []
+    # (key, untried lists, blocked colors per base), the key being (depth,
+    # colors used so far, feasible colorings of the prefix projected onto
+    # the frontier)
+    root = frozenset([()])
+    stack = ([((0, 0, root), iter(_canonical_lists(0, k)), _blocked(root, *plan[0][:2]))]
+             if g.n else [])
     while stack:
-        key, candidates = stack[-1]
-        d, used, colorings = key
-        nbrs, keep, joins = plan[d]
+        key, candidates, pairs = stack[-1]
+        d, used = key[:2]
+        joins = plan[d][2]
         for lst in candidates:
             bud.charge(stage="oracle", **stats)
             lists.append(lst)
-            extended = set()
-            add = extended.add
-            for coloring in colorings:
-                base = tuple([coloring[i] for i in keep])
-                for c in lst:
-                    for i in nbrs:
-                        if coloring[i] == c:
-                            break
-                    else:
-                        add(base + (c,) if joins else base)
+            if joins:
+                extended = {base + (c,) for base, blk in pairs for c in lst if c not in blk}
+            else:
+                extended = {base for base, blk in pairs if not blk.issuperset(lst)}
             if not extended:
                 stats["assignments"] += 1
                 # the prefix is already uncolorable; complete it with fresh colors
@@ -231,7 +237,8 @@ def is_k_choosable_exhaustive(g, k, budget=None, cap=None):
                 if child not in done:
                     if child_used not in candidates_after:
                         candidates_after[child_used] = _canonical_lists(child_used, k)
-                    stack.append((child, iter(candidates_after[child_used])))
+                    stack.append((child, iter(candidates_after[child_used]),
+                                  _blocked(extended, *plan[d + 1][:2])))
                     break
             else:
                 stats["assignments"] += 1
@@ -242,6 +249,26 @@ def is_k_choosable_exhaustive(g, k, budget=None, cap=None):
             if lists:
                 lists.pop()
     return True, None
+
+
+def _blocked(colorings, nbrs, keep):
+    """The colors each projected base of a frame's colorings bars its vertex from.
+
+    Groups ``colorings`` by their base, the colors at the positions ``keep``,
+    and pairs each base with the intersection, over its colorings, of the
+    colors at the positions ``nbrs`` (the vertex's earlier neighbours): a
+    color in it clashes under every coloring with that base, and a color
+    outside it is free under at least one.
+    """
+    blocked = {}
+    for coloring in colorings:
+        base = tuple([coloring[i] for i in keep])
+        seen = {coloring[i] for i in nbrs}
+        if base in blocked:
+            blocked[base] &= seen
+        else:
+            blocked[base] = seen
+    return list(blocked.items())
 
 
 def _canonical_lists(used, k):

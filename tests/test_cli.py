@@ -175,6 +175,24 @@ class TestJsonErrors:
         assert capsys.readouterr() == ("", err)
         assert err.startswith("usage: choosability") and err.endswith(": error: %s\n" % message)
 
+    @pytest.mark.parametrize("command", [["check2", "--oracle"], ["near3"], ["near3", "--min"],
+                                         ["del2", "--exact"]])
+    @pytest.mark.parametrize("option,value", [("--budget", "-5"), ("--cap", "-1")])
+    def test_negative_budget_or_cap_is_usage_error(self, c6_file, capsys, command, option,
+                                                   value):
+        # an argument error, not a search that spent its budget (exit 3)
+        argv = command[:1] + [c6_file] + command[1:] + [option, value]
+        code, body, err = self.run_error(capsys, argv)
+        message = "argument %s: invalid non-negative int value: '%s'" % (option, value)
+        assert code == 2 and body == {"kind": "usage", "message": message}
+        assert err.startswith("usage: choosability") and err.endswith(": error: %s\n" % message)
+
+    @pytest.mark.parametrize("command", [["check2", "--oracle"], ["near3"], ["del2", "--exact"]])
+    def test_zero_budget_is_a_spent_search(self, c6_file, capsys, command):
+        argv = command[:1] + [c6_file] + command[1:] + ["--budget", "0"]
+        code, body, err = self.run_error(capsys, argv)
+        assert code == 3 and body["kind"] == "budget" and body["stats"]["limit"] == 0
+
     def test_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
         bad.write_text("p edge 2 1\ne 1 1\n")

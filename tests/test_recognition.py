@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from choosability.errors import Budget
+from choosability.errors import Budget, BudgetExceededError
 from choosability.graphs import Graph, coloring_is_proper, induced_subgraph
 from choosability.recognition import (KIND_EVEN_CYCLE, KIND_K1, KIND_OUTSIDE,
                                       KIND_THETA, classify_core, compute_core,
@@ -246,11 +246,35 @@ class TestListColoring:
                 assert all(coloring[v] in lists[v] for v in range(n))
 
 
-def assert_oracle_matches_reference(graphs):
-    """Same verdict and witness as the plain enumeration, never more nodes, k = 1, 2."""
+#: the benchmark's eight 6-vertex oracle classes (``ORACLE_CLASSES`` in
+#: perfbench/workloads.py): name, edges, nodes used at k = 2, and the witness,
+#: None for the one 2-choosable class
+_BIPARTITE_WITNESS = {0: (1, 2), 1: (1, 3), 2: (2, 3), 3: (1, 2), 4: (1, 3), 5: (2, 3)}
+_TRIANGLE_WITNESS = {0: (1, 2), 1: (1, 2), 2: (1, 2), 3: (3, 4), 4: (5, 6), 5: (7, 8)}
+ORACLE_PINS = [
+    ("k23-plus-k1", ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)), 1330, None),
+    ("k24", ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)), 2348,
+     {0: (1, 2), 1: (3, 4), 2: (1, 3), 3: (1, 4), 4: (2, 3), 5: (2, 4)}),
+    ("bipartite-7-edges", ((0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)), 846,
+     _BIPARTITE_WITNESS),
+    ("k33-minus-edge", ((0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)),
+     796, _BIPARTITE_WITNESS),
+    ("k33", ((0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)), 1736,
+     _BIPARTITE_WITNESS),
+    ("triangle-path", ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)), 3, _TRIANGLE_WITNESS),
+    ("k4-plus-edge", ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)), 3,
+     _TRIANGLE_WITNESS),
+    ("wheel-c5", ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 1), (5, 2), (5, 3),
+                  (5, 4)), 5,
+     {0: (1, 2), 1: (1, 2), 2: (1, 2), 3: (1, 2), 4: (1, 2), 5: (3, 4)}),
+]
+
+
+def assert_oracle_matches_reference(graphs, ks=(1, 2)):
+    """Same verdict and witness as the plain enumeration, never more nodes, for each k."""
     verdicts = set()
     for g in graphs:
-        for k in (1, 2):
+        for k in ks:
             new, ref = Budget(), Budget()
             answer = is_k_choosable_exhaustive(g, k, budget=new, cap=g.n)
             assert answer == brute_k_choosable(g, k, budget=ref), (g.edges, k)
@@ -305,6 +329,41 @@ class TestOracle:
         assert is_k_choosable_exhaustive(cycle_graph(8), 2, cap=8) == (True, None)
         assert is_k_choosable_exhaustive(theta_graph(2, 2, 4), 2, cap=8) == (True, None)
         assert is_k_choosable_exhaustive(cycle_graph(10), 2, budget=300_000)[0]
+
+    def test_matches_reference_for_three_lists(self):
+        # every labelled graph on at most 4 vertices, then a seeded sample on 5
+        # (one 3-choosable graph, one not): a 3-choosable 5-vertex graph costs
+        # the plain enumeration 515,088 nodes, about 17 s, so the sample is small
+        rng = random.Random(5)
+        pairs = vertex_pairs(5)
+        assert_oracle_matches_reference(
+            [mask_to_graph(n, mask, vertex_pairs(n))
+             for n in range(5) for mask in range(1 << len(vertex_pairs(n)))]
+            + [mask_to_graph(5, rng.getrandbits(len(pairs)), pairs) for _ in range(2)],
+            ks=(3,))
+
+    @pytest.mark.parametrize("name,edges,used,witness", ORACLE_PINS)
+    def test_pinned_six_vertex_classes(self, name, edges, used, witness):
+        # the benchmark's oracle classes: a faster oracle may not move a node
+        # count, a verdict or a witness
+        bud = Budget()
+        assert is_k_choosable_exhaustive(Graph(6, edges), 2, budget=bud) == (
+            witness is None, witness)
+        assert bud.used == used
+
+    @pytest.mark.parametrize("g,cap,used", [(cycle_graph(8), 8, 32_825),
+                                            (theta_graph(2, 2, 4), 8, 37_455),
+                                            (cycle_graph(10), 10, 147_027)])
+    def test_pinned_node_counts_beyond_six_vertices(self, g, cap, used):
+        bud = Budget()
+        assert is_k_choosable_exhaustive(g, 2, budget=bud, cap=cap) == (True, None)
+        assert bud.used == used
+
+    def test_pinned_budget_stats(self):
+        with pytest.raises(BudgetExceededError) as err:
+            is_k_choosable_exhaustive(cycle_graph(8), 2, budget=10_000)
+        assert err.value.stats == {"expanded": 10_001, "limit": 10_000, "stage": "oracle",
+                                   "assignments": 5_939}
 
 
 class TestAssignmentSerialization:
