@@ -112,13 +112,21 @@ def write_graph(g):
     """The text of ``g`` in the graph format; ValueError above ``MAX_GRAPH_VERTICES``.
 
     Every graph it accepts reads back equal: ``parse_graph(write_graph(g)) == g``.
+    Each vertex's ``"e <u> "`` head and ``"<v>\\n"`` tail are formatted
+    once, so an edge line is one concatenation, and the lines are joined
+    once.  The edges go out in ``g.edges`` order, ascending, but a reader
+    need not keep it: ``parse_graph`` sorts them again, so a ``sat3``
+    artifact is checked against :func:`reductions._h_edges` on its edge set,
+    whatever the order, orientation or comment lines of its file.
     """
-    if g.n > MAX_GRAPH_VERTICES:
-        raise ValueError("graph has %d vertices; the limit is %d" % (g.n, MAX_GRAPH_VERTICES))
-    lines = ["p edge %d %d" % (g.n, len(g.edges))]
-    for u, v in g.edges:
-        lines.append("e %d %d" % (u + 1, v + 1))
-    return "\n".join(lines) + "\n"
+    n = g.n
+    if n > MAX_GRAPH_VERTICES:
+        raise ValueError("graph has %d vertices; the limit is %d" % (n, MAX_GRAPH_VERTICES))
+    heads = ["e %d " % v for v in range(1, n + 1)]
+    tails = ["%d\n" % v for v in range(1, n + 1)]
+    lines = ["p edge %d %d\n" % (n, len(g.edges))]
+    lines += [heads[u] + tails[v] for u, v in g.edges]
+    return "".join(lines)
 
 
 def parse_dimacs_cnf(text):

@@ -17,17 +17,26 @@ class InternalCheckError(RuntimeError):
 
 
 class Budget:
-    """Deterministic node-expansion counter (wall-clock independent)."""
+    """Deterministic node-expansion counter (wall-clock independent).
+
+    ``limit`` is None for no limit or an int of 0 or more; 0 is a budget
+    already spent, so a search that charges a node exceeds it.  A negative
+    limit or any other value, ``True`` and ``1.0`` included, is a
+    ValueError rather than a search that fails at its first node.
+    """
 
     __slots__ = ("limit", "used")
 
     def __init__(self, limit=None):
+        if limit is not None and (type(limit) is not int or limit < 0):
+            raise ValueError("a node budget must be None or an int of 0 or more, not %r"
+                             % (limit,))
         self.limit = limit
         self.used = 0
 
     @classmethod
     def ensure(cls, budget):
-        """Pass through Budget instances, wrap integer limits (or None)."""
+        """Pass through Budget instances, wrap integer limits (or None); ValueError otherwise."""
         return budget if isinstance(budget, cls) else cls(budget)
 
     def charge(self, amount=1, **stats):

@@ -7,7 +7,7 @@ recipes) can be re-checked mechanically rather than trusted.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, repeat
 from math import ceil
 
 from .errors import InternalCheckError
@@ -256,22 +256,27 @@ _ROTATIONS = [list(r) for r in permutations((1, 2, 3))]
 
 
 def _rebuilt(art, kind):
-    """``(phi, artifact)``: the ``kind`` reduction of ``art.meta.formula``, built again.
+    """``(phi, artifact)``: the ``kind`` reduction of ``art.meta.formula``, matched to ``art``.
 
-    ``kind`` is ``sat3`` (:func:`build_H_phi`) or ``planar3sat``
-    (:func:`build_G_phi_p` with ``meta.p``, a positive integer).  Older
-    ``planar3sat`` sidecars record a ``rotation`` with the formula: clause
-    j's literals were attached in the order ``rotation[j - 1]``, so they are
-    taken in that order.  ValueError unless the formula is valid and the
-    rebuilt graph is ``art.graph``.  Nothing else of the sidecar is read:
-    the solution builders take roles and gadget records from the rebuilt
-    artifact.
+    ``kind`` is ``sat3`` or ``planar3sat``.  For ``sat3`` the vertex count
+    is checked first, and then ``art.graph.edges`` is compared with
+    :func:`_h_edges`; no second graph or role table is built, and the
+    artifact returned is None.  For ``planar3sat`` the reduction is built
+    again (:func:`build_G_phi_p` with ``meta.p``, a positive integer) and
+    returned.  Older ``planar3sat`` sidecars record a ``rotation`` with the
+    formula: clause j's literals were attached in the order
+    ``rotation[j - 1]``, so they are taken in that order.  ValueError unless
+    the formula is valid and its reduction is ``art.graph``.  Nothing else
+    of the sidecar is read: the solution builders take roles and gadget
+    records from the rebuilt artifact or the formula.
     """
     formula = art.meta.get("formula")
     phi = CnfFormula.from_dict(formula)
     if kind == "sat3":
-        # H_phi is dense: a formula for another vertex count is not built
-        rebuilt = build_H_phi(phi) if _h_layout(phi)[-1] + 1 == art.graph.n else None
+        # H_phi is dense: a formula for another vertex count is not swept
+        same = (phi.num_clauses >= 1 and _h_layout(phi)[-1] + 1 == art.graph.n
+                and art.graph.edges == tuple(_h_edges(phi)))
+        rebuilt = None
     else:
         p = art.meta.get("p")
         if type(p) is not int or p < 1:
@@ -285,7 +290,8 @@ def _rebuilt(art, kind):
             phi = CnfFormula(phi.num_vars, [[clause[i - 1] for i in r]
                                             for clause, r in zip(phi.clauses, rotation)])
         rebuilt = build_G_phi_p(phi, p)
-    if rebuilt is None or rebuilt.graph != art.graph:
+        same = rebuilt.graph == art.graph
+    if not same:
         raise ValueError("the graph is not the reduction of meta.formula; "
                          "was one of the files edited?")
     return phi, rebuilt
@@ -311,6 +317,54 @@ def _identified_vertices(phi, s, tid, fid):
             for lab, (row, col, false) in _constraint_positions(phi, s).items()}
 
 
+def _h_edges(phi):
+    """H_phi's edges as ``(u, v)`` pairs with ``u < v``, ascending and without repeats.
+
+    One sweep over the vertices in id order (gadget by gadget, row by row,
+    each row's true columns before its false ones, then the dominating row
+    and the apex), each listing its larger neighbours in ascending order.  A
+    true vertex meets the false vertices of its own block at the other
+    columns, every false vertex of its row in later gadgets and its
+    dominating vertex; a false vertex meets the true vertices of its row in
+    later gadgets and its dominating vertex; a dominating vertex meets the
+    apex.  Only the designated vertices of a constraint-graph copy have
+    other neighbours, and theirs are merged in with ``sorted(set(...))``.
+    """
+    k = phi.num_clauses
+    rows, tid, fid, dom, d0 = _h_layout(phi)
+    extra = {}
+    for s in range(1, k + 1):
+        vmap = _identified_vertices(phi, s, tid, fid)
+        for a, b in P_EDGES_BY_LABEL:
+            x, y = sorted((vmap[a], vmap[b]))
+            extra.setdefault(x, []).append(y)
+
+    edges = []
+    extend = edges.extend
+
+    def emit(u, larger):
+        if u in extra:
+            larger = sorted(set(larger).union(extra[u]))
+        extend(zip(repeat(u), larger))
+
+    gadget = 34 * rows
+    for s in range(1, k + 1):
+        doms = range(dom(s, 1), dom(s, 1) + 17)
+        for row in range(1, rows + 1):
+            base = tid(s, row, 1)
+            later_true = [t for b in range(base + gadget, gadget * k, gadget)
+                          for t in range(b, b + 17)]
+            later_false = [t + 17 for t in later_true]
+            own_false = range(base + 17, base + 34)
+            for c in range(17):
+                emit(base + c, [*own_false[:c], *own_false[c + 1:], *later_false, doms[c]])
+            for c in range(17):
+                emit(base + 17 + c, [*later_true, doms[c]])
+    for d in range(dom(1, 1), d0):
+        emit(d, [d0])
+    return edges
+
+
 def build_H_phi(phi):
     """Array-of-rows satisfiability graph with embedded constraint copies.
 
@@ -319,43 +373,21 @@ def build_H_phi(phi):
     merged graph induces a complete bipartite graph between true and false
     vertices minus the pairing; an apex vertex is adjacent to the whole
     dominating row; each gadget carries one relabelled copy of the
-    constraint graph on its designated vertices.
+    constraint graph on its designated vertices.  The edges come from
+    :func:`_h_edges`, which is also what :func:`_rebuilt` compares a
+    ``sat3`` artifact's graph with.
     """
     n, k = phi.num_vars, phi.num_clauses
     if k < 1:
         raise ValueError("need at least one clause")
     rows, tid, fid, dom, d0 = _h_layout(phi)
     _check_order(d0 + 1)
-    edges = set()
-
     positions = [(s, c) for s in range(1, k + 1) for c in range(1, 18)]
-    for row in range(1, rows + 1):
-        for s, c in positions:
-            t = tid(s, row, c)
-            for s2, c2 in positions:
-                if (s, c) != (s2, c2):
-                    f = fid(s2, row, c2)
-                    edges.add((t, f) if t < f else (f, t))
-
-    for s, c in positions:
-        d = dom(s, c)
-        for row in range(1, rows + 1):
-            edges.add((tid(s, row, c), d))
-            edges.add((fid(s, row, c), d))
-        edges.add((d, d0))
-
-    p_maps = {}
-    for s in range(1, k + 1):
-        vmap = _identified_vertices(phi, s, tid, fid)
-        p_maps[s] = vmap
-        for a, b in P_EDGES_BY_LABEL:
-            x, y = vmap[a], vmap[b]
-            edges.add((x, y) if x < y else (y, x))
 
     roles = {}
     label_of = {}
-    for s, vmap in p_maps.items():
-        for lab, vid in vmap.items():
+    for s in range(1, k + 1):
+        for lab, vid in _identified_vertices(phi, s, tid, fid).items():
             label_of[vid] = lab
     for row in range(1, rows + 1):
         in_variable_block = row <= n
@@ -375,7 +407,7 @@ def build_H_phi(phi):
         roles[dom(s, c)] = {"role": "dominating", "gadget": s, "col": c}
     roles[d0] = {"role": "d0"}
 
-    g = Graph(d0 + 1, sorted(edges))
+    g = Graph(d0 + 1, _h_edges(phi))
     meta = {"formula": phi.to_dict(), "n": n, "k": k, "rows": rows}
     return ReductionArtifact("sat3", g, roles, meta)
 

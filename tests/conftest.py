@@ -159,6 +159,85 @@ def parse_graph_reference(text):
     return Graph(n, edges)
 
 
+def write_graph_reference(g):
+    """``dimacs.write_graph`` as it was: one ``%``-formatted line per edge, then a join."""
+    lines = ["p edge %d %d" % (g.n, len(g.edges))]
+    for u, v in g.edges:
+        lines.append("e %d %d" % (u + 1, v + 1))
+    return "\n".join(lines) + "\n"
+
+
+def h_phi_reference(phi):
+    """``reductions.build_H_phi`` as it was: ``(n, edges, roles)``, the edges from a set.
+
+    Adds every edge of the layout (each row's complete bipartite graph
+    minus its pairing, each column's dominating vertex, the apex) and of
+    each constraint-graph copy to a set of normalised pairs, and returns
+    them sorted.  Kept as the reference for the one-sweep edge list of
+    ``reductions._h_edges``.
+    """
+    from choosability.reductions import P_EDGES_BY_LABEL
+
+    n, k = phi.num_vars, phi.num_clauses
+    rows = n + 14 * k
+
+    def tid(s, row, col):
+        return ((s - 1) * rows + (row - 1)) * 34 + (col - 1)
+
+    def fid(s, row, col):
+        return tid(s, row, col) + 17
+
+    def dom(s, col):
+        return 34 * rows * k + (s - 1) * 17 + (col - 1)
+
+    d0 = 34 * rows * k + 17 * k
+    edges = set()
+    positions = [(s, c) for s in range(1, k + 1) for c in range(1, 18)]
+    for row in range(1, rows + 1):
+        for s, c in positions:
+            t = tid(s, row, c)
+            for s2, c2 in positions:
+                if (s, c) != (s2, c2):
+                    f = fid(s2, row, c2)
+                    edges.add((t, f) if t < f else (f, t))
+    for s, c in positions:
+        d = dom(s, c)
+        for row in range(1, rows + 1):
+            edges.add((tid(s, row, c), d))
+            edges.add((fid(s, row, c), d))
+        edges.add((d, d0))
+
+    label_of = {}
+    for s in range(1, k + 1):
+        vmap = {"v%d" % r: (fid if lit < 0 else tid)(s, abs(lit), r)
+                for r, lit in enumerate(phi.clauses[s - 1], 1)}
+        for t in range(1, 15):
+            vmap["w%d" % t] = tid(s, n + 14 * (s - 1) + t, t + 3)
+        for a, b in P_EDGES_BY_LABEL:
+            x, y = vmap[a], vmap[b]
+            edges.add((x, y) if x < y else (y, x))
+        for lab, vid in vmap.items():
+            label_of[vid] = lab
+
+    roles = {}
+    for row in range(1, rows + 1):
+        in_variable_block = row <= n
+        for s, c in positions:
+            for vid, side in ((tid(s, row, c), "true"), (fid(s, row, c), "false")):
+                rec = {"role": ("variable-" if in_variable_block else "clause-") + side,
+                       "gadget": s, "row": row, "col": c}
+                if not in_variable_block:
+                    rec["block"] = (row - n - 1) // 14 + 1
+                    rec["block_row"] = (row - n - 1) % 14 + 1
+                if vid in label_of:
+                    rec["p_label"] = label_of[vid]
+                roles[vid] = rec
+    for s, c in positions:
+        roles[dom(s, c)] = {"role": "dominating", "gadget": s, "col": c}
+    roles[d0] = {"role": "d0"}
+    return d0 + 1, sorted(edges), roles
+
+
 def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 

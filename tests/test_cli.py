@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -457,6 +458,35 @@ class TestReduceAndSolve:
         assert code == 2
         assert captured.err.startswith("error: the graph is not the reduction of meta.formula")
         assert json.loads(captured.out)["error"]["kind"] == "input"
+
+    def test_sat3_graph_file_with_one_edge_moved_is_input_error(self, tmp_path, capsys):
+        # the header's counts stay those of the reduction; only one edge differs
+        base, _, _ = solved_artifact(tmp_path, capsys, "sat3")
+        graph_path = tmp_path / "art.graph"
+        g = parse_graph(graph_path.read_text())
+        u, _ = g.edges[0]
+        w = next(w for w in range(g.n) if w != u and not g.has_edge(u, w))
+        moved = Graph(g.n, g.edges[1:] + ((u, w),))
+        assert (moved.n, moved.m) == (g.n, g.m)
+        graph_path.write_text(write_graph(moved))
+        code = main(["--json", "solution-from-assignment", base, "--tau", "110"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: the graph is not the reduction of meta.formula")
+        assert json.loads(captured.out)["error"]["kind"] == "input"
+
+    def test_sat3_graph_file_rewritten_in_another_order_solves(self, tmp_path, capsys):
+        base, _, intact = solved_artifact(tmp_path, capsys, "sat3")
+        graph_path = tmp_path / "art.graph"
+        g = parse_graph(graph_path.read_text())
+        edges = [(v, u) for u, v in g.edges]
+        random.Random(1).shuffle(edges)
+        lines = ["c the same graph: edges shuffled, endpoints swapped",
+                 "p edge %d %d" % (g.n, g.m)]
+        lines += ["e %d %d" % (u + 1, v + 1) for u, v in edges]
+        graph_path.write_text("\n".join(lines) + "\n")
+        code = main(["--json", "solution-from-assignment", base, "--tau", "110"])
+        assert code == 0 and answer(capsys.readouterr()) == intact
 
     @pytest.mark.parametrize("kind, options", [("sat3", []), ("planar3sat", ["--p", "1"])])
     def test_construction_fault_on_untouched_artifact_is_internal(self, tmp_path, capsys,

@@ -15,7 +15,7 @@ from choosability.generators import gen_formula, gen_gnp
 from choosability.graphs import Graph
 from choosability.reductions import CnfFormula, constraint_graph_P, triangle_reduction
 
-from conftest import cycle_graph, parse_graph_reference
+from conftest import cycle_graph, parse_graph_reference, write_graph_reference
 
 
 class TestGraphFormat:
@@ -60,6 +60,14 @@ class TestGraphFormat:
         assert parse_graph(write_graph(edgeless)) == edgeless
         with pytest.raises(ValueError, match="the limit is %d" % MAX_GRAPH_VERTICES):
             write_graph(Graph(MAX_GRAPH_VERTICES + 1, []))
+
+    @pytest.mark.parametrize("g", [Graph(0, []), Graph(5, [(1, 3)]), Graph(4, []),
+                                   cycle_graph(99999)],
+                             ids=["empty", "isolated-vertices", "edgeless", "C99999"])
+    def test_writer_matches_the_former_writer(self, g):
+        text = write_graph(g)
+        assert text == write_graph_reference(g)
+        assert parse_graph(text) == g
 
     def test_roundtrip_generated_corpus(self):
         for seed in range(40):

@@ -250,6 +250,18 @@ class TestMin2Del:
         with pytest.raises(BudgetExceededError):
             min_2_del_exact(complete_graph(9), budget=20)
 
+    @pytest.mark.parametrize("limit", [-1, True, 1.0, "5"])
+    def test_budget_must_be_none_or_a_non_negative_int(self, limit):
+        with pytest.raises(ValueError, match="node budget must be None or an int"):
+            Budget(limit)
+        with pytest.raises(ValueError, match="node budget must be None or an int"):
+            min_2_del_exact(complete_graph(3), budget=limit)
+
+    def test_budget_of_zero_is_spent_and_none_is_unlimited(self):
+        with pytest.raises(BudgetExceededError, match="budget of 0 exceeded"):
+            min_2_del_exact(complete_graph(3), budget=0)
+        assert min_2_del_exact(complete_graph(3), budget=None) == (1, (0,))
+
     def test_deep_search_within_recursion_limit(self):
         # 200 disjoint triangles put the first solution 200 levels down; a
         # recursive search would need a frame per level

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -6,6 +7,7 @@ from itertools import combinations, product
 import networkx as nx
 import pytest
 
+from choosability.dimacs import write_artifact
 from choosability.exact import decomposition_is_valid
 from choosability.generators import gen_formula
 from choosability.graphs import (coloring_is_proper, delete_vertices, diameter,
@@ -24,7 +26,7 @@ from choosability.reductions import (P_EDGES_BY_LABEL, P_INDEX, P_LABELS,
                                      triangle_reduction, verify_lemma_2_2)
 
 from conftest import (brute_maximal_independent_sets, cycle_graph, graph_classes,
-                      is_independent)
+                      graph_reference, h_phi_reference, is_independent)
 
 
 def all_assignments(n):
@@ -113,7 +115,50 @@ class TestConstraintGraph:
         assert sorted(P_LABELS) == sorted(r["label"] for r in art.roles.values())
 
 
+def seeded_formula(seed):
+    """A formula on 3 + seed % 4 variables with 1 + seed // 2 % 4 clauses.
+
+    Each clause negates its last literal, and each after the first shares
+    its first variable with the clause before it.
+    """
+    rng = random.Random(seed)
+    num_vars, k = 3 + seed % 4, 1 + seed // 2 % 4
+    clauses = []
+    for _ in range(k):
+        shared = [abs(clauses[-1][0])] if clauses else []
+        others = [v for v in range(1, num_vars + 1) if v not in shared]
+        first, second, third = shared + rng.sample(others, 3 - len(shared))
+        clauses.append((rng.choice((first, -first)), rng.choice((second, -second)), -third))
+    return CnfFormula(num_vars, clauses)
+
+
 class TestHPhi:
+    @pytest.mark.parametrize("phi", [seeded_formula(seed) for seed in range(8)]
+                             + [CnfFormula(3, [(1, -1, 2), (-2, 2, 3)])],
+                             ids=lambda phi: str(phi.clauses))
+    def test_sweep_matches_the_set_based_builder(self, phi):
+        n, edges, roles = h_phi_reference(phi)
+        art = build_H_phi(phi)
+        assert art.graph.n == n
+        assert art.graph.edges == tuple(edges)
+        assert art.graph.adj == graph_reference(n, edges)[1]
+        assert art.roles == roles
+        assert reductions._h_edges(phi) == edges
+
+    # the files that the set-based builder (conftest.h_phi_reference) wrote
+    @pytest.mark.parametrize("phi, graph_sha, roles_sha", [
+        (CnfFormula(3, [(1, 2, -3)]),
+         "cf3fc5e17bf53c08079e9e838f41a291f80a9c5c4878fb48b622cc892e38a13b",
+         "6ebc5301ef91cf8293e78451c37e68b969adf1fb428f45750ce2b9bd0ec6a165"),
+        (CnfFormula(4, [(1, -2, 3), (-1, 2, 4)]),
+         "b2f5f029b82eab5d37e821a20f8fcaafe25f54173a65b7893e9b238df610d713",
+         "8e5fcea1536e413fc3d238c4ba2bb1d1846c069046f2dace4819bd0543312e9b"),
+    ])
+    def test_written_files_are_pinned(self, tmp_path, phi, graph_sha, roles_sha):
+        paths = write_artifact(build_H_phi(phi), tmp_path / "art")
+        digests = [hashlib.sha256(open(path, "rb").read()).hexdigest() for path in paths]
+        assert digests == [graph_sha, roles_sha]
+
     def test_vertex_count_formula(self):
         for n, k, clauses in ((3, 1, [(1, 2, 3)]),
                               (3, 2, [(1, 2, 3), (-1, 2, -3)]),
