@@ -5,9 +5,8 @@ components, and cross-checks the verdict against the contraction pipeline
 and (for small graphs) the exhaustive list-assignment oracle.
 """
 
-from choosability import (CountedMultiGraph, classify_core, is_2_choosable,
-                          is_2_choosable_via_preprocessing, is_k_choosable_exhaustive,
-                          preprocess)
+from choosability import (classify_core, is_2_choosable, is_2_choosable_via_preprocessing,
+                          is_k_choosable_exhaustive, preprocess)
 from choosability.generators import gen_cycle, gen_theta
 
 
@@ -35,9 +34,10 @@ def main():
     show("theta(3,3,3)", gen_theta(3, 3, 3))
 
     print("\nContraction pipeline on theta(2,2,8):")
-    reduced = preprocess(CountedMultiGraph.from_graph(gen_theta(2, 2, 8)))
+    work, ids = preprocess(gen_theta(2, 2, 8))
+    provenance = [work.provenance[v] for v in ids]
     print("  contracted to %d vertices, counts %s, provenance %s"
-          % (reduced.n, [len(p) for p in reduced.provenance], reduced.provenance))
+          % (len(ids), [len(p) for p in provenance], provenance))
 
 
 if __name__ == "__main__":

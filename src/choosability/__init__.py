@@ -7,9 +7,8 @@ generators for the satisfiability reduction constructions.
 
 __version__ = "0.1.0"
 
-from .approx import (CountedMultiGraph, CPrimeVerdict, approx_2_del,
-                     classify_c_prime, is_2_choosable_via_preprocessing,
-                     preprocess, preprocessed_components)
+from .approx import (CountedMultiGraph, approx_2_del,
+                     is_2_choosable_via_preprocessing, preprocess)
 from .errors import Budget, BudgetExceededError, InternalCheckError
 from .exact import (Decomposition, decomposition_is_valid,
                     min_2_del_bruteforce, min_2_del_exact, min_near_3,

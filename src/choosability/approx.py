@@ -1,46 +1,27 @@
 """Contraction-based 2-choosability test and the short-cycle deletion heuristic.
 
-``preprocess`` peels degree-1 vertices with ``graphs._peel``, the package's
-one whole-set degree-1 peel, then in one linear sweep replaces every
-maximal chain of two or more adjacent degree-2 vertices by a single counted
-vertex of a ``CountedMultiGraph``, the package's one counted multigraph (a
-cycle component contracts all but one of its vertices, yielding a
-two-vertex parallel pair).  After preprocessing, a connected graph is
-2-choosable exactly when it lands in one of three counted shapes, which
-``_counted_kind`` tells apart.  ``preprocess`` also takes a vertex set and
-contracts the sub-multigraph on it in the multigraph's own ids; every
-numbering, orientation and tie-break reads only the relative order of the
-ids, so the answer is that of contracting the relabelled sub-multigraph.
+``preprocess`` is the package's one contraction.  It peels degree-1
+vertices with ``graphs._peel``, the package's one whole-set degree-1 peel,
+then in one linear sweep replaces every maximal chain of two or more
+adjacent degree-2 vertices by a single counted vertex of a new
+``CountedMultiGraph``, the package's one counted multigraph, in which every
+other vertex keeps its id (a cycle component contracts all but one of its
+vertices, yielding a two-vertex parallel pair).  After preprocessing, a
+connected graph is 2-choosable exactly when it lands in one of three
+counted shapes, which ``_in_counted_family`` recognises.
 
-``approx_2_del`` runs the same peel and contraction straight on the input
-graph into one ``CountedMultiGraph`` in which a vertex keeps its id, and
-builds no relabelled copy.  It then deletes a shortest cycle of
-each contracted component outside the counted family, re-peeling,
-re-contracting and re-splitting only around each deleted cycle, while
-``shortest_cycle`` keeps its per-root certificates on that multigraph
-between rounds; each contracted vertex it picks is expanded back to the
-first original vertex of its chain.
+``is_2_choosable_via_preprocessing`` contracts once and tests every
+component.  ``approx_2_del`` contracts once too, then deletes a shortest
+cycle of each contracted component outside the counted family,
+re-peeling, re-contracting and re-splitting only around each deleted
+cycle, while ``shortest_cycle`` keeps its per-root certificates on that
+multigraph between rounds; each contracted vertex it picks is expanded
+back to the first original vertex of its chain.
 """
-
-from dataclasses import dataclass
 
 from .errors import InternalCheckError
 from .graphs import _CycleSearch, _peel, connected_components, shortest_cycle
 from .recognition import is_2_choosable
-
-KIND_K1_COUNTED = "K1-counted"
-KIND_PARALLEL_PAIR_EVEN = "parallel-pair-even-sum"
-KIND_K23_ONE_ODD = "K23-one-odd-count"
-KIND_NOT_IN_FAMILY = "not-in-family"
-
-
-@dataclass(frozen=True)
-class CPrimeVerdict:
-    kind: str
-
-    @property
-    def in_family(self):
-        return self.kind != KIND_NOT_IN_FAMILY
 
 
 class CountedMultiGraph:
@@ -68,23 +49,23 @@ class CountedMultiGraph:
         self.owner = []
         self.mark = 0
 
-    @classmethod
-    def from_graph(cls, g):
-        """The ``Graph`` ``g`` as a counted multigraph: copied adjacency lists, unit provenance."""
-        return cls([list(a) for a in g.adj], [(v,) for v in range(g.n)])
-
     @property
     def n(self):
         return len(self.adj)
 
 
-def preprocess(mg, vertices=None):
+def preprocess(g, vertices=None):
     """Peel degree-1 vertices, then contract every maximal degree-2 run.
 
-    Works on ``mg[vertices]`` (all of ``mg`` when None) in ``mg``'s own
-    ids: the peel, the runs and the edges are read from ``mg.adj`` inside
-    the set, and only the resulting ``CountedMultiGraph`` is built; an id
-    outside 0..n-1 raises ValueError.
+    Works on ``g[vertices]`` (all of ``g`` when None) in ``g``'s own ids,
+    for a ``Graph`` (one singleton provenance per vertex) or a
+    ``CountedMultiGraph`` (its provenance): the peel, the runs and the
+    edges are read from ``g.adj`` inside the set, and only the new working
+    ``CountedMultiGraph`` is built; an id outside 0..n-1 raises ValueError.
+    Returns ``(work, ids)``: ``work`` and its vertices, ascending, the
+    uncontracted core vertices first, then one per run.  Every slot of
+    ``work`` outside ``ids`` has an empty list, so a later call on ``work``
+    passes ``ids`` or a subset of it.
 
     A run is a maximal chain of two or more adjacent degree-2 vertices.  It
     becomes one counted vertex carrying the run's summed count and its
@@ -93,25 +74,11 @@ def preprocess(mg, vertices=None):
     vertex towards that vertex's smaller neighbour, and its last vertex is
     left out, so the cycle becomes a parallel pair.  Contracting a run
     changes no other vertex's degree, so one peel and one sweep over the
-    runs reach the fixpoint.  The contraction is the one ``approx_2_del``
-    runs around each deleted cycle, here seeded with every vertex; the runs
-    get ids above every id of ``mg`` in ascending order of their smallest
-    vertex, so after relabelling in ascending order the uncontracted
-    vertices come first, then one vertex per run.  Every one of these
-    choices reads only the relative order of the ids, so the result equals
-    that of the sub-multigraph on ``vertices`` relabelled in ascending
-    order.
-    """
-    work, ids = _contracted(mg, list(mg.provenance), vertices)
-    return _relabelled(work, ids)
-
-
-def _contracted(g, provenance, vertices=None):
-    """Peel and contract ``g[vertices]`` into a new working multigraph.
-
-    ``provenance`` is the list of ``g``'s provenance tuples (one singleton
-    per vertex for a simple graph).  Returns the working multigraph and its
-    vertices, ascending: the uncontracted core vertices, then one per run.
+    runs reach the fixpoint.  The runs get ids from ``g.n`` up, in
+    ascending order of their smallest vertex.  Every one of these choices
+    reads only the relative order of the ids, so ``work`` on ``ids``,
+    relabelled in ascending order, is the contraction of the
+    sub-multigraph on ``vertices`` relabelled the same way.
     """
     core, degree = _peel(g, vertices)
     # a neighbour of a core vertex is in the core exactly when its degree
@@ -119,6 +86,10 @@ def _contracted(g, provenance, vertices=None):
     adj = [[] for _ in range(g.n)]
     for v in core:
         adj[v] = [u for u in g.adj[v] if degree[u] > 1]
+    if isinstance(g, CountedMultiGraph):
+        provenance = list(g.provenance)
+    else:
+        provenance = [(v,) for v in range(g.n)]
     work = CountedMultiGraph(adj, provenance)
     absorbed = _contract(work, core)[0]
     return work, [v for v in core if v not in absorbed] + list(range(g.n, work.n))
@@ -195,25 +166,8 @@ def _other(pair, u):
     return pair[1] if pair[0] == u else pair[0]
 
 
-def _relabelled(work, ids):
-    """``work`` on the ascending ``ids``, which hold every neighbour, relabelled in that order."""
-    index = {v: i for i, v in enumerate(ids)}
-    return CountedMultiGraph([[index[u] for u in work.adj[v]] for v in ids],
-                             [work.provenance[v] for v in ids])
-
-
-def classify_c_prime(component):
-    """Classify one connected, fully preprocessed counted component."""
-    adj = component.adj
-    for v in range(component.n):
-        if len(adj[v]) == 1:
-            raise ValueError("degree-1 vertex %d present; input is not preprocessed" % v)
-    counts = [len(p) for p in component.provenance]
-    return CPrimeVerdict(_counted_kind(adj, counts, range(component.n)))
-
-
-def _counted_kind(adj, counts, vertices):
-    """Kind of the connected, preprocessed counted component on ``vertices``.
+def _in_counted_family(adj, counts, vertices):
+    """Whether the connected, preprocessed counted component on ``vertices`` is in the family.
 
     ``adj[v]`` lists ``v``'s neighbours, one entry per edge, and
     ``counts[v]`` its count; only the entries of ``vertices`` are read.
@@ -222,82 +176,64 @@ def _counted_kind(adj, counts, vertices):
     most one count above 1, odd.
     """
     if len(vertices) == 1:
-        return KIND_K1_COUNTED
+        return True
     degree = [len(adj[v]) for v in vertices]
     if len(vertices) == 2 and sum(degree) == 4:
-        if (counts[vertices[0]] + counts[vertices[1]]) % 2 == 0:
-            return KIND_PARALLEL_PAIR_EVEN
-        return KIND_NOT_IN_FAMILY
+        return (counts[vertices[0]] + counts[vertices[1]]) % 2 == 0
     if len(vertices) != 5 or sum(degree) != 12:
-        return KIND_NOT_IN_FAMILY
+        return False
     if any(len(set(adj[v])) != len(adj[v]) for v in vertices):
-        return KIND_NOT_IN_FAMILY
+        return False
     hubs = [v for v, d in zip(vertices, degree) if d == 3]
     legs = [v for v, d in zip(vertices, degree) if d == 2]
     # five vertices, six distinct edges and two non-adjacent degree-3 hubs force K_{2,3}
     if len(hubs) != 2 or len(legs) != 3 or hubs[1] in adj[hubs[0]]:
-        return KIND_NOT_IN_FAMILY
+        return False
     if any(counts[h] != 1 for h in hubs):
-        return KIND_NOT_IN_FAMILY
+        return False
     heavy = [v for v in legs if counts[v] > 1]
-    if len(heavy) > 1 or any(counts[v] % 2 == 0 for v in heavy):
-        return KIND_NOT_IN_FAMILY
-    return KIND_K23_ONE_ODD
-
-
-def preprocessed_components(mg):
-    """Split a counted multigraph into its connected component multigraphs.
-
-    A connected ``mg`` is returned as it is.  Otherwise each piece is
-    built once from its own adjacency lists, relabelled in ascending order
-    of its vertices.
-    """
-    comps = connected_components(mg)
-    if len(comps) == 1:
-        return [mg]
-    return [_relabelled(mg, comp) for comp in comps]
+    return len(heavy) <= 1 and all(counts[v] % 2 == 1 for v in heavy)
 
 
 def is_2_choosable_via_preprocessing(g):
     """Contraction-pipeline test for 2-choosability.
 
-    Lifts the simple graph to unit counts, preprocesses, and accepts exactly
-    when every component classifies into the counted family.
+    Preprocesses the simple graph with unit counts and accepts exactly
+    when every component is in the counted family.
     """
-    work, ids = _contracted(g, [(v,) for v in range(g.n)])
+    work, ids = preprocess(g)
     counts = [len(p) for p in work.provenance]
-    return all(_counted_kind(work.adj, counts, comp) != KIND_NOT_IN_FAMILY
+    return all(_in_counted_family(work.adj, counts, comp)
                for comp in connected_components(work, ids))
 
 
 def approx_2_del(g):
     """Greedy short-cycle deletion heuristic for 2-choosable deletion.
 
-    Peel and contract ``g`` once into a working ``CountedMultiGraph`` with
-    unit provenance (no ``preprocess`` call and no relabelled copy) and
-    split it into components, then work through them one at a time on that
-    multigraph, in which a vertex keeps its id: a component in the counted
-    family is dropped; otherwise a shortest cycle of it is deleted, and the
-    component is repaired and split around the cut (see :func:`_cut`) back
-    onto the worklist.  ``shortest_cycle`` keeps its per-root certificates
-    on the multigraph, and each cut drops those whose BFS read a changed
-    adjacency list, so a round searches again only near the cut.  Each
-    removed contracted vertex is expanded to the first original vertex of
-    its chain.  The returned set is re-validated; failure raises
-    InternalCheckError.
+    ``preprocess`` peels and contracts ``g`` once into a working
+    ``CountedMultiGraph`` with unit provenance, which is split into
+    components; then the components are worked through one at a time on
+    that multigraph, in which a vertex keeps its id: a component in the
+    counted family is dropped; otherwise a shortest cycle of it is deleted,
+    and the component is repaired and split around the cut (see
+    :func:`_cut`) back onto the worklist.  ``shortest_cycle`` keeps its
+    per-root certificates on the multigraph, and each cut drops those whose
+    BFS read a changed adjacency list, so a round searches again only near
+    the cut.  Each removed contracted vertex is expanded to the first
+    original vertex of its chain.  The returned set is re-validated;
+    failure raises InternalCheckError.
 
     Components never interact, and every choice made on one depends only
     on the relative order of its own vertices: the last-in, first-out
     order of the peel, the run orientation of the contraction, and the
-    lexicographic tie-break of ``shortest_cycle``.  The runs get ids above
-    every id of ``g``, and the new runs of a round ids above every id so
-    far, in ascending order of their smallest vertex, which is the relative
-    order ``preprocess`` gives them when it relabels a component (kept
-    vertices ascending, then the runs).  So each component goes through the
-    same rounds as it would if every round re-preprocessed what is left of
-    it, or the whole graph, and the sorted union of the picks is the same.
+    lexicographic tie-break of ``shortest_cycle``.  The new runs of a round
+    get ids above every id so far, in ascending order of their smallest
+    vertex, which is the relative order ``preprocess`` of what is left
+    would give them.  So each component goes through the same rounds as it
+    would if every round re-preprocessed what is left of it, or of the
+    whole graph, and the sorted union of the picks is the same.
     """
-    work, ids = _contracted(g, [(v,) for v in range(g.n)])
+    work, ids = preprocess(g)
     work.cycle_search = _CycleSearch()
     pending = connected_components(work, ids)
     chosen = []
@@ -307,7 +243,7 @@ def approx_2_del(g):
         # only 1, 2 and 5 vertices can be in the counted family
         if len(comp) <= 5:
             counts = {v: len(provenance[v]) for v in comp}
-            if _counted_kind(work.adj, counts, comp) != KIND_NOT_IN_FAMILY:
+            if _in_counted_family(work.adj, counts, comp):
                 continue
         cycle = shortest_cycle(work, comp)
         if cycle is None:

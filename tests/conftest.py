@@ -84,6 +84,11 @@ def counted(n, edges, provenance=None):
     return CountedMultiGraph([list(a) for a in adj], list(provenance))
 
 
+def lift(g):
+    """The ``Graph`` ``g`` as a counted multigraph with unit provenance."""
+    return counted(g.n, g.edges)
+
+
 def adj_and_provenance(mg):
     """``(adj, provenance)`` of a counted multigraph as nested tuples, to compare two."""
     return tuple(map(tuple, mg.adj)), tuple(mg.provenance)
@@ -602,8 +607,8 @@ def multigraph_restrict(mg, vertices):
 
     New id i stands for the i-th smallest kept vertex, and counts and
     provenance are carried along.  Kept as the reference for
-    ``preprocess(mg, vertices)`` and ``preprocessed_components``, which
-    must return what contracting or splitting this restriction returns.
+    ``preprocess(mg, vertices)``, which must contract what contracting this
+    restriction contracts, and to relabel its result on its vertices.
     """
     kept = tuple(sorted(set(vertices)))
     index = {v: i for i, v in enumerate(kept)}
@@ -633,27 +638,22 @@ def approx_2_del_global(g):
 
     Kept as a reference for ``approx_2_del``'s rounds on one working
     multigraph with stable ids, re-contracted only around each deleted
-    cycle, which must return the same set.
+    cycle, which must return the same set.  Each round's contraction is
+    relabelled on its vertices in ascending order.
     """
-    from choosability.approx import (CountedMultiGraph, classify_c_prime, preprocess,
-                                     preprocessed_components)
+    from choosability.approx import _in_counted_family, preprocess
     from choosability.errors import InternalCheckError
     from choosability.graphs import connected_components, delete_vertices, shortest_cycle
     from choosability.recognition import is_2_choosable
 
-    def _drop_family_components(mg):
-        # preprocessed_components builds every piece in one pass over the
-        # edges, as multigraph_restrict per component would (a test pins it)
-        doomed = []
-        for comp, piece in zip(connected_components(mg), preprocessed_components(mg)):
-            if classify_c_prime(piece).in_family:
-                doomed.extend(comp)
-        if not doomed:
-            return mg
-        return multigraph_delete(mg, doomed)
+    def _contract_and_drop(mg):
+        work = multigraph_restrict(*preprocess(mg))
+        weights = counts(work)
+        doomed = [v for comp in connected_components(work)
+                  if _in_counted_family(work.adj, weights, comp) for v in comp]
+        return multigraph_delete(work, doomed) if doomed else work
 
-    work = preprocess(CountedMultiGraph.from_graph(g))
-    work = _drop_family_components(work)
+    work = _contract_and_drop(g)
     chosen = []
     while work.n:
         cycle = shortest_cycle(work)
@@ -661,8 +661,7 @@ def approx_2_del_global(g):
             raise InternalCheckError("contracted graph is acyclic but non-empty")
         for v in cycle:
             chosen.append(work.provenance[v][0])
-        work = preprocess(multigraph_delete(work, cycle))
-        work = _drop_family_components(work)
+        work = _contract_and_drop(multigraph_delete(work, cycle))
     result = tuple(sorted(set(chosen)))
     if len(result) != len(chosen):
         raise InternalCheckError("expanded deletion picks collided")

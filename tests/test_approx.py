@@ -1,13 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from choosability import graphs
-from choosability.approx import (KIND_K1_COUNTED, KIND_K23_ONE_ODD,
-                                 KIND_NOT_IN_FAMILY, KIND_PARALLEL_PAIR_EVEN,
-                                 CountedMultiGraph, _cut, _relabelled, approx_2_del,
-                                 classify_c_prime, is_2_choosable_via_preprocessing,
-                                 preprocess, preprocessed_components)
+from choosability.approx import (CountedMultiGraph, _cut, _in_counted_family, approx_2_del,
+                                 is_2_choosable_via_preprocessing, preprocess)
 from choosability.generators import gen_gnp
 from choosability.graphs import (Graph, _CycleSearch, connected_components, delete_vertices,
                                  shortest_cycle)
@@ -16,13 +14,19 @@ from choosability.recognition import compute_core, is_2_choosable
 from choosability.reductions import CnfFormula, build_G_phi_p
 
 from conftest import (adj_and_provenance, approx_2_del_global, counted, counts, cycle_graph,
-                      disjoint_union, dumbbell_graph, graph_classes, multigraph_delete,
+                      disjoint_union, dumbbell_graph, graph_classes, lift, multigraph_delete,
                       multigraph_edges, multigraph_restrict, path_graph, petersen_graph,
                       random_multigraph, spider_graph, theta_graph, vertex_set_corpus)
 
 
-def lift(g):
-    return CountedMultiGraph.from_graph(g)
+def contracted(mg, vertices=None):
+    """``preprocess(mg, vertices)`` relabelled on its vertices in ascending order."""
+    return multigraph_restrict(*preprocess(mg, vertices))
+
+
+def in_family(mg):
+    """Whether the whole connected counted multigraph ``mg`` is in the counted family."""
+    return _in_counted_family(mg.adj, counts(mg), range(mg.n))
 
 
 def gnm(n, m, rng):
@@ -50,27 +54,23 @@ def tailed_triangles(k):
 
 
 def assert_vertex_set_form(mg, vertices):
-    """``preprocess`` on a vertex set and the one-pass split match the references."""
-    out = preprocess(mg, vertices)
-    assert adj_and_provenance(out) == adj_and_provenance(
-        preprocess(multigraph_restrict(mg, vertices)))
-    assert ([adj_and_provenance(piece) for piece in preprocessed_components(out)]
-            == [adj_and_provenance(multigraph_restrict(out, comp))
-                for comp in connected_components(out)])
+    """``preprocess`` on a vertex set matches the contraction of the restriction to it."""
+    assert adj_and_provenance(contracted(mg, vertices)) == adj_and_provenance(
+        contracted(multigraph_restrict(mg, vertices)))
 
 
 class TestPreprocess:
     def test_cycle_contracts_to_parallel_pair(self):
-        out = preprocess(lift(cycle_graph(6)))
+        out = contracted(lift(cycle_graph(6)))
         assert adj_and_provenance(out) == (((1, 1), (0, 0)), ((5,), (0, 1, 2, 3, 4)))
 
     def test_path_peels_to_k1(self):
-        out = preprocess(lift(path_graph(3)))
+        out = contracted(lift(path_graph(3)))
         assert out.n == 1 and out.adj == [[]]
         assert counts(out) == (1,)
 
     def test_theta_224_contracts_long_path(self):
-        out = preprocess(lift(theta_graph(2, 2, 4)))
+        out = contracted(lift(theta_graph(2, 2, 4)))
         assert out.n == 5
         assert sorted(counts(out)) == [1, 1, 1, 1, 3]
         heavy = counts(out).index(3)
@@ -78,14 +78,26 @@ class TestPreprocess:
         assert out.provenance[heavy] == (4, 5, 6)
 
     def test_triangle(self):
-        out = preprocess(lift(cycle_graph(3)))
+        out = contracted(lift(cycle_graph(3)))
         assert out.n == 2 and out.adj == [[1, 1], [0, 0]]
         assert sum(counts(out)) == 3
 
     def test_single_degree_2_vertices_not_contracted(self):
-        out = preprocess(lift(theta_graph(2, 2, 2)))
+        out = contracted(lift(theta_graph(2, 2, 2)))
         assert out.n == 5
         assert all(c == 1 for c in counts(out))
+
+    def test_graph_and_unit_counted_multigraph_agree(self):
+        # a Graph gets unit provenance, so it contracts like its lift
+        rng = random.Random(12)
+        for s in range(60):
+            g = gen_gnp(rng.randrange(1, 30), rng.choice([0.05, 0.1, 0.2]), seed=300 + s)
+            vertices = [v for v in range(g.n) if rng.random() < 0.8]
+            for subset in (None, vertices):
+                work, ids = preprocess(g, subset)
+                lifted, lifted_ids = preprocess(lift(g), subset)
+                assert ids == lifted_ids
+                assert adj_and_provenance(work) == adj_and_provenance(lifted)
 
     def test_idempotent(self):
         rng = random.Random(11)
@@ -93,25 +105,25 @@ class TestPreprocess:
         cases += [gen_gnp(rng.randrange(2, 25), rng.choice([0.08, 0.15, 0.3]), seed=s)
                   for s in range(40)]
         for g in cases:
-            once = preprocess(lift(g))
-            assert adj_and_provenance(preprocess(once)) == adj_and_provenance(once)
+            once = contracted(lift(g))
+            assert adj_and_provenance(contracted(once)) == adj_and_provenance(once)
 
     def test_count_conservation_without_peeling(self):
         # no degree-1 vertices, so contraction must conserve total count
         for g in (cycle_graph(9), theta_graph(2, 2, 8), petersen_graph()):
-            out = preprocess(lift(g))
+            out = contracted(lift(g))
             assert sum(counts(out)) == g.n
 
     def test_peeling_reduces_by_removed_count(self):
         g = path_graph(6)  # peels to one vertex
-        out = preprocess(lift(g))
+        out = contracted(lift(g))
         assert sum(counts(out)) == 1
 
     def test_no_adjacent_degree_2_with_distinct_neighbors(self):
         rng = random.Random(5)
         for s in range(60):
             g = gen_gnp(rng.randrange(3, 35), rng.choice([0.08, 0.12, 0.25]), seed=100 + s)
-            out = preprocess(lift(g))
+            out = contracted(lift(g))
             for v in range(out.n):
                 assert len(out.adj[v]) != 1
                 if len(out.adj[v]) == 2:
@@ -126,7 +138,7 @@ class TestPreprocess:
         for s in range(150):
             n = rng.randrange(1, 40)
             g = gen_gnp(n, rng.choice([0.03, 0.06, 0.1, 0.2]), seed=9000 + s)
-            out = preprocess(lift(g))
+            out = contracted(lift(g))
             assert {x for p in out.provenance for x in p} == set(compute_core(g)[1])
 
     def test_second_round_chain_through_counted_vertices(self):
@@ -135,14 +147,14 @@ class TestPreprocess:
         g = Graph(15, [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (0, 7), (7, 8),
                        (8, 1), (0, 9), (9, 10), (10, 1), (4, 11), (11, 12), (12, 13),
                        (13, 14), (14, 12)])
-        first = preprocess(lift(g))
+        first = contracted(lift(g))
         second = multigraph_delete(first, shortest_cycle(first))
         assert second.provenance == [(0,), (1,), (4,), (11,), (2, 3), (5, 6), (7, 8), (9, 10)]
-        out = preprocess(second)
+        out = contracted(second)
         assert out.provenance == [(0,), (1,), (7, 8), (9, 10), (2, 3, 4, 5, 6)]
         assert counts(out) == (1, 1, 2, 2, 5)
         cut = set(shortest_cycle(first))
-        rest = preprocess(first, [v for v in range(first.n) if v not in cut])
+        rest = contracted(first, [v for v in range(first.n) if v not in cut])
         assert adj_and_provenance(rest) == adj_and_provenance(out)
 
 
@@ -161,10 +173,25 @@ class TestPreprocessOnVertexSets:
         for trial in range(300):
             g = gen_gnp(rng.randrange(2, 40), rng.choice([0.05, 0.1, 0.2, 0.35]),
                         seed=6000 + trial)
-            for mg in (lift(g), preprocess(lift(g))):
+            for mg in (lift(g), contracted(lift(g))):
                 for _ in range(4):
                     assert_vertex_set_form(mg, [v for v in range(mg.n) if rng.random() < 0.75])
                 assert_vertex_set_form(mg, range(mg.n))
+
+    def test_working_multigraph_on_its_own_ids(self):
+        # a second call on the working multigraph itself, on its ids or a
+        # subset of them, contracts what the relabelled copy contracts
+        rng = random.Random(4343)
+        for trial in range(200):
+            g = gen_gnp(rng.randrange(2, 40), rng.choice([0.05, 0.1, 0.2, 0.35]),
+                        seed=6500 + trial)
+            work, ids = preprocess(g)
+            copy = multigraph_restrict(work, ids)
+            for keep in (1.0, 0.75, 0.5):
+                mask = [rng.random() < keep for _ in ids]
+                subset = [v for v, m in zip(ids, mask) if m]
+                assert adj_and_provenance(contracted(work, subset)) == adj_and_provenance(
+                    contracted(copy, [i for i, m in enumerate(mask) if m]))
 
     def test_random_multigraphs_with_parallel_pairs(self):
         rng = random.Random(1962)
@@ -182,17 +209,19 @@ class TestPreprocessOnVertexSets:
         for g, sets in vertex_set_corpus():
             for vertices in sets:
                 assert_vertex_set_form(lift(g), vertices)
-            contracted = preprocess(lift(g))
-            for v in range(contracted.n):
-                assert_vertex_set_form(contracted, [u for u in range(contracted.n) if u != v])
+            out = contracted(lift(g))
+            for v in range(out.n):
+                assert_vertex_set_form(out, [u for u in range(out.n) if u != v])
 
     def test_split_of_connected_graph_is_the_graph(self):
-        mg = preprocess(lift(petersen_graph()))
-        assert preprocessed_components(mg)[0] is mg
-        assert preprocessed_components(counted(0, [])) == []
+        work, ids = preprocess(petersen_graph())
+        assert connected_components(work, ids) == [tuple(ids)]
+        work, ids = preprocess(counted(0, []))
+        assert ids == [] and connected_components(work, ids) == []
 
     def test_split_builds_each_piece_from_its_own_edges(self):
-        pieces = preprocessed_components(preprocess(lift(tailed_triangles(3))))
+        work, ids = preprocess(tailed_triangles(3))
+        pieces = [multigraph_restrict(work, comp) for comp in connected_components(work, ids)]
         assert [p.provenance for p in pieces] == [[(2,), (0, 1)], [(7,), (5, 6)],
                                                   [(12,), (10, 11)]]
         assert all(p.adj == [[1, 1], [0, 0]] for p in pieces)
@@ -202,12 +231,17 @@ class TestPreprocessOnVertexSets:
         rng = random.Random(1960)
         for _ in range(300):
             mg = random_multigraph(rng, rng.randrange(0, 14))
-            out = preprocess(mg, [v for v in range(mg.n) if rng.random() < 0.8])
-            for piece in [out] + preprocessed_components(out):
-                for v in range(piece.n):
-                    assert piece.adj[v] == sorted(piece.adj[v])
-                    for u in set(piece.adj[v]):
-                        assert piece.adj[u].count(v) == piece.adj[v].count(u)
+            work, ids = preprocess(mg, [v for v in range(mg.n) if rng.random() < 0.8])
+            assert ids == sorted(ids)
+            kept = set(ids)
+            for v in range(work.n):
+                if v not in kept:
+                    assert work.adj[v] == []
+                    continue
+                assert work.adj[v] == sorted(work.adj[v])
+                for u in set(work.adj[v]):
+                    assert u in kept
+                    assert work.adj[u].count(v) == work.adj[v].count(u)
 
     @pytest.mark.parametrize("bad", [[-1], [5], [0, 1, 5]])
     def test_out_of_range_ids_rejected(self, bad):
@@ -217,42 +251,47 @@ class TestPreprocessOnVertexSets:
 
 class TestCPrimeClassification:
     def test_counted_k1(self):
-        mg = counted(1, [], provenance=((0, 1, 2, 3, 4, 5, 6),))
-        assert classify_c_prime(mg).kind == KIND_K1_COUNTED
+        assert in_family(counted(1, [], provenance=((0, 1, 2, 3, 4, 5, 6),)))
 
     def test_parallel_pair_even_sum(self):
-        mg = counted(2, [(0, 1), (0, 1)], provenance=(tuple(range(5)), (9,)))
-        assert classify_c_prime(mg).kind == KIND_PARALLEL_PAIR_EVEN
+        assert in_family(counted(2, [(0, 1), (0, 1)], provenance=(tuple(range(5)), (9,))))
 
     def test_parallel_pair_odd_sum(self):
-        mg = counted(2, [(0, 1), (0, 1)], provenance=(tuple(range(4)), (9,)))
-        assert classify_c_prime(mg).kind == KIND_NOT_IN_FAMILY
+        assert not in_family(counted(2, [(0, 1), (0, 1)], provenance=(tuple(range(4)), (9,))))
 
     def test_counted_k23(self):
         k23 = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
-        mg = counted(5, k23, provenance=((0,), (1,), (2, 3, 4), (5,), (6,)))
-        assert classify_c_prime(mg).kind == KIND_K23_ONE_ODD
-        all_ones = counted(5, k23)
-        assert classify_c_prime(all_ones).kind == KIND_K23_ONE_ODD
+        assert in_family(counted(5, k23, provenance=((0,), (1,), (2, 3, 4), (5,), (6,))))
+        assert in_family(counted(5, k23))
 
     def test_counted_k23_rejections(self):
         k23 = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
         even = counted(5, k23, provenance=((0,), (1,), (2, 3), (4,), (5,)))
-        assert classify_c_prime(even).kind == KIND_NOT_IN_FAMILY
+        assert not in_family(even)
         hub_heavy = counted(5, k23, provenance=((0, 1, 2), (3,), (4,), (5,), (6,)))
-        assert classify_c_prime(hub_heavy).kind == KIND_NOT_IN_FAMILY
+        assert not in_family(hub_heavy)
         two_heavy = counted(5, k23, provenance=((0,), (1,), (2, 3, 4), (5, 6, 7), (8,)))
-        assert classify_c_prime(two_heavy).kind == KIND_NOT_IN_FAMILY
+        assert not in_family(two_heavy)
 
     def test_house_outside(self):
         # C5 plus the chord 0-2: degrees 3, 3, 2, 2, 2 on five vertices and
         # six edges, but the hubs are adjacent
-        house = counted(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-        assert classify_c_prime(house).kind == KIND_NOT_IN_FAMILY
+        assert not in_family(counted(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]))
 
-    def test_rejects_unpreprocessed(self):
-        with pytest.raises(ValueError, match="not preprocessed"):
-            classify_c_prime(counted(2, [(0, 1)]))
+    def test_family_reads_only_the_given_vertices(self):
+        # the K_{2,3} sits on ids 3..7 of a working multigraph whose other
+        # slots are empty, with counts in a dict
+        k23 = [(3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7)]
+        mg = counted(8, k23)
+        assert _in_counted_family(mg.adj, {v: 1 for v in range(3, 8)}, range(3, 8))
+        assert not _in_counted_family(mg.adj, {3: 2, 4: 1, 5: 1, 6: 1, 7: 1}, range(3, 8))
+
+    def test_unpreprocessed_edge_is_outside_until_preprocessed(self):
+        # K2 is 2-choosable, but the family test reads preprocessed input:
+        # on the bare edge it says no, on its contraction (one vertex) yes
+        edge = counted(2, [(0, 1)])
+        assert not in_family(edge)
+        assert in_family(contracted(edge))
 
 
 class TestPipelineEquivalence:
@@ -263,9 +302,9 @@ class TestPipelineEquivalence:
         assert is_2_choosable_via_preprocessing(theta_graph(2, 2, 6))
 
     def test_theta_226_shape(self):
-        out = preprocess(lift(theta_graph(2, 2, 6)))
-        verdicts = [classify_c_prime(c) for c in preprocessed_components(out)]
-        assert [v.kind for v in verdicts] == [KIND_K23_ONE_ODD]
+        out = contracted(lift(theta_graph(2, 2, 6)))
+        assert connected_components(out) == [tuple(range(5))]
+        assert in_family(out)
         assert 5 in counts(out)
 
     def test_agreement_small_classes(self):
@@ -350,23 +389,26 @@ class TestApprox2Del:
         rounds = 0
         for trial in range(40):
             g = gen_gnp(rng.randrange(10, 80), rng.choice([0.04, 0.08, 0.15]), seed=9500 + trial)
-            current = preprocess(lift(g))
+            current, current_ids = preprocess(g)
             work = CountedMultiGraph([list(a) for a in current.adj], list(current.provenance))
             work.cycle_search = _CycleSearch()
-            ids = list(range(current.n))
-            cycle = shortest_cycle(current)
+            ids = list(current_ids)
+            cycle = shortest_cycle(current, current_ids)
             while cycle is not None:
+                position = {v: i for i, v in enumerate(current_ids)}
                 found = shortest_cycle(work, ids)
-                assert found == [ids[v] for v in cycle]
+                assert found == [ids[position[v]] for v in cycle]
                 assert found == shortest_cycle(CountedMultiGraph(work.adj, work.provenance), ids)
                 comp = next(c for c in connected_components(work, ids) if found[0] in c)
                 pieces = _cut(work, comp, found)
                 left = sorted(v for piece in pieces for v in piece)
                 assert pieces == connected_components(work, left)
                 ids = sorted(set(ids).difference(comp).union(left))
-                current = preprocess(current, [v for v in range(current.n) if v not in cycle])
-                assert adj_and_provenance(_relabelled(work, ids)) == adj_and_provenance(current)
-                cycle = shortest_cycle(current)
+                current, current_ids = preprocess(
+                    current, [v for v in current_ids if v not in cycle])
+                assert (adj_and_provenance(multigraph_restrict(work, ids))
+                        == adj_and_provenance(multigraph_restrict(current, current_ids)))
+                cycle = shortest_cycle(current, current_ids)
                 rounds += 1
         assert rounds > 100
 
@@ -380,7 +422,7 @@ class TestApprox2Del:
         edges = list(p.edges) + [(u + 10, v + 10) for u, v in p.edges]
         edges += [(11, 20), (14, 20), (20, 21), (21, 22), (20, 22)]
         g = Graph(23, edges)
-        work = CountedMultiGraph.from_graph(g)
+        work = lift(g)
         work.cycle_search = _CycleSearch()
         searched = []
         root_bfs = graphs._root_bfs
@@ -412,3 +454,25 @@ class TestApprox2Del:
             expected += [v + union.n for v in approx_2_del(part)]
             union = disjoint_union(union, part)
         assert approx_2_del(union) == tuple(sorted(expected))
+
+
+#: sha256 of ``repr`` of the heuristic's answers on :func:`pinned_corpus`,
+#: recorded before ``preprocess`` became the heuristic's contraction
+PINNED_ANSWERS = "346ef08a7bc7c5ba2d64c5ea18859d94a26a85fcdf5c82b44b4cffa7c56dbb89"
+
+
+def pinned_corpus():
+    """Spiders, dumbbells, G(n, 5n/4) for n = 250 / 500 / 1000 and one ``G_phi_p``."""
+    rng = random.Random(250)
+    corpus = [spider_graph(k) for k in (3, 10, 50)]
+    corpus += [dumbbell_graph(3, 3, 2), dumbbell_graph(3, 5, 1), dumbbell_graph(5, 5, 3),
+               dumbbell_graph(7, 9, 6)]
+    corpus += [gnm(n, 5 * n // 4, rng) for n in (250, 500, 1000)]
+    corpus.append(build_G_phi_p(CnfFormula(7, [(1, 2, 3), (3, 4, 5), (5, 6, 7)]), 2).graph)
+    return corpus
+
+
+def test_answers_match_the_pinned_digest():
+    answers = [approx_2_del(g) for g in pinned_corpus()]
+    assert [len(a) for a in answers] == [4, 18, 98, 4, 4, 4, 4, 66, 127, 242, 252]
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == PINNED_ANSWERS

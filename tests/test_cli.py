@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from choosability import cli, reductions
+from choosability import cli, generators, reductions
 from choosability.cli import main
 from choosability.errors import InternalCheckError
 from choosability.dimacs import MAX_GRAPH_VERTICES, parse_graph, write_graph
@@ -119,6 +119,29 @@ class TestExitCodes:
         half.write_text(write_graph(path_graph(MAX_GRAPH_VERTICES // 2 + 1)))
         assert main(["reduce", "vc", str(half), "--out", str(tmp_path / "r")]) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["half.graph"]
+
+    @pytest.mark.parametrize("argv, n", [
+        (["gnp", "--n", str(MAX_GRAPH_VERTICES + 1), "--prob", "0", "--seed", "1"],
+         MAX_GRAPH_VERTICES + 1),
+        (["cycle", "--n", str(MAX_GRAPH_VERTICES + 1)], MAX_GRAPH_VERTICES + 1),
+        (["theta", "--paths", "60000", "60000", "3"], 120002)])
+    def test_generators_refuse_before_building(self, monkeypatch, capsys, argv, n):
+        # the count is checked first: no draw is made and no Graph is built
+        def unreachable(*args):
+            raise AssertionError("generator built a graph over the limit")
+        monkeypatch.setattr(generators, "Graph", unreachable)
+        monkeypatch.setattr(generators.random, "Random", unreachable)
+        assert main(["gen"] + argv) == 2
+        assert capsys.readouterr().err == (
+            "error: graph has %d vertices; the limit is %d\n" % (n, MAX_GRAPH_VERTICES))
+        code, report = run_json(capsys, ["gen"] + argv)
+        assert code == 2 and report["error"]["kind"] == "input"
+
+    @pytest.mark.parametrize("prob", ["nan", "-0.1", "1.5", "inf"])
+    def test_gnp_refuses_a_probability_outside_0_1(self, capsys, prob):
+        assert main(["gen", "gnp", "--n", "5", "--prob", prob, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: edge probability %r is not in [0, 1]\n" % float(prob))
 
     def test_written_graph_at_the_vertex_limit_reads_back(self, tmp_path):
         out = tmp_path / "limit.graph"

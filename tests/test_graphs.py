@@ -13,7 +13,7 @@ from choosability.recognition import is_L_colorable
 
 from conftest import (brute_diameter, brute_girth, brute_lex_shortest_cycle,
                       complete_bipartite, complete_graph, counted, cycle_graph, disjoint_union,
-                      graph_classes, graph_reference, mask_to_graph, multigraph_edges,
+                      graph_classes, graph_reference, lift, mask_to_graph, multigraph_edges,
                       multigraph_restrict, path_graph, petersen_graph, random_multigraph,
                       vertex_pairs, vertex_set_corpus)
 
@@ -195,16 +195,16 @@ class TestShortestCycle:
         assert shortest_cycle(mg) == [0, 1]
 
     def test_simple_cycles(self):
-        assert shortest_cycle(CountedMultiGraph.from_graph(cycle_graph(5))) == [0, 1, 2, 3, 4]
+        assert shortest_cycle(lift(cycle_graph(5))) == [0, 1, 2, 3, 4]
 
     def test_petersen(self):
-        assert len(shortest_cycle(CountedMultiGraph.from_graph(petersen_graph()))) == 5
+        assert len(shortest_cycle(lift(petersen_graph()))) == 5
 
     def test_acyclic(self):
-        assert shortest_cycle(CountedMultiGraph.from_graph(path_graph(4))) is None
+        assert shortest_cycle(lift(path_graph(4))) is None
 
     def test_long_cycle_within_recursion_limit(self):
-        g = CountedMultiGraph.from_graph(cycle_graph(1200))
+        g = lift(cycle_graph(1200))
         assert shortest_cycle(g) == list(range(1200))
         assert shortest_cycle(counted(0, [])) is None
 
@@ -212,7 +212,7 @@ class TestShortestCycle:
         for n in range(3, 8):
             for g in graph_classes(n) if n <= 6 else []:
                 expected = brute_girth(g)
-                got = shortest_cycle(CountedMultiGraph.from_graph(g))
+                got = shortest_cycle(lift(g))
                 assert (got is None) == (expected is None)
                 if got is not None:
                     assert len(got) == expected
@@ -224,7 +224,7 @@ class TestShortestCycle:
             mask = rng.getrandbits(len(pairs))
             g = mask_to_graph(7, mask, pairs)
             expected = brute_girth(g)
-            got = shortest_cycle(CountedMultiGraph.from_graph(g))
+            got = shortest_cycle(lift(g))
             assert (got is None) == (expected is None)
             if got is not None:
                 assert len(got) == expected
@@ -232,7 +232,7 @@ class TestShortestCycle:
     def test_cycle_witness_revalidates(self):
         for n in range(3, 7):
             for g in graph_classes(n):
-                got = shortest_cycle(CountedMultiGraph.from_graph(g))
+                got = shortest_cycle(lift(g))
                 if got is None:
                     continue
                 assert len(set(got)) == len(got)
@@ -242,13 +242,13 @@ class TestShortestCycle:
     def test_lexicographic_tie_break(self):
         # two triangles; the one through vertex 0 wins
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert shortest_cycle(CountedMultiGraph.from_graph(g)) == [0, 1, 2]
+        assert shortest_cycle(lift(g)) == [0, 1, 2]
 
     def test_smaller_root_with_only_longer_cycles(self):
         # vertex 0 lies on a 4-cycle and a 5-cycle; the triangle avoids it
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (2, 4)])
         assert shortest_cycle(g) == [1, 2, 4]
-        assert shortest_cycle(CountedMultiGraph.from_graph(g)) == [1, 2, 4]
+        assert shortest_cycle(lift(g)) == [1, 2, 4]
 
     def test_parallel_pair_beats_earlier_triangle(self):
         mg = counted(5, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 3)])
@@ -264,7 +264,7 @@ class TestShortestCycle:
                     h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
                     expected = brute_lex_shortest_cycle(h)
                     assert shortest_cycle(h) == expected
-                    assert shortest_cycle(CountedMultiGraph.from_graph(h)) == expected
+                    assert shortest_cycle(lift(h)) == expected
 
     def test_lex_order_matches_bruteforce_on_random_multigraphs(self):
         rng = random.Random(42)
