@@ -218,7 +218,7 @@ class _Run:
 def _cmd_stats(args, run):
     g = _load_graph(args.graph, run)
     run.verdict("n", g.n)
-    run.verdict("m", len(g.edges))
+    run.verdict("m", g.m)
     bip, bw = is_bipartite(g)
     run.verdict("bipartite", bip)
     if not bip:
@@ -234,7 +234,7 @@ def _cmd_stats(args, run):
     if cyc is not None:
         run.witness("girth_cycle", _ids(cyc))
     run.say("n=%d m=%d bipartite=%s triangle-free=%s diameter=%s girth=%s" % (
-        g.n, len(g.edges), bip, tf, run.report["verdicts"]["diameter"],
+        g.n, g.m, bip, tf, run.report["verdicts"]["diameter"],
         run.report["verdicts"]["girth"]))
 
 
@@ -319,13 +319,13 @@ def _cmd_reduce(args, run):
     run.report["input_digest"] = _digest(text)
     run.verdict("kind", art.kind)
     run.verdict("n", art.graph.n)
-    run.verdict("m", len(art.graph.edges))
+    run.verdict("m", art.graph.m)
     if args.out:
         graph_path, sidecar_path = write_artifact(art, args.out)
         run.verdict("graph_file", graph_path)
         run.verdict("sidecar_file", sidecar_path)
         run.say("wrote %s and %s (n=%d, m=%d)" % (
-            graph_path, sidecar_path, art.graph.n, len(art.graph.edges)))
+            graph_path, sidecar_path, art.graph.n, art.graph.m))
     else:
         run.say(write_graph(art.graph).rstrip("\n"))
 

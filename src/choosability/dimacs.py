@@ -26,8 +26,89 @@ class ParseError(ValueError):
         self.line = line
 
 
+#: the most text the writer-shape reader splits at once, in characters; a
+#: piece ends at the last line break inside it
+_CHUNK = 1 << 16
+
+
 def parse_graph(text):
     """The graph in ``text``; ParseError naming the first faulty line in file order.
+
+    A text in the writer's shape takes a fast path (:func:`_parse_written`):
+    ``c`` lines, one ``p edge <n> <m>`` header, then ``e <u> <v>`` lines,
+    each field after a single space and each line ended by ``\\n``; the
+    edge lines may come in any order and orientation.  Any other text, and
+    any text with a fault, goes to :func:`_parse_lines`, the general reader
+    and the one that names a faulty line.
+    """
+    g = _parse_written(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_written(text):
+    """The graph of ``text`` if it is in the writer's shape with no fault, else None.
+
+    After the ``c`` lines and the header, the edge lines are read in pieces
+    of at most ``_CHUNK`` characters, each cut after a line break.  A piece
+    is accepted only when it is exactly lines ``e <u> <v>\\n`` with ASCII
+    decimal endpoints without a sign or leading zero: its fields, spaces
+    and line breaks are counted against its number of lines, so a tab, a
+    ``\\r``, a doubled or trailing space, a blank or comment line all fail.
+    Each accepted piece is split once into its two endpoint columns, and
+    ``Graph._from_columns`` checks the edges; the text is never split as
+    a whole.  Every endpoint maps to one shared int per vertex.
+    """
+    start = 0
+    while text.startswith("c", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    end = text.find("\n", start)
+    head = text[:end + 1]
+    fields = text[start:end].split(" ")
+    # no line break but "\n" (or "\r\n", one break) in the comments and the header
+    if (end < 0 or len(head.splitlines()) != head.count("\n")
+            or len(fields) != 4 or fields[:2] != ["p", "edge"]
+            or not (fields[2].isdigit() and fields[3].isdigit())):
+        return None
+    n, m = int(fields[2]), int(fields[3])
+    if n > MAX_GRAPH_VERTICES:
+        return None
+    us, vs = [], []
+    pos, size = end + 1, len(text)
+    if pos < size:
+        vertex = list(range(-1, n)).__getitem__      # 1-based id to 0-based
+        try:
+            while pos < size:
+                cut = text.rfind("\n", pos, pos + _CHUNK) + 1
+                if cut <= pos:
+                    return None
+                piece = text[pos:cut]
+                pos = cut
+                lines = piece.count("\n")
+                tokens = piece.split()
+                heads, tails = tokens[1::3], tokens[2::3]
+                digits = "".join(heads) + "".join(tails)
+                if not (len(tokens) == 3 * lines and tokens[::3].count("e") == lines
+                        and piece.count(" ") == 2 * lines
+                        and piece.count("\ne ") == lines - 1
+                        and len(piece) == 4 * lines + len(digits)
+                        and piece.isascii() and digits.isdigit() and " 0" not in piece):
+                    return None
+                us += map(vertex, map(int, heads))
+                vs += map(vertex, map(int, tails))
+        except (IndexError, ValueError):    # an endpoint above n, or too many digits
+            return None
+    if len(us) != m:
+        return None
+    try:
+        return Graph._from_columns(n, us, vs)
+    except ValueError:
+        return None
+
+
+def _parse_lines(text):
+    """:func:`parse_graph` of any text, line by line.
 
     One pass checks the syntax and collects the edges in file orientation;
     ``Graph`` then checks them for self-loops, range and duplicates.  Only
@@ -114,10 +195,13 @@ def write_graph(g):
     Every graph it accepts reads back equal: ``parse_graph(write_graph(g)) == g``.
     Each vertex's ``"e <u> "`` head and ``"<v>\\n"`` tail are formatted
     once, so an edge line is one concatenation, and the lines are joined
-    once.  The edges go out in ``g.edges`` order, ascending, but a reader
-    need not keep it: ``parse_graph`` sorts them again, so a ``sat3``
-    artifact is checked against :func:`reductions._h_edges` on its edge set,
-    whatever the order, orientation or comment lines of its file.
+    once.  The text is in the shape :func:`parse_graph` reads on its fast
+    path: no comment, the header, then ``e <u> <v>\\n`` lines.  The edges
+    go out in ``g.edges`` order, ascending (built from the adjacency if
+    ``g`` was not given them that way), but a reader need not keep it: the
+    parsed graph lists them ascending again, so a ``sat3`` artifact is
+    checked against :func:`reductions._h_edges` on its edge set, whatever
+    the order, orientation or comment lines of its file.
     """
     n = g.n
     if n > MAX_GRAPH_VERTICES:

@@ -43,7 +43,8 @@ def decomposition_is_valid(g, decomp):
     a, b = set(decomp.a), set(decomp.b)
     if a & b or (a | b) != set(range(g.n)):
         return False
-    if any(u in a and v in a for u, v in g.edges):
+    adj = g.adj
+    if any(not a.isdisjoint(adj[u]) for u in a):
         return False
     return is_2_choosable(g, b)[0]
 

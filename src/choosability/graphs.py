@@ -13,8 +13,10 @@ search at the root that wins; it keeps each root's result in a
 one round to the next.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import chain, repeat
+from operator import eq, getitem, itemgetter, lt
 
 from .errors import InternalCheckError
 
@@ -28,42 +30,63 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Rejects self-loops, duplicate edges and out-of-range endpoints at
-    construction time.  The edges are checked in sorted order, so when an
-    input has several faults the one reported is the first in that order,
-    and an edge in a message is written (smaller, larger) whatever order
-    it was given in.  ``adj[v]`` is a sorted tuple of neighbours.
+    construction time.  When an input has several faults the one reported
+    is the first in sorted order of the edges, each written (smaller,
+    larger) whatever order it was given in.  ``adj[v]`` is a sorted tuple
+    of neighbours.
+
+    The adjacency is the graph; ``edges``, the ``(u, v)`` pairs with
+    ``u < v`` in ascending order, is built from it on first use, except
+    when the constructor is given the edges in exactly that form, as the
+    reduction builders and :func:`induced_subgraph` give them: those are
+    kept as they are.  Any other edge list is split into two endpoint
+    columns, checked with whole-column passes (``min``/``max`` for the
+    range, ``map(eq)`` for self-loops, per-vertex set sizes for repeats)
+    and turned into adjacency lists with no per-edge tuple built or sorted.
+    Only when a check fails is the list sorted, to name the first fault.
     """
 
-    __slots__ = ("n", "edges", "adj", "_adj_bits")
+    __slots__ = ("n", "m", "adj", "_edges", "_adj_bits")
 
     def __init__(self, n, edges):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        # sorted, so duplicates are adjacent and each vertex meets its smaller
-        # neighbours before its larger ones: every adj list comes out sorted
-        normalized = sorted([(u, v) if u < v else (v, u) for u, v in edges])
-        prev = None
-        for e in normalized:
-            u, v = e
-            if u == v:
-                raise ValueError("self-loop at vertex %d" % u)
-            if u < 0 or v >= n:
-                raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
-            if e == prev:
-                raise ValueError("duplicate edge (%d, %d)" % e)
-            prev = e
+        edges = tuple(map(tuple, edges))
+        adj = _ascending_adjacency(n, edges)
+        if adj is None:
+            us = list(map(itemgetter(0), edges))
+            self._set(n, _adjacency(n, us, list(map(itemgetter(1), edges))), len(edges), None)
+        else:
+            self._set(n, adj, len(edges), edges)
+
+    @classmethod
+    def _from_columns(cls, n, us, vs):
+        """The graph on ``n >= 0`` vertices with edges ``(us[i], vs[i])``, in any order.
+
+        Checked as the constructor checks an edge list, with no pair built;
+        the graph file reader calls it with the columns of its edge lines.
+        """
+        g = cls.__new__(cls)
+        g._set(n, _adjacency(n, us, vs), len(us), None)
+        return g
+
+    def _set(self, n, adj, m, edges):
         self.n = n
-        self.edges = tuple(normalized)
-        adj = [[] for _ in range(n)]
-        for u, v in normalized:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj = tuple(map(tuple, adj))
+        self.m = m
+        self.adj = adj
+        self._edges = edges
         self._adj_bits = None
 
     @property
-    def m(self):
-        return len(self.edges)
+    def edges(self):
+        """The edges ``(u, v)``, ``u < v``, ascending; built from ``adj`` on first use."""
+        if self._edges is None:
+            adj = self.adj
+            ids = range(self.n)
+            # the neighbours above u are the tail of its sorted list
+            above = map(getitem, adj, map(slice, map(bisect_right, adj, ids), repeat(None)))
+            self._edges = tuple(chain.from_iterable(map(zip, map(repeat, ids), above)))
+        return self._edges
 
     def degree(self, v):
         return len(self.adj[v])
@@ -85,13 +108,79 @@ class Graph:
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.n == other.n
-                and self.edges == other.edges)
+                and self.adj == other.adj)
 
     def __hash__(self):
         return hash((self.n, self.edges))
 
     def __repr__(self):
-        return "%s(n=%d, m=%d)" % (type(self).__name__, self.n, len(self.edges))
+        return "%s(n=%d, m=%d)" % (type(self).__name__, self.n, self.m)
+
+
+def _ascending_adjacency(n, edges):
+    """The sorted adjacency tuples of ``edges``, or None unless they are in that form.
+
+    That form is the pairs ``(u, v)`` with ``0 <= u < v < n``, strictly
+    ascending, so without repeats.  Each vertex then meets its smaller
+    neighbours before its larger ones, in ascending order, so every list
+    comes out sorted; the check rides on the one loop that builds them.
+    """
+    if edges and edges[0][0] < 0:
+        return None
+    adj = [[] for _ in range(n)]
+    pu = pv = -1
+    try:
+        for u, v in edges:
+            if not (u < v and (pu < u or (pu == u and pv < v))):
+                return None
+            adj[u].append(v)
+            adj[v].append(u)
+            pu, pv = u, v
+    except IndexError:              # v >= n
+        return None
+    return tuple(map(tuple, adj))
+
+
+def _adjacency(n, us, vs):
+    """The sorted adjacency tuples of the edges ``(us[i], vs[i])``, checked.
+
+    Range, self-loops and repeats are each one pass over the columns or
+    the lists; a failed check sorts the edges to name the first fault.
+    """
+    if us and (min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n
+               or any(map(eq, us, vs))):
+        _raise_first_fault(n, zip(us, vs))
+    adj = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        adj[u].append(v)
+        adj[v].append(u)
+    # a repeated edge, in either orientation, repeats a neighbour
+    if sum(map(len, map(set, adj))) != 2 * len(us):
+        _raise_first_fault(n, zip(us, vs))
+    for v, a in enumerate(adj):
+        a.sort()
+        adj[v] = tuple(a)       # each list is freed as its tuple is made
+    return tuple(adj)
+
+
+def _raise_first_fault(n, edges):
+    """Raise the ValueError of the first faulty edge of ``edges`` in sorted order.
+
+    ``edges`` holds a self-loop, an out-of-range endpoint or a repeat.
+    Each pair is written (smaller, larger) and the list sorted, so that
+    repeats are adjacent, before it is scanned.
+    """
+    prev = None
+    for e in sorted([(u, v) if u < v else (v, u) for u, v in edges]):
+        u, v = e
+        if u == v:
+            raise ValueError("self-loop at vertex %d" % u)
+        if u < 0 or v >= n:
+            raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
+        if e == prev:
+            raise ValueError("duplicate edge (%d, %d)" % e)
+        prev = e
+    raise InternalCheckError("no faulty edge to report")
 
 
 def induced_subgraph(g, vertices):
@@ -149,14 +238,20 @@ def _peel(g, vertices=None):
     peel only around each deleted cycle, in ``approx._cut``.
     """
     adj = g.adj
-    order = range(g.n) if vertices is None else _ascending_ids(g, vertices)
-    alive = [False] * g.n
-    for v in order:
-        alive[v] = True
-    degree = [0] * g.n
-    inside = alive.__getitem__
-    for v in order:
-        degree[v] = sum(map(inside, adj[v]))
+    if vertices is None:
+        # every neighbour is inside
+        order = range(g.n)
+        alive = [True] * g.n
+        degree = list(map(len, adj))
+    else:
+        order = _ascending_ids(g, vertices)
+        alive = [False] * g.n
+        for v in order:
+            alive[v] = True
+        degree = [0] * g.n
+        inside = alive.__getitem__
+        for v in order:
+            degree[v] = sum(map(inside, adj[v]))
     stack = [v for v in order if degree[v] == 1]
     while stack:
         v = stack.pop()
@@ -183,8 +278,16 @@ def connected_components(g, vertices=None):
     once per graph; a round splits only the component it cut, in
     ``approx._split``, searching from the cut.
     """
+    return _components(g, range(g.n) if vertices is None else _ascending_ids(g, vertices))
+
+
+def _components(g, order):
+    """:func:`connected_components` of ``G[order]``, ``order`` ascending and in range.
+
+    For a caller that holds its vertex set in that form already, such as
+    the core list :func:`_peel` returns.
+    """
     adj = g.adj
-    order = range(g.n) if vertices is None else _ascending_ids(g, vertices)
     seen = [True] * g.n
     for v in order:
         seen[v] = False
@@ -275,7 +378,7 @@ def diameter(g):
     if all(len(a) <= 2 for a in g.adj):
         if len(connected_components(g)) > 1:
             return None
-        return g.n // 2 if len(g.edges) == g.n else g.n - 1
+        return g.n // 2 if g.m == g.n else g.n - 1
     bits = g.adj_bits()
     full = (1 << g.n) - 1
     best = 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import Budget, BudgetExceededError
-from .graphs import _peel, connected_components, induced_subgraph
+from .graphs import _components, _peel, induced_subgraph
 
 KIND_K1 = "K1"
 KIND_EVEN_CYCLE = "even-cycle"
@@ -63,7 +63,7 @@ def classify_core(g):
     """
     core, degree = _peel(g)
     return [CoreClassification(*_classify_component(comp, g.adj, degree), comp)
-            for comp in connected_components(g, core)]
+            for comp in _components(g, core)]
 
 
 def _classify_component(comp, adj, degree):
@@ -102,7 +102,7 @@ def is_2_choosable(g, vertices=None):
     vertex ids.
     """
     core, degree = _peel(g, vertices)
-    for comp in connected_components(g, core):
+    for comp in _components(g, core):
         if _classify_component(comp, g.adj, degree)[0] == KIND_OUTSIDE:
             return False, comp
     return True, None

@@ -37,6 +37,50 @@ def graph_reference(n, edges):
     return edges, tuple(tuple(sorted(a)) for a in adj)
 
 
+class SortedTupleGraph:
+    """``Graph`` as it was before its adjacency came first: the sorted-tuple builder.
+
+    Normalises every edge to a ``(smaller, larger)`` tuple, sorts them, scans
+    the sorted list for the first self-loop, out-of-range endpoint or repeat,
+    keeps the tuple as ``edges`` and builds ``adj`` from it.  ``m``, ``==``
+    and ``hash`` read ``edges``.  Kept as the reference for the adjacency-first
+    constructor, which must agree on all of these and on every message.
+    """
+
+    def __init__(self, n, edges):
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        normalized = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+        prev = None
+        for e in normalized:
+            u, v = e
+            if u == v:
+                raise ValueError("self-loop at vertex %d" % u)
+            if u < 0 or v >= n:
+                raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
+            if e == prev:
+                raise ValueError("duplicate edge (%d, %d)" % e)
+            prev = e
+        self.n = n
+        self.edges = tuple(normalized)
+        adj = [[] for _ in range(n)]
+        for u, v in normalized:
+            adj[u].append(v)
+            adj[v].append(u)
+        self.adj = tuple(map(tuple, adj))
+
+    @property
+    def m(self):
+        return len(self.edges)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.n == other.n
+                and self.edges == other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+
 def counted_multigraph_reference(n, edges, provenance=None):
     """The former ``graphs.CountedMultiGraph`` constructor, from before it was a ``Graph``.
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choosability import dimacs
 from choosability.cli import main
 from choosability.dimacs import (MAX_GRAPH_VERTICES, ParseError, parse_dimacs_cnf,
                                  parse_graph, read_artifact, write_artifact,
@@ -327,3 +328,146 @@ class TestParseGraphAgainstReference:
         for kind in ("self-loop", "out of range", "duplicate edge", "edge line must be",
                      "edge endpoints must be integers", "unrecognized line"):
             assert any(kind in message for message in reported), kind
+
+
+# ---------------------------------------------------------------------------
+# the writer-shape fast path against the line loop it hands every other text to
+# ---------------------------------------------------------------------------
+
+def _written(seed, n, prob):
+    """``(graph, text)``: a seeded G(n, prob) and its file as the writer makes it,
+    after two comment lines."""
+    g = gen_gnp(n, prob, seed=seed)
+    return g, "c seeded %d\nc written\n" % seed + write_graph(g)
+
+
+def _shuffled_flipped(g, rng):
+    """A file of ``g`` with its edge lines in random order and orientation."""
+    lines = ["e %d %d" % ((u + 1, v + 1) if rng.random() < 0.5 else (v + 1, u + 1))
+             for u, v in g.edges]
+    rng.shuffle(lines)
+    return "".join(line + "\n" for line in ["p edge %d %d" % (g.n, g.m)] + lines)
+
+
+#: ways to bend one edge line ``e <u> <v>`` out of the writer's shape; each
+#: gives the lines that replace it, and the file may or may not stay valid
+_BENT_LINES = {
+    "tab": lambda u, v: ["e\t%s %s" % (u, v)],
+    "double space": lambda u, v: ["e %s  %s" % (u, v)],
+    "trailing space": lambda u, v: ["e %s %s " % (u, v)],
+    "leading space": lambda u, v: [" e %s %s" % (u, v)],
+    "crlf on one line": lambda u, v: ["e %s %s\r" % (u, v)],
+    "blank line": lambda u, v: ["", "e %s %s" % (u, v)],
+    "comment after header": lambda u, v: ["c after the header", "e %s %s" % (u, v)],
+    "plus sign": lambda u, v: ["e +%s %s" % (u, v)],
+    "underscore": lambda u, v: ["e %s_0 %s" % (u, v)],
+    "leading zero": lambda u, v: ["e %s 00%s" % (u, v)],
+    "vertical tab": lambda u, v: ["e %s\x0b%s" % (u, v)],
+    "line separator": lambda u, v: ["e %s %s\u2028" % (u, v)],
+    "non-ASCII digit": lambda u, v: ["e %s \u0661" % u],
+    "uppercase": lambda u, v: ["E %s %s" % (u, v)],
+    "self-loop": lambda u, v: ["e %s %s" % (u, u)],
+    "out of range": lambda u, v: ["e %s 100001" % u],
+}
+
+
+def _bend_line(text, at, kind):
+    """``text`` with its ``at``-th line (0-based), an edge line, bent by ``kind``."""
+    lines = text.split("\n")
+    _, u, v = lines[at].split(" ")
+    lines[at:at + 1] = _BENT_LINES[kind](u, v)
+    return "\n".join(lines)
+
+
+def _bend_file(text, kind):
+    """``text`` bent out of the writer's shape as a whole."""
+    if kind == "crlf everywhere":
+        return text.replace("\n", "\r\n")
+    if kind == "no final newline":
+        return text[:-1]
+    if kind.startswith("line break in a comment"):
+        return "c a%sb\n" % kind[-1] + text
+    if kind == "field moved to the next line":
+        # the counts of fields, spaces and line breaks stay those of the shape
+        at = _edge_lines(text)[0]
+        lines = text.split("\n")
+        head, _, last = lines[at].rpartition(" ")
+        lines[at:at + 2] = [head, last + " " + lines[at + 1]]
+        return "\n".join(lines)
+    header = next(line for line in text.split("\n") if line.startswith("p "))
+    _, _, n, m = header.split(" ")
+    step = 1 if kind == "m plus one" else -1
+    return text.replace(header, "p edge %s %d" % (n, int(m) + step), 1)
+
+
+_BENT_FILES = ["crlf everywhere", "no final newline", "m plus one", "m minus one",
+               "field moved to the next line", "line break in a comment \r",
+               "line break in a comment \x0b", "line break in a comment \u2028"]
+
+
+def _edge_lines(text):
+    return [i for i, line in enumerate(text.split("\n")) if line.startswith("e ")]
+
+
+def _same_as_reference_by_the_line_loop(text):
+    assert dimacs._parse_written(text) is None, text[:200]
+    assert _outcome(parse_graph, text) == _outcome(parse_graph_reference, text)
+
+
+class TestWriterShapeFastPath:
+    @pytest.fixture
+    def lines_only(self, monkeypatch):
+        """Make the line loop fail, so that only the fast path can parse."""
+        def refuse(text):
+            raise AssertionError("the line loop ran")
+        monkeypatch.setattr(dimacs, "_parse_lines", refuse)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fast_path_runs_on_written_and_shuffled_files(self, lines_only, seed):
+        rng = random.Random(seed)
+        # the last two files are over twice _CHUNK characters long
+        g, text = _written(seed, [1, 5, 30, 120, 900, 1000][seed], 0.05 + 0.05 * (seed % 3))
+        for variant in (text, _shuffled_flipped(g, rng)):
+            assert parse_graph(variant) == parse_graph_reference(variant) == g
+        assert (len(text) > 2 * dimacs._CHUNK) == (seed >= 4)
+
+    def test_fast_path_runs_on_headers_without_edges(self, lines_only):
+        for text in ("p edge 0 0\n", "c x\np edge 7 0\n", "p edge %d 0\n" % MAX_GRAPH_VERTICES,
+                     "c \u00e9t\u00e9, crlf\r\ncomment\np edge 3 2\ne 3 1\ne 1 2\n"):
+            assert parse_graph(text) == parse_graph_reference(text)
+
+    @pytest.mark.parametrize("kind", list(_BENT_LINES) + _BENT_FILES)
+    def test_near_misses_go_to_the_line_loop(self, kind):
+        for seed in range(8):
+            rng = random.Random(seed)
+            g, text = _written(seed, 8 + seed, 0.4)
+            if not g.m:
+                continue
+            for base in (text, _shuffled_flipped(g, rng)):
+                if kind in _BENT_LINES:
+                    near = _bend_line(base, rng.choice(_edge_lines(base)), kind)
+                else:
+                    near = _bend_file(base, kind)
+                _same_as_reference_by_the_line_loop(near)
+
+    @pytest.mark.parametrize("kind", list(_BENT_LINES) + ["duplicate"])
+    def test_large_files_bent_at_the_piece_boundary(self, kind):
+        g, text = _written(3, 900, 0.03)
+        assert len(text) > dimacs._CHUNK
+        lines = text.split("\n")
+        # the first line of the second piece
+        second = text[:dimacs._CHUNK].rstrip("\n").count("\n") + 1
+        assert lines[second].startswith("e ")
+        for at in (second - 1, second, second + 1, len(lines) - 2):
+            if kind == "duplicate":
+                near = "\n".join(lines[:at] + [lines[second - 7]] + lines[at + 1:])
+            else:
+                near = _bend_line(text, at, kind)
+            _same_as_reference_by_the_line_loop(near)
+
+    @pytest.mark.parametrize("kind", _BENT_FILES)
+    def test_large_files_bent_as_a_whole(self, kind):
+        rng = random.Random(5)
+        g, text = _written(5, 900, 0.03)
+        for base in (text, _shuffled_flipped(g, rng)):
+            _same_as_reference_by_the_line_loop(_bend_file(base, kind))

@@ -6,12 +6,13 @@ import pytest
 from choosability import graphs
 from choosability.errors import BudgetExceededError
 from choosability.approx import CountedMultiGraph
-from choosability.graphs import (Graph, _peel, connected_components, coloring_is_proper,
+from choosability.graphs import (Graph, _components, _peel, connected_components,
+                                 coloring_is_proper,
                                  delete_vertices, diameter, induced_subgraph, is_bipartite,
                                  is_triangle_free, shortest_cycle)
 from choosability.recognition import is_L_colorable
 
-from conftest import (brute_diameter, brute_girth, brute_lex_shortest_cycle,
+from conftest import (SortedTupleGraph, brute_diameter, brute_girth, brute_lex_shortest_cycle,
                       complete_bipartite, complete_graph, counted, cycle_graph, disjoint_union,
                       graph_classes, graph_reference, lift, mask_to_graph, multigraph_edges,
                       multigraph_restrict, path_graph, petersen_graph, random_multigraph,
@@ -99,6 +100,86 @@ class TestGraphConstruction:
                 for u in range(n):
                     assert [g.has_edge(u, v) for v in range(-1, n + 1)] == [
                         v in g.adj[u] for v in range(-1, n + 1)]
+
+
+def _three_orders(rng, n, prob):
+    """A seeded edge set on ``n`` vertices as ascending, shuffled and flipped lists.
+
+    The shuffled list has each edge in a random orientation; the flipped
+    one is the ascending list with every edge written (larger, smaller).
+    """
+    ascending = [e for e in vertex_pairs(n) if rng.random() < prob]
+    shuffled = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in ascending]
+    rng.shuffle(shuffled)
+    return ascending, shuffled, [(v, u) for u, v in ascending]
+
+
+def _message(build, *args):
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    return str(info.value)
+
+
+class TestAgainstSortedTupleGraph:
+    """The adjacency-first constructor against the sorted-tuple one it replaced."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_same_graph_in_every_order(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(0, 80)
+        built = []
+        for edges in _three_orders(rng, n, rng.random() * 0.2):
+            g, ref = Graph(n, edges), SortedTupleGraph(n, edges)
+            assert (g.n, g.m, g.adj, g.edges) == (ref.n, ref.m, ref.adj, ref.edges)
+            assert hash(g) == hash(ref)
+            built.append(g)
+        assert built[0] == built[1] == built[2]
+        if built[0].m:
+            fewer = Graph(n, built[0].edges[1:])
+            assert fewer != built[1] and fewer.m == built[1].m - 1
+            assert hash(fewer) == hash(SortedTupleGraph(n, built[0].edges[1:]))
+
+    def test_ascending_pairs_are_kept_not_rebuilt(self):
+        rng = random.Random(7)
+        ascending, shuffled, _ = _three_orders(rng, 30, 0.3)
+        kept = Graph(30, ascending).edges
+        assert all(a is b for a, b in zip(kept, ascending))
+        rebuilt = Graph(30, shuffled).edges
+        assert rebuilt == kept and not any(a is b for a, b in zip(rebuilt, ascending))
+
+    def test_columns_give_the_same_graph(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            n = rng.randrange(1, 40)
+            _, shuffled, _ = _three_orders(rng, n, rng.random() * 0.3)
+            g = Graph._from_columns(n, [u for u, _ in shuffled], [v for _, v in shuffled])
+            assert g == Graph(n, shuffled) and g.edges == SortedTupleGraph(n, shuffled).edges
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_several_faults_name_the_first_in_sorted_order(self, seed):
+        rng = random.Random(1000 + seed)
+        n = rng.randrange(1, 12)
+        edges = [e for e in vertex_pairs(n) if rng.random() < 0.4]
+        for _ in range(rng.randint(2, 4)):
+            kind = rng.choice(["self-loop", "range", "duplicate"] if edges
+                              else ["self-loop", "range"])
+            if kind == "self-loop":
+                u = rng.randrange(-1, n + 2)
+                edges.append((u, u))
+            elif kind == "range":
+                u, v = rng.randrange(n), rng.choice([-2, -1, n, n + 3])
+                edges.append((u, v) if rng.random() < 0.5 else (v, u))
+            else:
+                u, v = rng.choice(edges)
+                edges.append((u, v) if rng.random() < 0.5 else (v, u))
+        rng.shuffle(edges)
+        expected = _message(SortedTupleGraph, n, edges)
+        assert _message(Graph, n, edges) == expected
+        assert _message(Graph._from_columns, n, [u for u, _ in edges],
+                        [v for _, v in edges]) == expected
+        # the same faults given ascending, each pair (smaller, larger)
+        ascending = sorted((u, v) if u < v else (v, u) for u, v in edges)
+        assert _message(Graph, n, ascending) == expected
 
 
 class TestBipartite:
@@ -401,7 +482,13 @@ class TestVertexSets:
     def test_none_is_the_whole_graph(self):
         g = disjoint_union(path_graph(3), cycle_graph(4))
         assert _peel(g, range(g.n))[0] == _peel(g)[0] == [0, 3, 4, 5, 6]
+        assert _peel(g, range(g.n))[1] == _peel(g)[1]
         assert connected_components(g, range(g.n)) == connected_components(g)
+
+    def test_components_of_the_core_list_as_given(self):
+        for g, s in self.pairs():
+            core = _peel(g, s)[0]
+            assert _components(g, core) == connected_components(g, core)
 
     def test_none_is_range_on_multigraphs_with_parallel_pairs(self):
         rng = random.Random(714)
