@@ -15,7 +15,7 @@ one round to the next.
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import chain, repeat
+from itertools import chain, islice, repeat, starmap, tee
 from operator import eq, getitem, itemgetter, lt
 
 from .errors import InternalCheckError
@@ -39,11 +39,12 @@ class Graph:
     ``u < v`` in ascending order, is built from it on first use, except
     when the constructor is given the edges in exactly that form, as the
     reduction builders and :func:`induced_subgraph` give them: those are
-    kept as they are.  Any other edge list is split into two endpoint
-    columns, checked with whole-column passes (``min``/``max`` for the
-    range, ``map(eq)`` for self-loops, per-vertex set sizes for repeats)
-    and turned into adjacency lists with no per-edge tuple built or sorted.
-    Only when a check fails is the list sorted, to name the first fault.
+    kept as they are.  Any other edge list, or the two endpoint columns
+    the graph file reader passes to :meth:`_from_columns`, is turned into
+    adjacency lists with no pair normalised or sorted, and checked with
+    passes over the columns and the sorted lists (see :func:`_adjacency`).
+    Only when a check fails are the edges sorted, to name the first fault.
+    ``==`` compares the adjacency; ``hash`` reads ``edges``.
     """
 
     __slots__ = ("n", "m", "adj", "_edges", "_adj_bits")
@@ -52,12 +53,11 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         edges = tuple(map(tuple, edges))
-        adj = _ascending_adjacency(n, edges)
-        if adj is None:
+        if all(starmap(lt, edges)) and all(map(lt, edges, islice(edges, 1, None))):
+            self._set(n, _ascending_adjacency(n, edges), len(edges), edges)
+        else:
             us = list(map(itemgetter(0), edges))
             self._set(n, _adjacency(n, us, list(map(itemgetter(1), edges))), len(edges), None)
-        else:
-            self._set(n, adj, len(edges), edges)
 
     @classmethod
     def _from_columns(cls, n, us, vs):
@@ -118,48 +118,50 @@ class Graph:
 
 
 def _ascending_adjacency(n, edges):
-    """The sorted adjacency tuples of ``edges``, or None unless they are in that form.
+    """The sorted adjacency tuples of ascending pairs ``(u, v)`` with ``u < v``.
 
-    That form is the pairs ``(u, v)`` with ``0 <= u < v < n``, strictly
-    ascending, so without repeats.  Each vertex then meets its smaller
+    Such a list has no repeats, and each vertex meets its smaller
     neighbours before its larger ones, in ascending order, so every list
-    comes out sorted; the check rides on the one loop that builds them.
+    comes out sorted; only the range is left to check.
     """
     if edges and edges[0][0] < 0:
-        return None
+        _raise_first_fault(n, edges)
     adj = [[] for _ in range(n)]
-    pu = pv = -1
     try:
         for u, v in edges:
-            if not (u < v and (pu < u or (pu == u and pv < v))):
-                return None
             adj[u].append(v)
             adj[v].append(u)
-            pu, pv = u, v
-    except IndexError:              # v >= n
-        return None
+    except IndexError:              # an id of n or more
+        _raise_first_fault(n, edges)
     return tuple(map(tuple, adj))
 
 
 def _adjacency(n, us, vs):
     """The sorted adjacency tuples of the edges ``(us[i], vs[i])``, checked.
 
-    Range, self-loops and repeats are each one pass over the columns or
-    the lists; a failed check sorts the edges to name the first fault.
+    A negative id is found by ``min``, one of ``n`` or more by the index
+    error it raises, and a self-loop or a repeated edge, in either
+    orientation, by a neighbour that a sorted list holds twice in a row.
+    Any of these sorts the edges to name the first fault.
     """
-    if us and (min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n
-               or any(map(eq, us, vs))):
+    if us and min(min(us), min(vs)) < 0:
         _raise_first_fault(n, zip(us, vs))
     adj = [[] for _ in range(n)]
-    for u, v in zip(us, vs):
-        adj[u].append(v)
-        adj[v].append(u)
-    # a repeated edge, in either orientation, repeats a neighbour
-    if sum(map(len, map(set, adj))) != 2 * len(us):
+    try:
+        for u, v in zip(us, vs):
+            adj[u].append(v)
+            adj[v].append(u)
+    except IndexError:              # an id of n or more
         _raise_first_fault(n, zip(us, vs))
     for v, a in enumerate(adj):
         a.sort()
-        adj[v] = tuple(a)       # each list is freed as its tuple is made
+        adj[v] = tuple(a)           # each list is freed as its tuple is made
+    # a repeat shows as one id twice in a row; so does an id that ends one
+    # list and starts the next, so only then are the lists counted exactly
+    ids, following = tee(chain.from_iterable(adj))
+    next(following, None)
+    if any(map(eq, ids, following)) and sum(map(len, map(set, adj))) != 2 * len(us):
+        _raise_first_fault(n, zip(us, vs))
     return tuple(adj)
 
 
@@ -215,7 +217,8 @@ def _peel(g, vertices=None):
 
     Peels ``G[vertices]`` (all of ``g`` when None) in ``g``'s own ids, with
     no subgraph built; an id outside 0..n-1 raises ValueError.  The whole
-    graph is the vertex set ``range(g.n)`` and takes the same path.  Reads
+    graph is the vertex set ``range(g.n)``, whose degrees are the lengths
+    of the adjacency lists, since every neighbour is inside.  Reads
     only ``g.n`` and ``g.adj``, so it takes a ``Graph`` or a counted
     multigraph; a parallel pair counts as degree 2.
 
@@ -239,7 +242,6 @@ def _peel(g, vertices=None):
     """
     adj = g.adj
     if vertices is None:
-        # every neighbour is inside
         order = range(g.n)
         alive = [True] * g.n
         degree = list(map(len, adj))

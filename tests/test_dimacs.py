@@ -452,12 +452,13 @@ class TestWriterShapeFastPath:
 
     @pytest.mark.parametrize("kind", list(_BENT_LINES) + ["duplicate"])
     def test_large_files_bent_at_the_piece_boundary(self, kind):
-        g, text = _written(3, 900, 0.03)
+        _, text = _written(3, 900, 0.03)
         assert len(text) > dimacs._CHUNK
         lines = text.split("\n")
-        # the first line of the second piece
-        second = text[:dimacs._CHUNK].rstrip("\n").count("\n") + 1
-        assert lines[second].startswith("e ")
+        # the first line of the second piece, which starts after the header
+        body = text.index("\n", text.index("p edge")) + 1
+        second = text.count("\n", 0, text.rfind("\n", body, body + dimacs._CHUNK) + 1)
+        assert lines[second].startswith("e ") and lines[second - 1].startswith("e ")
         for at in (second - 1, second, second + 1, len(lines) - 2):
             if kind == "duplicate":
                 near = "\n".join(lines[:at] + [lines[second - 7]] + lines[at + 1:])

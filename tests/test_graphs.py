@@ -147,6 +147,12 @@ class TestAgainstSortedTupleGraph:
         rebuilt = Graph(30, shuffled).edges
         assert rebuilt == kept and not any(a is b for a, b in zip(rebuilt, ascending))
 
+    def test_an_id_ending_one_list_and_starting_the_next_is_no_repeat(self):
+        # adj[0] = (2,) and adj[1] = (2,): one id twice in a row across lists
+        for edges in ([(2, 0), (1, 2)], [(0, 3), (3, 1), (1, 2), (4, 3)]):
+            g, ref = Graph(5, edges), SortedTupleGraph(5, edges)
+            assert (g.adj, g.edges, g.m) == (ref.adj, ref.edges, ref.m)
+
     def test_columns_give_the_same_graph(self):
         rng = random.Random(11)
         for _ in range(50):
