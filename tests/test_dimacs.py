@@ -427,7 +427,7 @@ class TestWriterShapeFastPath:
         rng = random.Random(seed)
         # the last two files are over twice _CHUNK characters long
         g, text = _written(seed, [1, 5, 30, 120, 900, 1000][seed], 0.05 + 0.05 * (seed % 3))
-        for variant in (text, _shuffled_flipped(g, rng)):
+        for variant in (write_graph(g), text, _shuffled_flipped(g, rng)):
             assert parse_graph(variant) == parse_graph_reference(variant) == g
         assert (len(text) > 2 * dimacs._CHUNK) == (seed >= 4)
 
