@@ -6,13 +6,15 @@ then in one linear sweep replaces every maximal chain of two or more
 adjacent degree-2 vertices by a single counted vertex of a new
 ``CountedMultiGraph``, the package's one counted multigraph, in which every
 other vertex keeps its id (a cycle component contracts all but one of its
-vertices, yielding a two-vertex parallel pair).  After preprocessing, a
-connected graph is 2-choosable exactly when it lands in one of three
-counted shapes, which ``_in_counted_family`` recognises.
+vertices, yielding a two-vertex parallel pair).  A connected graph is
+2-choosable exactly when its contraction is K1, C_{2m+2} or theta_{2,2,2m}
+once each counted vertex is read as the chain it stands for;
+``recognition._classify_component``, the package's one shape test, reads
+that from the degrees and the provenance lengths.
 
 ``is_2_choosable_via_preprocessing`` contracts once and tests every
 component.  ``approx_2_del`` contracts once too, then deletes a shortest
-cycle of each contracted component outside the counted family,
+cycle of each contracted component outside the family,
 re-peeling, re-contracting and re-splitting only around each deleted
 cycle, while ``shortest_cycle`` keeps its per-root certificates on that
 multigraph between rounds; each contracted vertex it picks is expanded
@@ -21,7 +23,7 @@ back to the first original vertex of its chain.
 
 from .errors import InternalCheckError
 from .graphs import _CycleSearch, _peel, connected_components, shortest_cycle
-from .recognition import is_2_choosable
+from .recognition import KIND_OUTSIDE, _classify_component, is_2_choosable
 
 
 class CountedMultiGraph:
@@ -166,44 +168,16 @@ def _other(pair, u):
     return pair[1] if pair[0] == u else pair[0]
 
 
-def _in_counted_family(adj, counts, vertices):
-    """Whether the connected, preprocessed counted component on ``vertices`` is in the family.
-
-    ``adj[v]`` lists ``v``'s neighbours, one entry per edge, and
-    ``counts[v]`` its count; only the entries of ``vertices`` are read.
-    The family is a single vertex, a parallel pair of even summed count,
-    and an underlying K_{2,3} whose hubs count 1 and whose legs carry at
-    most one count above 1, odd.
-    """
-    if len(vertices) == 1:
-        return True
-    degree = [len(adj[v]) for v in vertices]
-    if len(vertices) == 2 and sum(degree) == 4:
-        return (counts[vertices[0]] + counts[vertices[1]]) % 2 == 0
-    if len(vertices) != 5 or sum(degree) != 12:
-        return False
-    if any(len(set(adj[v])) != len(adj[v]) for v in vertices):
-        return False
-    hubs = [v for v, d in zip(vertices, degree) if d == 3]
-    legs = [v for v, d in zip(vertices, degree) if d == 2]
-    # five vertices, six distinct edges and two non-adjacent degree-3 hubs force K_{2,3}
-    if len(hubs) != 2 or len(legs) != 3 or hubs[1] in adj[hubs[0]]:
-        return False
-    if any(counts[h] != 1 for h in hubs):
-        return False
-    heavy = [v for v in legs if counts[v] > 1]
-    return len(heavy) <= 1 and all(counts[v] % 2 == 1 for v in heavy)
-
-
 def is_2_choosable_via_preprocessing(g):
     """Contraction-pipeline test for 2-choosability.
 
     Preprocesses the simple graph with unit counts and accepts exactly
-    when every component is in the counted family.
+    when every contracted component, read with its counts, is in the family.
     """
     work, ids = preprocess(g)
+    degree = [len(a) for a in work.adj]
     counts = [len(p) for p in work.provenance]
-    return all(_in_counted_family(work.adj, counts, comp)
+    return all(_classify_component(comp, work.adj, degree, counts)[0] != KIND_OUTSIDE
                for comp in connected_components(work, ids))
 
 
@@ -214,7 +188,7 @@ def approx_2_del(g):
     ``CountedMultiGraph`` with unit provenance, which is split into
     components; then the components are worked through one at a time on
     that multigraph, in which a vertex keeps its id: a component in the
-    counted family is dropped; otherwise a shortest cycle of it is deleted,
+    family is dropped; otherwise a shortest cycle of it is deleted,
     and the component is repaired and split around the cut (see
     :func:`_cut`) back onto the worklist.  ``shortest_cycle`` keeps its
     per-root certificates on the multigraph, and each cut drops those whose
@@ -240,10 +214,11 @@ def approx_2_del(g):
     provenance = work.provenance
     while pending:
         comp = pending.pop()
-        # only 1, 2 and 5 vertices can be in the counted family
+        # a contracted K1, even cycle or theta has 1, 2 or 5 vertices
         if len(comp) <= 5:
+            degree = {v: len(work.adj[v]) for v in comp}
             counts = {v: len(provenance[v]) for v in comp}
-            if _in_counted_family(work.adj, counts, comp):
+            if _classify_component(comp, work.adj, degree, counts)[0] != KIND_OUTSIDE:
                 continue
         cycle = shortest_cycle(work, comp)
         if cycle is None:

@@ -14,7 +14,7 @@ import json
 import os
 import stat
 
-from .graphs import MAX_GRAPH_VERTICES, Graph
+from .graphs import MAX_GRAPH_VERTICES, Graph, _check_vertex_limit
 from .reductions import CnfFormula, ReductionArtifact
 
 
@@ -71,7 +71,10 @@ def _parse_written(text):
             or len(fields) != 4 or fields[:2] != ["p", "edge"]
             or not (fields[2].isdigit() and fields[3].isdigit())):
         return None
-    n, m = int(fields[2]), int(fields[3])
+    try:
+        n, m = int(fields[2]), int(fields[3])
+    except ValueError:      # a digit int() does not read, or too many digits
+        return None
     if n > MAX_GRAPH_VERTICES:
         return None
     us, vs = [], []
@@ -204,8 +207,7 @@ def write_graph(g):
     the order, orientation or comment lines of its file.
     """
     n = g.n
-    if n > MAX_GRAPH_VERTICES:
-        raise ValueError("graph has %d vertices; the limit is %d" % (n, MAX_GRAPH_VERTICES))
+    _check_vertex_limit(n)
     heads = ["e %d " % v for v in range(1, n + 1)]
     tails = ["%d\n" % v for v in range(1, n + 1)]
     lines = ["p edge %d %d\n" % (n, len(g.edges))]

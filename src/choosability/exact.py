@@ -13,7 +13,8 @@ minimal obstruction is found and shrunk on these bitmasks by a private
 peel, :func:`_peel_bits`, that deletes vertices with at most one neighbour
 left and starts only from the neighbours of the vertices just taken away;
 the components it leaves are classified by
-:func:`~choosability.recognition._classify_component`, the one shape test.
+:func:`~choosability.recognition._classify_component`, the one shape test,
+which also classifies the contracted components of :mod:`~choosability.approx`.
 ``decomposition_is_valid`` and ``min_2_del_bruteforce`` stay on
 :func:`~choosability.recognition.is_2_choosable`, so they check the bitmask
 search independently.

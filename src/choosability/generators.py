@@ -7,20 +7,14 @@ request over the limit fails at once rather than after building the graph.
 
 import random
 
-from .graphs import MAX_GRAPH_VERTICES, Graph
+from .graphs import Graph, _check_vertex_limit
 from .reductions import CnfFormula
-
-
-def _check_order(n):
-    """ValueError if a generated graph would have more than MAX_GRAPH_VERTICES vertices."""
-    if n > MAX_GRAPH_VERTICES:
-        raise ValueError("graph has %d vertices; the limit is %d" % (n, MAX_GRAPH_VERTICES))
 
 
 def gen_cycle(n):
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
-    _check_order(n)
+    _check_vertex_limit(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -29,7 +23,7 @@ def gen_theta(a, b, c):
     lengths = (a, b, c)
     if min(lengths) < 1 or sorted(lengths)[1] < 2:
         raise ValueError("at most one path may have length 1")
-    _check_order(a + b + c - 1)
+    _check_vertex_limit(a + b + c - 1)
     edges = []
     nxt = 2
     for length in lengths:
@@ -44,7 +38,7 @@ def gen_theta(a, b, c):
 
 def gen_gnp(n, prob, seed):
     """Erdos-Renyi graph; identical seeds give identical graphs."""
-    _check_order(n)
+    _check_vertex_limit(n)
     if not 0 <= prob <= 1:
         raise ValueError("edge probability %r is not in [0, 1]" % prob)
     rng = random.Random(seed)

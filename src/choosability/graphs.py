@@ -26,6 +26,12 @@ from .errors import InternalCheckError
 MAX_GRAPH_VERTICES = 100_000
 
 
+def _check_vertex_limit(n):
+    """ValueError if a graph would have more than MAX_GRAPH_VERTICES vertices."""
+    if n > MAX_GRAPH_VERTICES:
+        raise ValueError("graph has %d vertices; the limit is %d" % (n, MAX_GRAPH_VERTICES))
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 

@@ -66,27 +66,39 @@ def classify_core(g):
             for comp in _components(g, core)]
 
 
-def _classify_component(comp, adj, degree):
+def _classify_component(comp, adj, degree, counts=None):
     """``(kind, m)`` of one core component, from its vertices' degrees in the core.
 
     ``comp`` is the component's sorted vertices, ``adj`` the adjacency of a
     graph it is induced in, and ``degree[v]`` the degree of each of its
-    vertices inside the core.
+    vertices inside the core.  On a contracted multigraph (see
+    :func:`~choosability.approx.preprocess`), ``adj`` lists one entry per
+    edge and ``counts[v]`` is the number of original vertices ``v`` stands
+    for; None means a count of 1 each.  The order is the summed count.
     """
     n = len(comp)
     if n == 1:
         return KIND_K1, None
+    if counts is not None:
+        n = sum(counts[v] for v in comp)
     hubs = [v for v in comp if degree[v] != 2]
     if not hubs:
-        # connected and all degree 2: the cycle C_n
+        # connected and all degree 2: the cycle C_n, contracted or not
         if n % 2 == 0:
             return KIND_EVEN_CYCLE, (n - 2) // 2
-    elif (len(hubs) == 2 and n % 2 == 1 and degree[hubs[0]] == degree[hubs[1]] == 3
-          and len(set(adj[hubs[0]]).intersection(adj[hubs[1]], comp)) >= 2):
+    elif len(hubs) == 2 and n % 2 == 1 and degree[hubs[0]] == degree[hubs[1]] == 3:
         # two degree-3 hubs, the rest degree 2: a theta or a dumbbell.  A
-        # dumbbell's hubs share at most one neighbour, so this is a theta
-        # with paths 2, 2 and n - 3; an odd n rules out a hub-hub edge.
-        return KIND_THETA, (n - 3) // 2
+        # dumbbell's hubs share at most one neighbour, so two uncontracted
+        # common neighbours make a theta with paths 2, 2 and n - 3; an odd
+        # n rules out a hub-hub edge.  A contraction leaves hubs uncounted.
+        a, b = hubs
+        common = set(adj[a]).intersection(adj[b], comp)
+        if counts is not None:
+            if counts[a] != 1 or counts[b] != 1:
+                return KIND_OUTSIDE, None
+            common = [v for v in common if counts[v] == 1]
+        if len(common) >= 2:
+            return KIND_THETA, (n - 3) // 2
     return KIND_OUTSIDE, None
 
 

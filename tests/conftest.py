@@ -685,16 +685,18 @@ def approx_2_del_global(g):
     cycle, which must return the same set.  Each round's contraction is
     relabelled on its vertices in ascending order.
     """
-    from choosability.approx import _in_counted_family, preprocess
+    from choosability.approx import preprocess
     from choosability.errors import InternalCheckError
     from choosability.graphs import connected_components, delete_vertices, shortest_cycle
-    from choosability.recognition import is_2_choosable
+    from choosability.recognition import KIND_OUTSIDE, _classify_component, is_2_choosable
 
     def _contract_and_drop(mg):
         work = multigraph_restrict(*preprocess(mg))
+        degree = [len(a) for a in work.adj]
         weights = counts(work)
         doomed = [v for comp in connected_components(work)
-                  if _in_counted_family(work.adj, weights, comp) for v in comp]
+                  if _classify_component(comp, work.adj, degree, weights)[0] != KIND_OUTSIDE
+                  for v in comp]
         return multigraph_delete(work, doomed) if doomed else work
 
     work = _contract_and_drop(g)

@@ -4,12 +4,14 @@ import random
 import pytest
 
 from choosability import graphs
-from choosability.approx import (CountedMultiGraph, _cut, _in_counted_family, approx_2_del,
+from choosability.approx import (CountedMultiGraph, _cut, approx_2_del,
                                  is_2_choosable_via_preprocessing, preprocess)
 from choosability.generators import gen_gnp
 from choosability.graphs import (Graph, _CycleSearch, connected_components, delete_vertices,
                                  shortest_cycle)
-from choosability.recognition import compute_core, is_2_choosable
+from choosability.recognition import (KIND_EVEN_CYCLE, KIND_K1, KIND_OUTSIDE, KIND_THETA,
+                                      _classify_component, classify_core, compute_core,
+                                      is_2_choosable)
 
 from choosability.reductions import CnfFormula, build_G_phi_p
 
@@ -24,9 +26,14 @@ def contracted(mg, vertices=None):
     return multigraph_restrict(*preprocess(mg, vertices))
 
 
+def classify(mg):
+    """``(kind, m)`` of the whole connected counted multigraph ``mg``, read with its counts."""
+    return _classify_component(range(mg.n), mg.adj, [len(a) for a in mg.adj], counts(mg))
+
+
 def in_family(mg):
-    """Whether the whole connected counted multigraph ``mg`` is in the counted family."""
-    return _in_counted_family(mg.adj, counts(mg), range(mg.n))
+    """Whether the whole connected counted multigraph ``mg`` is in the family."""
+    return classify(mg)[0] != KIND_OUTSIDE
 
 
 def gnm(n, m, rng):
@@ -251,18 +258,22 @@ class TestPreprocessOnVertexSets:
 
 class TestCPrimeClassification:
     def test_counted_k1(self):
-        assert in_family(counted(1, [], provenance=((0, 1, 2, 3, 4, 5, 6),)))
+        assert classify(counted(1, [], provenance=((0, 1, 2, 3, 4, 5, 6),))) == (KIND_K1, None)
 
     def test_parallel_pair_even_sum(self):
-        assert in_family(counted(2, [(0, 1), (0, 1)], provenance=(tuple(range(5)), (9,))))
+        # a count of 5 and one of 1: the contraction of C_6
+        pair = counted(2, [(0, 1), (0, 1)], provenance=(tuple(range(5)), (9,)))
+        assert classify(pair) == (KIND_EVEN_CYCLE, 2)
 
     def test_parallel_pair_odd_sum(self):
         assert not in_family(counted(2, [(0, 1), (0, 1)], provenance=(tuple(range(4)), (9,))))
 
     def test_counted_k23(self):
+        # one leg of count 3: the contraction of theta_{2,2,4}
         k23 = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
-        assert in_family(counted(5, k23, provenance=((0,), (1,), (2, 3, 4), (5,), (6,))))
-        assert in_family(counted(5, k23))
+        heavy = counted(5, k23, provenance=((0,), (1,), (2, 3, 4), (5,), (6,)))
+        assert classify(heavy) == (KIND_THETA, 2)
+        assert classify(counted(5, k23)) == (KIND_THETA, 1)
 
     def test_counted_k23_rejections(self):
         k23 = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
@@ -283,8 +294,11 @@ class TestCPrimeClassification:
         # slots are empty, with counts in a dict
         k23 = [(3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7)]
         mg = counted(8, k23)
-        assert _in_counted_family(mg.adj, {v: 1 for v in range(3, 8)}, range(3, 8))
-        assert not _in_counted_family(mg.adj, {3: 2, 4: 1, 5: 1, 6: 1, 7: 1}, range(3, 8))
+        degree = {v: len(mg.adj[v]) for v in range(3, 8)}
+        assert _classify_component(range(3, 8), mg.adj, degree,
+                                   {v: 1 for v in range(3, 8)}) == (KIND_THETA, 1)
+        assert _classify_component(range(3, 8), mg.adj, degree,
+                                   {3: 2, 4: 1, 5: 1, 6: 1, 7: 1})[0] == KIND_OUTSIDE
 
     def test_unpreprocessed_edge_is_outside_until_preprocessed(self):
         # K2 is 2-choosable, but the family test reads preprocessed input:
@@ -292,6 +306,17 @@ class TestCPrimeClassification:
         edge = counted(2, [(0, 1)])
         assert not in_family(edge)
         assert in_family(contracted(edge))
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_contractions_keep_the_family_parameter(self, m):
+        # C_{2m+2} contracts to a parallel pair and theta_{2,2,2m} to a
+        # K_{2,3}; read with counts, each gives the m of the simple core
+        for g, shape in ((cycle_graph(2 * m + 2), (KIND_EVEN_CYCLE, m)),
+                         (theta_graph(2, 2, 2 * m), (KIND_THETA, m))):
+            out = contracted(g)
+            assert out.n == (2 if shape[0] == KIND_EVEN_CYCLE else 5)
+            assert classify(out) == shape
+            assert [(c.kind, c.m) for c in classify_core(g)] == [shape]
 
 
 class TestPipelineEquivalence:

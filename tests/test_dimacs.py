@@ -436,6 +436,15 @@ class TestWriterShapeFastPath:
                      "c \u00e9t\u00e9, crlf\r\ncomment\np edge 3 2\ne 3 1\ne 1 2\n"):
             assert parse_graph(text) == parse_graph_reference(text)
 
+    @pytest.mark.parametrize("text", ["p edge \u00b2 0\n", "p edge 0 \u00b2\n",
+                                      "p edge %s 0\n" % ("9" * 5000),
+                                      "p edge 0 %s\n" % ("9" * 5000)],
+                             ids=["superscript n", "superscript m", "long n", "long m"])
+    def test_header_counts_int_cannot_read_go_to_the_line_loop(self, text):
+        # a superscript digit passes str.isdigit, and 5,000 digits pass it
+        # but exceed int's default limit of 4,300
+        _same_as_reference_by_the_line_loop(text)
+
     @pytest.mark.parametrize("kind", list(_BENT_LINES) + _BENT_FILES)
     def test_near_misses_go_to_the_line_loop(self, kind):
         for seed in range(8):
