@@ -22,7 +22,7 @@ back to the first original vertex of its chain.
 """
 
 from .errors import InternalCheckError
-from .graphs import _CycleSearch, _peel, connected_components, shortest_cycle
+from .graphs import _CycleSearch, _peel, _shortest_cycle, connected_components
 from .recognition import KIND_OUTSIDE, _classify_component, is_2_choosable
 
 
@@ -220,7 +220,7 @@ def approx_2_del(g):
             counts = {v: len(provenance[v]) for v in comp}
             if _classify_component(comp, work.adj, degree, counts)[0] != KIND_OUTSIDE:
                 continue
-        cycle = shortest_cycle(work, comp)
+        cycle = _shortest_cycle(work, comp)
         if cycle is None:
             raise InternalCheckError("contracted graph is acyclic but non-empty")
         chosen.extend(provenance[v][0] for v in cycle)

@@ -12,7 +12,9 @@ and reads the adjacency of the simple ``Graph`` from ``g.adj_bits()``.  The
 minimal obstruction is found and shrunk on these bitmasks by a private
 peel, :func:`_peel_bits`, that deletes vertices with at most one neighbour
 left and starts only from the neighbours of the vertices just taken away;
-the components it leaves are classified by
+the components it leaves are found by a bitmask breadth-first search,
+which in the same walk lists each component's vertices and their degrees,
+and are classified from these by
 :func:`~choosability.recognition._classify_component`, the one shape test,
 which also classifies the contracted components of :mod:`~choosability.approx`.
 ``decomposition_is_valid`` and ``min_2_del_bruteforce`` stay on
@@ -139,22 +141,29 @@ def _offending_component(g, bits, core):
 
     ``core`` is a bitmask with no vertex of degree below 2 in ``G[core]``.
     Components are found by breadth-first search on bitmasks in order of
-    smallest vertex and classified by
-    :func:`~choosability.recognition._classify_component`; 0 when none is
+    smallest vertex.  The walk that grows a component also lists its
+    vertices, in the order reached, and their degrees in ``G[core]``, which
+    inside a core component are their degrees in the component; with these
+    it is classified once by
+    :func:`~choosability.recognition._classify_component`.  0 when none is
     outside.
     """
     adj = g.adj
     while core:
         comp = todo = core & -core
+        members = []
+        degree = {}
         while todo:
             low = todo & -todo
             todo ^= low
-            new = bits[low.bit_length() - 1] & core & ~comp
+            v = low.bit_length() - 1
+            nbrs = bits[v] & core
+            members.append(v)
+            degree[v] = nbrs.bit_count()
+            new = nbrs & ~comp
             comp |= new
             todo |= new
         core ^= comp
-        members = _members(comp)
-        degree = {v: (bits[v] & comp).bit_count() for v in members}
         if _classify_component(members, adj, degree)[0] == KIND_OUTSIDE:
             return comp
     return 0
@@ -183,17 +192,24 @@ def _minimal_obstruction(g, core, removed):
     bits = g.adj_bits()
     rest = core & ~removed
     todo = 0
-    for v in _members(core & removed):
-        todo |= bits[v]
+    gone = core & removed
+    while gone:
+        low = gone & -gone
+        gone ^= low
+        todo |= bits[low.bit_length() - 1]
     current = _offending_component(g, bits, _peel_bits(bits, rest, todo & rest))
     if not current:
         return None
-    for v in _members(current):
-        low = 1 << v
+    # each vertex of the first component, ascending, while it is still left
+    tried = current
+    while tried:
+        low = tried & -tried
+        tried ^= low
         if not current & low:
             continue
         rest = current ^ low
-        shrunk = _offending_component(g, bits, _peel_bits(bits, rest, bits[v] & rest))
+        nbrs = bits[low.bit_length() - 1] & rest
+        shrunk = _offending_component(g, bits, _peel_bits(bits, rest, nbrs))
         if shrunk:
             current = shrunk
     return _members(current)

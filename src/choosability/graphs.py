@@ -524,11 +524,20 @@ def shortest_cycle(g, vertices=None):
     the roots whose BFS read a changed adjacency list search again; any
     other graph starts with an empty store, in which every root searches.
     """
+    return _shortest_cycle(g, range(g.n) if vertices is None else _ascending_ids(g, vertices))
+
+
+def _shortest_cycle(g, order):
+    """:func:`shortest_cycle` of ``G[order]``, ``order`` ascending and in range.
+
+    For a caller that holds its vertex set in that form already, such as
+    the sorted components the deletion heuristic works through.
+    """
     adj = g.adj
-    order = range(g.n) if vertices is None else _ascending_ids(g, vertices)
     search = getattr(g, "cycle_search", None)
     if search is None:
-        search = _CycleSearch(g.n, None if vertices is None else order)
+        # ascending without repeats, so all of g exactly when n long
+        search = _CycleSearch(g.n, None if len(order) == g.n else order)
     else:
         search.grow(g.n)
     inside, pair, low, tight = search.inside, search.pair, search.low, search.tight

@@ -69,12 +69,13 @@ def classify_core(g):
 def _classify_component(comp, adj, degree, counts=None):
     """``(kind, m)`` of one core component, from its vertices' degrees in the core.
 
-    ``comp`` is the component's sorted vertices, ``adj`` the adjacency of a
-    graph it is induced in, and ``degree[v]`` the degree of each of its
-    vertices inside the core.  On a contracted multigraph (see
-    :func:`~choosability.approx.preprocess`), ``adj`` lists one entry per
-    edge and ``counts[v]`` is the number of original vertices ``v`` stands
-    for; None means a count of 1 each.  The order is the summed count.
+    ``comp`` is the component's vertices in any order (the result does not
+    depend on it), ``adj`` the adjacency of a graph it is induced in, and
+    ``degree[v]`` the degree of each of its vertices inside the core.  On a
+    contracted multigraph (see :func:`~choosability.approx.preprocess`),
+    ``adj`` lists one entry per edge and ``counts[v]`` is the number of
+    original vertices ``v`` stands for; None means a count of 1 each.  The
+    order is the summed count.
     """
     n = len(comp)
     if n == 1:
@@ -128,7 +129,8 @@ def is_L_colorable(g, lists, budget=None):
     each list tried in ascending order.  ``lists`` maps every vertex to a
     non-empty collection of colors.  Returns ``(True, coloring)`` or
     ``(False, None)``; one budget unit is charged per step, forward or back,
-    and BudgetExceededError is raised when the budget runs out.
+    and BudgetExceededError is raised when the budget runs out, with the
+    vertex being colored added to its ``stats`` as ``vertex``.
     """
     ordered = []
     for v in range(g.n):
@@ -140,18 +142,22 @@ def is_L_colorable(g, lists, budget=None):
     chosen = [0] * g.n
     tried = [0] * g.n       # list entries of each vertex tried so far
     v = 0
-    while 0 <= v < g.n:
-        bud.charge(stage="list-coloring", vertex=v)
-        for i in range(tried[v], len(ordered[v])):
-            c = ordered[v][i]
-            if all(chosen[u] != c for u in earlier[v]):
-                chosen[v] = c
-                tried[v] = i + 1
-                v += 1
-                break
-        else:
-            tried[v] = 0
-            v -= 1
+    try:
+        while 0 <= v < g.n:
+            bud.charge(stage="list-coloring")
+            for i in range(tried[v], len(ordered[v])):
+                c = ordered[v][i]
+                if all(chosen[u] != c for u in earlier[v]):
+                    chosen[v] = c
+                    tried[v] = i + 1
+                    v += 1
+                    break
+            else:
+                tried[v] = 0
+                v -= 1
+    except BudgetExceededError as exc:
+        exc.stats["vertex"] = v
+        raise
     if v < 0:
         return False, None
     return True, {u: chosen[u] for u in range(g.n)}
@@ -167,7 +173,10 @@ def is_k_choosable_exhaustive(g, k, budget=None, cap=None):
 
     A "false" answer short-circuits and therefore scales beyond the size cap;
     a "true" answer requires n within the cap (default 6 for k=2).  Raises
-    BudgetExceededError carrying progress statistics when the budget runs out.
+    BudgetExceededError when the budget runs out, with the number of
+    complete assignments checked added to its ``stats`` as ``assignments``.
+    The count is kept in a local and put on the error only then, so a node
+    costs one plain ``charge``.
 
     While vertex d is listed, its *frontier* is the set of vertices before d
     that still have a neighbour at d or later.  Each search frame keeps the
@@ -200,7 +209,7 @@ def is_k_choosable_exhaustive(g, k, budget=None, cap=None):
         raise ValueError(
             "n=%d exceeds the cap %d for full enumeration; pass a budget to "
             "hunt for a counterexample anyway" % (g.n, cap))
-    stats = {"assignments": 0}
+    assignments = 0     # complete assignments checked, for a budget error
     # per depth d: the positions in d's frontier of d's earlier neighbours
     # and of the vertices still in the next frontier, and whether d joins it
     plan = []
@@ -223,43 +232,46 @@ def is_k_choosable_exhaustive(g, k, budget=None, cap=None):
     root = frozenset([()])
     stack = ([((0, 0, root), iter(_canonical_lists(0, k)), _blocked(root, *plan[0][:2]))]
              if g.n else [])
-    while stack:
-        key, candidates, pairs = stack[-1]
-        d, used = key[:2]
-        joins = plan[d][2]
-        for lst in candidates:
-            bud.charge(stage="oracle", **stats)
-            lists.append(lst)
-            if joins:
-                extended = {base + (c,) for base, blk in pairs for c in lst if c not in blk}
-            else:
-                extended = {base for base, blk in pairs if not blk.issuperset(lst)}
-            if not extended:
-                stats["assignments"] += 1
-                # the prefix is already uncolorable; complete it with fresh colors
-                used = max(used, lst[-1])
-                witness = dict(enumerate(lists))
-                for v in range(len(lists), g.n):
-                    witness[v] = tuple(range(used + 1, used + k + 1))
-                    used += k
-                return False, witness
-            if len(lists) < g.n:
-                child_used = max(used, lst[-1])
-                child = (d + 1, child_used, frozenset(extended))
-                if child not in done:
-                    if child_used not in candidates_after:
-                        candidates_after[child_used] = _canonical_lists(child_used, k)
-                    stack.append((child, iter(candidates_after[child_used]),
-                                  _blocked(extended, *plan[d + 1][:2])))
-                    break
-            else:
-                stats["assignments"] += 1
-            lists.pop()
-        else:
-            done.add(key)
-            stack.pop()
-            if lists:
+    try:
+        while stack:
+            key, candidates, pairs = stack[-1]
+            d, used = key[:2]
+            joins = plan[d][2]
+            for lst in candidates:
+                bud.charge(stage="oracle")
+                lists.append(lst)
+                if joins:
+                    extended = {base + (c,) for base, blk in pairs for c in lst if c not in blk}
+                else:
+                    extended = {base for base, blk in pairs if not blk.issuperset(lst)}
+                if not extended:
+                    # the prefix is already uncolorable; complete it with fresh colors
+                    used = max(used, lst[-1])
+                    witness = dict(enumerate(lists))
+                    for v in range(len(lists), g.n):
+                        witness[v] = tuple(range(used + 1, used + k + 1))
+                        used += k
+                    return False, witness
+                if len(lists) < g.n:
+                    child_used = max(used, lst[-1])
+                    child = (d + 1, child_used, frozenset(extended))
+                    if child not in done:
+                        if child_used not in candidates_after:
+                            candidates_after[child_used] = _canonical_lists(child_used, k)
+                        stack.append((child, iter(candidates_after[child_used]),
+                                      _blocked(extended, *plan[d + 1][:2])))
+                        break
+                else:
+                    assignments += 1
                 lists.pop()
+            else:
+                done.add(key)
+                stack.pop()
+                if lists:
+                    lists.pop()
+    except BudgetExceededError as exc:
+        exc.stats["assignments"] = assignments
+        raise
     return True, None
 
 

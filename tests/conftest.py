@@ -592,6 +592,33 @@ def minimal_obstruction_reference(g, removed):
     return current
 
 
+def offending_component_reference(g, bits, core):
+    """``exact._offending_component`` as it was, walking each component four times.
+
+    A bitmask BFS finds the component; then its vertices are listed in
+    ascending order, their degrees counted in a second pass, and the shape
+    test scans them for hubs.  Kept as a reference for the single walk,
+    which must return the same mask.
+    """
+    from choosability.exact import _members
+    from choosability.recognition import KIND_OUTSIDE, _classify_component
+
+    while core:
+        comp = todo = core & -core
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = bits[low.bit_length() - 1] & core & ~comp
+            comp |= new
+            todo |= new
+        core ^= comp
+        members = _members(comp)
+        degree = {v: (bits[v] & comp).bit_count() for v in members}
+        if _classify_component(members, g.adj, degree)[0] == KIND_OUTSIDE:
+            return comp
+    return 0
+
+
 def vertex_set_corpus():
     """``(graph, vertex sets)`` pairs beyond the small labelled graphs.
 

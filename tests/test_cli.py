@@ -239,6 +239,16 @@ class TestJsonErrors:
         assert body["stats"]["expanded"] == 4 and body["stats"]["limit"] == 3
         assert body["stats"]["stage"] == "oracle"
 
+    def test_oracle_budget_report(self, tmp_path, capsys):
+        # the oracle's progress count is put on the error only when it is raised
+        path = tmp_path / "c8.graph"
+        path.write_text(write_graph(cycle_graph(8)))
+        code = main(["--json", "check2", str(path), "--oracle", "--cap", "8", "--budget", "50"])
+        assert code == 3
+        assert capsys.readouterr().out == (
+            '{"error":{"kind":"budget","message":"node-expansion budget of 50 exceeded",'
+            '"stats":{"assignments":37,"expanded":51,"limit":50,"stage":"oracle"}}}\n')
+
     @pytest.mark.parametrize("argv,stage", [(["del2", "--exact"], "del2-branch"),
                                             (["near3"], "near3-check"),
                                             (["near3", "--min"], "near3-check")])

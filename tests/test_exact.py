@@ -4,11 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from choosability import exact
 from choosability.errors import Budget, BudgetExceededError
-from choosability.exact import (Decomposition, _minimal_obstruction, _two_core,
-                                _uncovered_edge, decomposition_is_valid, min_2_del_bruteforce,
-                                min_2_del_exact, min_near_3, min_vertex_cover_exact,
-                                near_3_decide)
+from choosability.exact import (Decomposition, _minimal_obstruction, _offending_component,
+                                _peel_bits, _two_core, _uncovered_edge, decomposition_is_valid,
+                                min_2_del_bruteforce, min_2_del_exact, min_near_3,
+                                min_vertex_cover_exact, near_3_decide)
 from choosability.generators import gen_gnp
 from choosability.graphs import Graph, delete_vertices, induced_subgraph
 from choosability.recognition import is_2_choosable
@@ -18,7 +19,8 @@ from choosability.reductions import (build_clause_gadget_planar, build_forbidden
 from conftest import (brute_maximal_independent_sets, brute_min_near_3,
                       brute_min_vertex_cover, complete_bipartite,
                       complete_graph, cycle_graph, dumbbell_graph, graph_classes,
-                      is_independent, minimal_obstruction_reference, spider_graph,
+                      is_independent, minimal_obstruction_reference,
+                      offending_component_reference, spider_graph,
                       theta_graph, vertex_set_corpus)
 
 
@@ -206,6 +208,33 @@ class TestMin2Del:
             for removed in removed_sets:
                 assert (_minimal_obstruction(g, core, sum(1 << v for v in removed))
                         == minimal_obstruction_reference(g, removed)), (g.edges, removed)
+
+    def test_offending_component_matches_reference(self):
+        # every core of every class on at most six vertices: the one walk
+        # that finds and classifies a component returns the same mask as
+        # the walks that listed, counted and scanned it after finding it
+        for n in range(1, 7):
+            for g in graph_classes(n):
+                bits = g.adj_bits()
+                for core in sorted({_peel_bits(bits, s, s) for s in range(1 << n)}):
+                    assert (_offending_component(g, bits, core)
+                            == offending_component_reference(g, bits, core)), (g.edges, core)
+
+    def test_offending_component_matches_reference_on_shrink_corpus(self, monkeypatch):
+        # every core the shrink hands it on the corpus of the subgraph
+        # reference, its shapes included
+        one_walk = exact._offending_component
+        cores = []
+
+        def checked(g, bits, core):
+            found = one_walk(g, bits, core)
+            assert found == offending_component_reference(g, bits, core), (g.edges, core)
+            cores.append(core)
+            return found
+
+        monkeypatch.setattr(exact, "_offending_component", checked)
+        self.test_minimal_obstruction_matches_subgraph_reference()
+        assert cores
 
     @pytest.mark.parametrize("solve,name,used,answer", [
         (min_2_del_exact, "clause", 2458, (4, (0, 6, 13, 20))),

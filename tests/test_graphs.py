@@ -428,8 +428,11 @@ class TestProperColoring:
         assert ok and coloring_is_proper(cycle_graph(5), coloring)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as err:
             k_colorable(complete_graph(8), 7, budget=10)
+        # the vertex being colored when the budget ran out rides on the error
+        assert err.value.stats == {"expanded": 11, "limit": 10, "stage": "list-coloring",
+                                   "vertex": 6}
 
     def test_agrees_with_exhaustive_product(self):
         import itertools

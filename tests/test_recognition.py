@@ -364,6 +364,10 @@ class TestOracle:
             is_k_choosable_exhaustive(cycle_graph(8), 2, budget=10_000)
         assert err.value.stats == {"expanded": 10_001, "limit": 10_000, "stage": "oracle",
                                    "assignments": 5_939}
+        with pytest.raises(BudgetExceededError) as err:
+            is_k_choosable_exhaustive(cycle_graph(8), 2, budget=50, cap=8)
+        assert err.value.stats == {"expanded": 51, "limit": 50, "stage": "oracle",
+                                   "assignments": 37}
 
 
 class TestAssignmentSerialization:
