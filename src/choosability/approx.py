@@ -16,13 +16,14 @@ that from the degrees and the provenance lengths.
 component.  ``approx_2_del`` contracts once too, then deletes a shortest
 cycle of each contracted component outside the family,
 re-peeling, re-contracting and re-splitting only around each deleted
-cycle, while ``shortest_cycle`` keeps its per-root certificates on that
-multigraph between rounds; each contracted vertex it picks is expanded
-back to the first original vertex of its chain.
+cycle, while a ``graphs._CycleSearch`` it holds as a local keeps the
+shortest-cycle search's per-root certificates between rounds; each
+contracted vertex it picks is expanded back to the first original vertex
+of its chain.
 """
 
 from .errors import InternalCheckError
-from .graphs import _CycleSearch, _peel, _shortest_cycle, connected_components
+from .graphs import _CycleSearch, _components, _peel, _shortest_cycle
 from .recognition import KIND_OUTSIDE, _classify_component, is_2_choosable
 
 
@@ -35,21 +36,15 @@ class CountedMultiGraph:
     counts.  A deleted or contracted vertex keeps its slot with an empty
     list, and a new vertex takes the next id, above every id so far;
     removing an entry and appending a new id both keep the lists sorted.
-    ``cycle_search`` is None, so ``shortest_cycle`` starts afresh on each
-    call, unless the heuristic keeps its BFS lists and root certificates
-    there between rounds; ``owner`` and ``mark`` are the labels of
-    :func:`_split`, kept the same way.  Every list indexed by vertex grows
-    when it is next used, so no round allocates anything of length ``n``.
+    It is data only: what the deletion heuristic keeps from one round to
+    the next lives in :func:`approx_2_del`'s locals.
     """
 
-    __slots__ = ("adj", "provenance", "cycle_search", "owner", "mark")
+    __slots__ = ("adj", "provenance")
 
     def __init__(self, adj, provenance):
         self.adj = adj
         self.provenance = provenance
-        self.cycle_search = None
-        self.owner = []
-        self.mark = 0
 
     @property
     def n(self):
@@ -178,7 +173,7 @@ def is_2_choosable_via_preprocessing(g):
     degree = [len(a) for a in work.adj]
     counts = [len(p) for p in work.provenance]
     return all(_classify_component(comp, work.adj, degree, counts)[0] != KIND_OUTSIDE
-               for comp in connected_components(work, ids))
+               for comp in _components(work, ids))
 
 
 def approx_2_del(g):
@@ -190,12 +185,13 @@ def approx_2_del(g):
     that multigraph, in which a vertex keeps its id: a component in the
     family is dropped; otherwise a shortest cycle of it is deleted,
     and the component is repaired and split around the cut (see
-    :func:`_cut`) back onto the worklist.  ``shortest_cycle`` keeps its
-    per-root certificates on the multigraph, and each cut drops those whose
-    BFS read a changed adjacency list, so a round searches again only near
-    the cut.  Each removed contracted vertex is expanded to the first
-    original vertex of its chain.  The returned set is re-validated;
-    failure raises InternalCheckError.
+    :func:`_cut`) back onto the worklist.  The shortest-cycle search reads
+    the multigraph's adjacency lists and keeps its per-root certificates in
+    ``search``, a ``graphs._CycleSearch`` held here as a local for all the
+    rounds; each cut drops those whose BFS read a changed adjacency list,
+    so a round searches again only near the cut.  Each removed contracted
+    vertex is expanded to the first original vertex of its chain.  The
+    returned set is re-validated; failure raises InternalCheckError.
 
     Components never interact, and every choice made on one depends only
     on the relative order of its own vertices: the last-in, first-out
@@ -208,8 +204,9 @@ def approx_2_del(g):
     whole graph, and the sorted union of the picks is the same.
     """
     work, ids = preprocess(g)
-    work.cycle_search = _CycleSearch()
-    pending = connected_components(work, ids)
+    search = _CycleSearch()
+    # ids is ascending, so the components need no second sort
+    pending = _components(work, ids)
     chosen = []
     provenance = work.provenance
     while pending:
@@ -220,11 +217,11 @@ def approx_2_del(g):
             counts = {v: len(provenance[v]) for v in comp}
             if _classify_component(comp, work.adj, degree, counts)[0] != KIND_OUTSIDE:
                 continue
-        cycle = _shortest_cycle(work, comp)
+        cycle = _shortest_cycle(work.adj, comp, search)
         if cycle is None:
             raise InternalCheckError("contracted graph is acyclic but non-empty")
         chosen.extend(provenance[v][0] for v in cycle)
-        pending.extend(_cut(work, comp, cycle))
+        pending.extend(_cut(work, comp, cycle, search))
     result = tuple(sorted(set(chosen)))
     if len(result) != len(chosen):
         raise InternalCheckError("expanded deletion picks collided")
@@ -235,7 +232,7 @@ def approx_2_del(g):
     return result
 
 
-def _cut(work, comp, cycle):
+def _cut(work, comp, cycle, search):
     """Delete ``cycle`` from the connected component ``comp`` of ``work`` and repair it.
 
     Only the vertices next to the cut change degree, so only they start
@@ -243,7 +240,7 @@ def _cut(work, comp, cycle):
     with degree 1, as in :func:`graphs._peel`), and only the maximal
     degree-2 runs through a vertex whose degree changed are contracted:
     every other run of ``comp`` was contracted before.  Every vertex whose
-    adjacency list changed is handed to ``work.cycle_search.forget``.
+    adjacency list changed is handed to ``search.forget``.
     Returns the components of what is left of ``comp``, each sorted, in
     ascending order of their smallest vertex, as :func:`_split` finds
     them from the survivors next to the cut and the new runs.
@@ -271,7 +268,7 @@ def _cut(work, comp, cycle):
             stack.append(u)
     first_new = work.n
     absorbed, ends = _contract(work, sorted(touched - gone))
-    work.cycle_search.forget(gone | touched | absorbed | ends)
+    search.forget(gone | touched | absorbed | ends)
     gone |= absorbed
     runs = range(first_new, work.n)
     return _split(work, comp, gone, sorted(touched - gone) + list(runs), runs)
@@ -287,13 +284,10 @@ def _split(work, comp, gone, seeds, runs):
     when at most one group is still running: what no finished group holds
     is then one component.  So the cost is about the number of seeds times
     the smaller components, not the whole of ``comp``.  The labels live in
-    ``work.owner``, under marks above every mark of an earlier split.
+    a dict made for this call, which holds only the vertices visited.
     """
     adj = work.adj
-    owner = work.owner
-    owner += [-1] * (work.n - len(owner))
-    base = work.mark
-    work.mark = base + len(seeds)
+    owner = {}
     parent = list(range(len(seeds)))
 
     def find(i):
@@ -304,7 +298,7 @@ def _split(work, comp, gone, seeds, runs):
 
     queues = []
     for i, s in enumerate(seeds):
-        owner[s] = base + i
+        owner[s] = i
         queues.append([s])
     heads = [0] * len(seeds)
     running = list(range(len(seeds)))
@@ -317,9 +311,9 @@ def _split(work, comp, gone, seeds, runs):
             u = queue[heads[i]]
             heads[i] += 1
             for w in adj[u]:
-                o = owner[w] - base
-                if o < 0:
-                    owner[w] = base + i
+                o = owner.get(w)
+                if o is None:
+                    owner[w] = i
                     queue.append(w)
                 elif o != i:
                     a, b = find(i), find(o)

@@ -51,6 +51,8 @@ def gen_formula(num_vars, num_clauses, seed):
     """Random 3-CNF with three distinct variables per clause."""
     if num_vars < 3:
         raise ValueError("need at least 3 variables")
+    if num_clauses < 0:
+        raise ValueError("clause count %d is negative" % num_clauses)
     rng = random.Random(seed)
     clauses = []
     for _ in range(num_clauses):

@@ -7,10 +7,11 @@ and ``shortest_cycle`` read only ``n`` and ``adj``, so they take a ``Graph``
 and the counted multigraph of the contraction pipeline,
 ``approx.CountedMultiGraph``, alike, where a parallel pair is a repeated
 neighbour; all three also work inside a vertex set of the graph, in its own
-ids.  ``shortest_cycle`` runs one bounded BFS per root and one depth-first
-search at the root that wins; it keeps each root's result in a
-``_CycleSearch``, which the deletion heuristic's multigraph carries from
-one round to the next.
+ids.  ``shortest_cycle`` restricts the adjacency lists to that set once;
+its core ``_shortest_cycle`` runs one bounded BFS per root and one
+depth-first search at the root that wins, keeping each root's result in
+the ``_CycleSearch`` it is given: a fresh one per public call, or the one
+the deletion heuristic, ``approx.approx_2_del``, holds across its rounds.
 """
 
 from bisect import bisect_left, bisect_right
@@ -413,13 +414,12 @@ def diameter(g):
 
 
 class _CycleSearch:
-    """What :func:`shortest_cycle` keeps between calls on one changing graph.
+    """What :func:`_shortest_cycle` keeps between calls on one changing adjacency.
 
-    A graph that carries one as ``cycle_search`` (the deletion heuristic's
-    counted multigraph) gets the same store on every call; any other graph
-    gets a fresh one, with no certificate, for each call.  The lists are
-    indexed by vertex, and a kept store grows them as new ids are
-    appended:
+    :func:`shortest_cycle` makes a fresh one, with no certificate, for each
+    call; the deletion heuristic, ``approx.approx_2_del``, makes one as a
+    local and passes it to every round.  The lists are indexed by vertex,
+    and a kept store grows them as new ids are appended:
 
     - ``stamp``, ``dist`` and ``branch`` hold the BFS labels; a vertex counts
       as labelled by a BFS only when its stamp is that BFS's mark, and
@@ -436,24 +436,18 @@ class _CycleSearch:
     A BFS is a function of the adjacency lists it read, so its result
     stays valid until one of them changes; :meth:`forget` drops exactly the
     certificates that read a changed list: those of the changed vertices
-    themselves and of their readers.  A kept store needs every
-    vertex set it is given to be a union of components, so that no
-    neighbour lies outside: ``inside`` is then all True.
+    themselves and of their readers.
     """
 
-    __slots__ = ("inside", "stamp", "dist", "branch", "mark", "low", "tight", "pair", "readers")
+    __slots__ = ("stamp", "dist", "branch", "mark", "low", "tight", "pair", "readers")
 
-    def __init__(self, n=0, vertices=None):
+    def __init__(self, n=0):
         """A store for one call on ``n`` vertices, or an empty one to keep and grow.
 
         A store for one call is dropped before anything could be forgotten,
         so its vertices share one throwaway readers list, which costs no
-        allocation per vertex.  ``inside`` marks ``vertices`` (all when None).
+        allocation per vertex.
         """
-        self.inside = [vertices is None] * n
-        if vertices is not None:
-            for v in vertices:
-                self.inside[v] = True
         self.stamp = [-1] * n
         self.dist = [0] * n
         self.branch = [0] * n
@@ -467,7 +461,6 @@ class _CycleSearch:
         """Extend every list to ``n`` vertices; a new vertex has no certificate."""
         extra = n - len(self.stamp)
         if extra > 0:
-            self.inside += [True] * extra
             self.stamp += [-1] * extra
             self.dist += [0] * extra
             self.branch += [0] * extra
@@ -496,7 +489,10 @@ def shortest_cycle(g, vertices=None):
     """Shortest cycle of ``G[vertices]`` (all of ``g`` when None), or None.
 
     Works in ``g``'s own ids with no subgraph built; an id outside 0..n-1
-    raises ValueError.  Reads only ``n`` and ``adj``, so it takes a
+    raises ValueError.  A vertex set restricts the adjacency lists once:
+    each listed vertex keeps its neighbours inside the set, every other
+    vertex gets an empty list, and the search reads those lists alone,
+    with no membership test.  Reads only ``n`` and ``adj``, so it takes a
     ``Graph``, and any object whose ``adj[v]`` lists are sorted.  A parallel
     pair counts as a cycle of length 2, and the first such pair ends the
     search.  Ties are broken by the lexicographically smallest vertex
@@ -519,37 +515,43 @@ def shortest_cycle(g, vertices=None):
     The scan keeps a certificate per root in a :class:`_CycleSearch`: it
     starts from one more than the smallest exact value, reuses an exact
     value, skips a lower bound that is at least the best length so far,
-    and runs the BFS again for the rest.  A graph that carries a store as
-    ``cycle_search`` keeps it across calls, so after a small change only
-    the roots whose BFS read a changed adjacency list search again; any
-    other graph starts with an empty store, in which every root searches.
-    """
-    return _shortest_cycle(g, range(g.n) if vertices is None else _ascending_ids(g, vertices))
-
-
-def _shortest_cycle(g, order):
-    """:func:`shortest_cycle` of ``G[order]``, ``order`` ascending and in range.
-
-    For a caller that holds its vertex set in that form already, such as
-    the sorted components the deletion heuristic works through.
+    and runs the BFS again for the rest.  Each call here starts with an
+    empty store, in which every root searches.  The deletion heuristic
+    keeps one store across its rounds and calls :func:`_shortest_cycle`
+    with it, so after a small change only the roots whose BFS read a
+    changed adjacency list search again.
     """
     adj = g.adj
-    search = getattr(g, "cycle_search", None)
-    if search is None:
-        # ascending without repeats, so all of g exactly when n long
-        search = _CycleSearch(g.n, None if len(order) == g.n else order)
-    else:
-        search.grow(g.n)
-    inside, pair, low, tight = search.inside, search.pair, search.low, search.tight
+    order = range(g.n) if vertices is None else _ascending_ids(g, vertices)
+    # ascending without repeats, so all of g exactly when n long
+    if len(order) < g.n:
+        inside = set(order)
+        adj = [()] * g.n
+        for v in order:
+            adj[v] = [u for u in g.adj[v] if u in inside]
+    return _shortest_cycle(adj, order, _CycleSearch(g.n))
+
+
+def _shortest_cycle(adj, order, search):
+    """:func:`shortest_cycle` on the adjacency lists ``adj``, over ``order``.
+
+    ``order`` is ascending and a union of components of ``adj``, so no
+    vertex in it has a neighbour outside and every list is read whole.
+    ``search`` is the :class:`_CycleSearch` whose certificates the scan
+    reuses and updates, grown here to ``len(adj)`` vertices.
+    """
+    n = len(adj)
+    search.grow(n)
+    pair, low, tight = search.pair, search.low, search.tight
     # the smallest exact certificate bounds the answer from above
-    best = g.n
+    best = n
     for u in order:
         a = pair[u]
         if a is None:
             # the smallest neighbour above u joined to it by two edges, or -1
             a = -1
             for x, y in zip(adj[u], adj[u][1:]):
-                if x == y and x > u and inside[x]:
+                if x == y and x > u:
                     a = x
                     break
             pair[u] = a
@@ -558,12 +560,12 @@ def _shortest_cycle(g, order):
         if tight[u] and low[u] < best:
             best = low[u]
 
-    # no parallel pairs from here on: G[vertices] is simple
+    # no parallel pairs from here on: G[order] is simple
     stamp, dist, branch, readers = search.stamp, search.dist, search.branch, search.readers
     # roots stamp with base + v0 and the restoring run with base + n, all
     # above every mark of an earlier call on the same store
     base = search.mark
-    search.mark = base + g.n + 1
+    search.mark = base + n + 1
     best, root = best + 1, None
     for v0 in order:
         found = low[v0]
@@ -574,7 +576,7 @@ def _shortest_cycle(g, order):
             # length below it comes out exact, so a tie at an even best is
             # certified exact at no extra cost
             bound = best | 1
-            found = _root_bfs(adj, inside, v0, bound, base + v0, stamp, dist, branch, readers)
+            found = _root_bfs(adj, v0, bound, base + v0, stamp, dist, branch, readers)
             low[v0] = found
             tight[v0] = found < bound
         if found < best:
@@ -583,11 +585,11 @@ def _shortest_cycle(g, order):
                 break
     if root is None:
         return None
-    _root_bfs(adj, inside, root, best + 1, base + g.n, stamp, dist, branch, readers)
-    return _lex_smallest_cycle(adj, root, best, base + g.n, stamp, dist)
+    _root_bfs(adj, root, best + 1, base + n, stamp, dist, branch, readers)
+    return _lex_smallest_cycle(adj, root, best, base + n, stamp, dist)
 
 
-def _root_bfs(adj, inside, v0, found, mark, stamp, dist, branch, readers):
+def _root_bfs(adj, v0, found, mark, stamp, dist, branch, readers):
     """Length of the shortest cycle with smallest vertex v0 if below ``found``, else ``found``.
 
     Labels every vertex it reaches with ``stamp[w] = mark``, its distance to
@@ -599,7 +601,7 @@ def _root_bfs(adj, inside, v0, found, mark, stamp, dist, branch, readers):
     and of every vertex it expands, and appends v0 to the ``readers`` list
     of each vertex it expands.
     """
-    frontier = [w for w in adj[v0] if w > v0 and inside[w]]
+    frontier = [w for w in adj[v0] if w > v0]
     if len(frontier) < 2:
         return found
     for w in frontier:
@@ -614,7 +616,7 @@ def _root_bfs(adj, inside, v0, found, mark, stamp, dist, branch, readers):
             readers[u].append(v0)
             label = branch[u]
             for w in adj[u]:
-                if w <= v0 or not inside[w]:
+                if w <= v0:
                     continue
                 if stamp[w] != mark:
                     stamp[w] = mark

@@ -680,9 +680,12 @@ def deletion_set_from_assignment(art, tau):
 def compute_paper_p(k, epsilon):
     """Petal parameter (280k)^ceil((2-eps)/eps) as an exact integer.
 
-    ``epsilon`` may be a Fraction, int, or float in (0, 1]; floats are
-    snapped to the nearest small fraction so exact ceilings survive.
+    ``k`` is an int of at least 1 (a ``bool`` is refused).  ``epsilon`` may
+    be a Fraction, int, or float in (0, 1]; floats are snapped to the
+    nearest small fraction so exact ceilings survive.
     """
+    if type(k) is not int or k < 1:
+        raise ValueError("k must be an integer of at least 1, not %r" % (k,))
     if isinstance(epsilon, float):
         epsilon = Fraction(epsilon).limit_denominator(1_000_000)
     epsilon = Fraction(epsilon)

@@ -7,8 +7,8 @@ from choosability import graphs
 from choosability.approx import (CountedMultiGraph, _cut, approx_2_del,
                                  is_2_choosable_via_preprocessing, preprocess)
 from choosability.generators import gen_gnp
-from choosability.graphs import (Graph, _CycleSearch, connected_components, delete_vertices,
-                                 shortest_cycle)
+from choosability.graphs import (Graph, _CycleSearch, _shortest_cycle, connected_components,
+                                 delete_vertices, shortest_cycle)
 from choosability.recognition import (KIND_EVEN_CYCLE, KIND_K1, KIND_OUTSIDE, KIND_THETA,
                                       _classify_component, classify_core, compute_core,
                                       is_2_choosable)
@@ -408,24 +408,24 @@ class TestApprox2Del:
         # a round deletes a shortest cycle and repairs only around it; what is
         # left, relabelled in ascending order, is preprocess of the rest, and
         # the cut component splits into the components of what is left of it.
-        # The working multigraph keeps one certificate state across the
-        # rounds, and each round's cycle is that of a search with none
+        # One certificate store is kept across the rounds, as approx_2_del
+        # keeps it, and each round's cycle is that of a search with none
         rng = random.Random(1998)
         rounds = 0
         for trial in range(40):
             g = gen_gnp(rng.randrange(10, 80), rng.choice([0.04, 0.08, 0.15]), seed=9500 + trial)
             current, current_ids = preprocess(g)
             work = CountedMultiGraph([list(a) for a in current.adj], list(current.provenance))
-            work.cycle_search = _CycleSearch()
+            search = _CycleSearch()
             ids = list(current_ids)
             cycle = shortest_cycle(current, current_ids)
             while cycle is not None:
                 position = {v: i for i, v in enumerate(current_ids)}
-                found = shortest_cycle(work, ids)
+                found = _shortest_cycle(work.adj, ids, search)
                 assert found == [ids[position[v]] for v in cycle]
                 assert found == shortest_cycle(CountedMultiGraph(work.adj, work.provenance), ids)
                 comp = next(c for c in connected_components(work, ids) if found[0] in c)
-                pieces = _cut(work, comp, found)
+                pieces = _cut(work, comp, found, search)
                 left = sorted(v for piece in pieces for v in piece)
                 assert pieces == connected_components(work, left)
                 ids = sorted(set(ids).difference(comp).union(left))
@@ -448,27 +448,47 @@ class TestApprox2Del:
         edges += [(11, 20), (14, 20), (20, 21), (21, 22), (20, 22)]
         g = Graph(23, edges)
         work = lift(g)
-        work.cycle_search = _CycleSearch()
+        search = _CycleSearch()
         searched = []
         root_bfs = graphs._root_bfs
 
-        def recorded(adj, inside, v0, *rest):
+        def recorded(adj, v0, *rest):
             searched.append(v0)
-            return root_bfs(adj, inside, v0, *rest)
+            return root_bfs(adj, v0, *rest)
 
         monkeypatch.setattr(graphs, "_root_bfs", recorded)
-        assert shortest_cycle(work, range(23)) == [20, 21, 22]
-        assert work.cycle_search.low[10] == 4 and work.cycle_search.tight[10]
-        assert _cut(work, range(10, 23), [20, 21, 22]) == [tuple(range(10, 20))]
-        assert not work.cycle_search.tight[10]
+        assert _shortest_cycle(work.adj, range(23), search) == [20, 21, 22]
+        assert search.low[10] == 4 and search.tight[10]
+        assert _cut(work, range(10, 23), [20, 21, 22], search) == [tuple(range(10, 20))]
+        assert not search.tight[10]
         searched.clear()
-        assert shortest_cycle(work, range(20)) == [0, 1, 2, 3, 4]
+        assert _shortest_cycle(work.adj, range(20), search) == [0, 1, 2, 3, 4]
         assert 10 in searched
         # only the winning root runs again, to restore its labels
         assert [v for v in searched if v < 10] == [0]
         monkeypatch.undo()
         fresh = CountedMultiGraph(work.adj, work.provenance)
         assert shortest_cycle(fresh, range(20)) == [0, 1, 2, 3, 4]
+
+    def test_cut_that_leaves_many_pieces(self):
+        # a triangle whose corners carry 30 Petersen graphs, each hung by one
+        # edge: the first round deletes the triangle, and the split finds
+        # each Petersen graph from its own seed
+        p = petersen_graph()
+        edges = [(0, 1), (1, 2), (0, 2)]
+        for i in range(30):
+            base = 3 + 10 * i
+            edges += [(i % 3, base)] + [(u + base, v + base) for u, v in p.edges]
+        g = Graph(303, edges)
+        work, ids = preprocess(g)
+        search = _CycleSearch()
+        cycle = _shortest_cycle(work.adj, ids, search)
+        assert cycle == [0, 1, 2]
+        pieces = _cut(work, ids, cycle, search)
+        assert len(pieces) == 30
+        assert pieces == connected_components(work, range(3, 303))
+        assert pieces == [tuple(range(3 + 10 * i, 13 + 10 * i)) for i in range(30)]
+        assert approx_2_del(g) == approx_2_del_global(g)
 
     def test_disjoint_union_is_shifted_union(self):
         parts = [spider_graph(3), petersen_graph(), cycle_graph(5), cycle_graph(6),

@@ -143,6 +143,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: edge probability %r is not in [0, 1]\n" % float(prob))
 
+    def test_formula_refuses_a_negative_clause_count(self, capsys):
+        assert main(["gen", "formula", "--vars", "3", "--clauses", "-2", "--seed", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: clause count -2 is negative\n")
+        # no clauses is a valid file; reduce sat3 refuses it later
+        assert main(["gen", "formula", "--vars", "3", "--clauses", "0", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.startswith("p cnf 3 0")
+
     def test_written_graph_at_the_vertex_limit_reads_back(self, tmp_path):
         out = tmp_path / "limit.graph"
         assert main(["gen", "cycle", "--n", str(MAX_GRAPH_VERTICES), "--out", str(out)]) == 0

@@ -410,9 +410,9 @@ class TestShortestCycleOnVertexSets:
         roots = []
         bfs = graphs._root_bfs
 
-        def recording(adj, inside, v0, *rest):
+        def recording(adj, v0, *rest):
             roots.append(v0)
-            return bfs(adj, inside, v0, *rest)
+            return bfs(adj, v0, *rest)
 
         monkeypatch.setattr(graphs, "_root_bfs", recording)
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])

@@ -601,6 +601,9 @@ class TestPaperP:
             compute_paper_p(1, 0)
         with pytest.raises(ValueError):
             compute_paper_p(1, 2)
+        for k in (0, -1, 2.5, True, 1.0):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                compute_paper_p(k, 1)
 
 
 class TestTriangleReduction:
