@@ -3,9 +3,12 @@
 Minimum vertex cover, minimum 2-choosable deletion and minimum
 near-3-choosability are hitting-set problems, and one bounded search tree,
 :func:`_hitting_set`, solves all three; each solver supplies only the
-obstruction to branch on.  Searches are budgeted by node-expansion counters
-(never wall clock), break ties deterministically, and refuse graphs above a
-size cap that callers may raise.
+obstruction to branch on.  The search branches include/exclude, so it
+reaches each vertex set at most once and keeps no record of the sets it
+has seen, and at the incumbent's size it tries only sets that come before
+the incumbent.  Searches are budgeted by node-expansion counters (never
+wall clock), break ties deterministically, and refuse graphs above a size
+cap that callers may raise.
 
 The search holds vertex sets as Python ints, bit v standing for vertex v,
 and reads the adjacency of the simple ``Graph`` from ``g.adj_bits()``.  The
@@ -75,46 +78,76 @@ def _members(mask):
     return tuple(out)
 
 
+def _precedes(x, y):
+    """Whether vertex set ``x`` comes before ``y`` of the same size, as sorted tuples.
+
+    Both agree below the lowest vertex in one and not the other, so the one
+    that holds it is the smaller.
+    """
+    diff = x ^ y
+    return bool(x & diff & -diff)
+
+
 def _hitting_set(obstruction, bud, stage):
     """Minimum vertex set hitting every obstruction, as ``(size, sorted tuple)``.
 
     Vertex sets are bitmasks.  ``obstruction(chosen)`` is None when
-    ``chosen`` is a solution, else the ascending tuple of vertices one of
-    which every solution containing ``chosen`` must contain (empty when
-    none can).  Only a strictly larger size is pruned, so every minimum
-    solution is reached and the lexicographically first is returned; None
-    when there is no solution.  Depth-first with an explicit stack of
-    (node, untried branch vertices), so deep trees cannot exhaust the
-    recursion limit.  ``seen`` holds one int per expanded node, so the
-    memory of a search still grows with its budget, by about a hundred
-    bytes a node with the set's own overhead.
+    ``chosen`` is a solution, else the ascending tuple of vertices outside
+    ``chosen`` one of which every solution containing ``chosen`` must
+    contain (empty when none can).  Returns the lexicographically first
+    minimum solution, or None when there is none.
+
+    Include/exclude branching: a node is ``chosen`` with a set ``excluded``
+    disjoint from it, and its children take the obstruction's vertices
+    outside ``excluded`` in order, each child excluding the siblings taken
+    before it.  A node whose obstruction lies inside ``excluded`` is dead.
+    Two paths to one set split where one takes a vertex the other then
+    excludes, so every set is reached at most once and no set of visited
+    nodes is kept.  A child is skipped, when it is taken, if it is larger
+    than the incumbent, or of its size and not lexicographically before it.
+
+    Neither rule loses the lexicographically first minimum solution S.
+    From the root down, keep a node with ``chosen`` inside S and
+    ``excluded`` outside it.  Until ``chosen`` is S it is smaller than S,
+    so no solution and smaller than any incumbent, and the node branches;
+    S meets its obstruction outside ``excluded``.  The first branch vertex
+    in S, v, gives a child whose earlier siblings are not in S, so the
+    child keeps both properties.  It is not skipped: ``chosen | 1 << v``
+    lies in S, so it is no larger than any incumbent, and if of the
+    incumbent's size it is S itself, which comes before any other
+    solution of that size.
+
+    Depth-first with an explicit stack of ``[chosen, excluded, untried]``
+    frames, one per level, so deep trees cannot exhaust the recursion limit
+    and memory grows with the depth, not with the nodes expanded.
     """
-    best = None
-    seen = set()
+    best_size = None
+    best_mask = 0
     stack = []
-    chosen = 0
+    chosen = excluded = size = 0
     while True:
         bud.charge(stage=stage)
-        branches = ()
-        if chosen not in seen:
-            seen.add(chosen)
-            obs = obstruction(chosen)
-            if obs is None:
-                cand = (chosen.bit_count(), _members(chosen))
-                if best is None or cand < best:
-                    best = cand
-            elif best is None or chosen.bit_count() + 1 <= best[0]:
-                branches = obs
-        stack.append((chosen, iter(branches)))
+        obs = obstruction(chosen)
+        if obs is None:
+            # every node reached beats the incumbent, so this one is the new best
+            best_size, best_mask = size, chosen
+        elif best_size is None or size < best_size:
+            stack.append([chosen, excluded, iter([v for v in obs if not excluded >> v & 1])])
         while stack:
-            parent, untried = stack[-1]
+            frame = stack[-1]
+            parent, excluded, untried = frame
             v = next(untried, None)
-            if v is not None:
-                chosen = parent | 1 << v
+            if v is None:
+                stack.pop()
+                continue
+            frame[1] = excluded | 1 << v
+            chosen = parent | 1 << v
+            size = parent.bit_count() + 1
+            if (best_size is None or size < best_size
+                    or size == best_size and _precedes(chosen, best_mask)):
                 break
-            stack.pop()
         else:
-            return best
+            return None if best_size is None else (best_size, _members(best_mask))
 
 
 def _peel_bits(bits, alive, todo):
@@ -185,9 +218,10 @@ def _minimal_obstruction(g, core, removed):
     by smallest vertex, is shrunk: each vertex, in ascending order, goes
     when the rest is still not 2-choosable, and then only the rest's
     offending core component is kept.  That component is a core too, so
-    each step re-peels from the deleted vertex's neighbours alone.  Returns
-    the sorted vertex tuple, or None when g minus ``removed`` is
-    2-choosable.
+    each step re-peels from the deleted vertex's neighbours alone.  The
+    shrink stops once what is left is a cycle, an odd one, from which no
+    vertex can go.  Returns the sorted vertex tuple, or None when g minus
+    ``removed`` is 2-choosable.
     """
     bits = g.adj_bits()
     rest = core & ~removed
@@ -201,7 +235,7 @@ def _minimal_obstruction(g, core, removed):
     if not current:
         return None
     # each vertex of the first component, ascending, while it is still left
-    tried = current
+    tried = 0 if _is_cycle(bits, current) else current
     while tried:
         low = tried & -tried
         tried ^= low
@@ -212,7 +246,20 @@ def _minimal_obstruction(g, core, removed):
         shrunk = _offending_component(g, bits, _peel_bits(bits, rest, nbrs))
         if shrunk:
             current = shrunk
+            if _is_cycle(bits, current):
+                break
     return _members(current)
+
+
+def _is_cycle(bits, comp):
+    """Whether the connected core ``comp`` is a cycle: every vertex has two neighbours in it."""
+    todo = comp
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        if (bits[low.bit_length() - 1] & comp).bit_count() != 2:
+            return False
+    return True
 
 
 def _obstruction_cache(g):

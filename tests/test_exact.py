@@ -39,6 +39,65 @@ def structured_graphs():
             + [theta_graph(1, 3, 5), theta_graph(2, 3, 3), theta_graph(2, 2, 5)])
 
 
+PINNED_GRAPHS = {"clause": lambda: build_clause_gadget_planar(1).graph,
+                 "spider": lambda: spider_graph(4),
+                 "K8,10": lambda: complete_bipartite(8, 10)}
+
+
+def set_systems():
+    """Seeded set systems over at most 10 elements, as lists of ascending tuples.
+
+    Random sets, disjoint triples (many optima), chains of nested sets, and
+    systems holding the empty set, which nothing hits.
+    """
+    rng = random.Random(4242)
+    systems = [[], [()], [(0, 1, 2), ()]]
+    for trial in range(300):
+        m = rng.randrange(1, 11)
+        kind = trial % 4
+        if kind == 0:
+            sets = [tuple(sorted(rng.sample(range(m), rng.randrange(1, min(m, 4) + 1))))
+                    for _ in range(rng.randrange(1, 9))]
+        elif kind == 1:
+            sets = [tuple(range(3 * i, 3 * i + 3)) for i in range(m // 3)]
+            sets += [tuple(sorted(rng.sample(range(m), 2))) for _ in range(rng.randrange(3))
+                     if m >= 2]
+        elif kind == 2:
+            order = rng.sample(range(m), m)
+            sets = [tuple(sorted(order[:k])) for k in range(1, m + 1)]
+            sets += [(v,) for v in rng.sample(range(m), rng.randrange(min(m, 3)))]
+        else:
+            sets = [tuple(sorted(rng.sample(range(m), rng.randrange(0, min(m, 3) + 1))))
+                    for _ in range(rng.randrange(1, 6))]
+        rng.shuffle(sets)
+        systems.append(sets)
+    return systems
+
+
+def brute_hitting_set(sets):
+    """First hitting set by size, then in lexicographic order; None when none exists."""
+    universe = sorted({v for s in sets for v in s})
+    for size in range(len(universe) + 1):
+        for cand in combinations(universe, size):
+            if all(set(s) & set(cand) for s in sets):
+                return size, cand
+    return None
+
+
+class TestHittingSet:
+    def test_matches_bruteforce_on_set_systems(self):
+        for sets in set_systems():
+            masks = [(sum(1 << v for v in s), s) for s in sets]
+            expanded = []
+
+            def first_unhit(chosen):
+                expanded.append(chosen)
+                return next((s for mask, s in masks if not chosen & mask), None)
+
+            assert exact._hitting_set(first_unhit, Budget(), "test") == brute_hitting_set(sets), sets
+            assert len(set(expanded)) == len(expanded), sets
+
+
 class TestNear3Decide:
     def test_c5(self):
         decomp = near_3_decide(cycle_graph(5))
@@ -237,26 +296,46 @@ class TestMin2Del:
         assert cores
 
     @pytest.mark.parametrize("solve,name,used,answer", [
-        (min_2_del_exact, "clause", 2458, (4, (0, 6, 13, 20))),
-        (min_near_3, "clause", 2311, (4, (0, 6, 13, 20))),
-        (min_2_del_exact, "spider", 154, (1, (16,))),
-        (min_near_3, "spider", 214, (1, (16,))),
-        (min_vertex_cover_exact, "clause", 3823,
+        (min_2_del_exact, "clause", 401, (4, (0, 6, 13, 20))),
+        (min_near_3, "clause", 401, (4, (0, 6, 13, 20))),
+        (min_2_del_exact, "spider", 64, (1, (16,))),
+        (min_near_3, "spider", 68, (1, (16,))),
+        (min_vertex_cover_exact, "clause", 1921,
          (12, (0, 1, 2, 6, 8, 11, 13, 15, 18, 20, 22, 25))),
-        (min_vertex_cover_exact, "spider", 331, (8, (0, 2, 4, 6, 8, 10, 12, 14))),
-        (min_2_del_exact, "K8,10", 21811, (7, tuple(range(7)))),
-        (min_near_3, "K8,10", 764, (7, tuple(range(7)))),
-        (min_vertex_cover_exact, "K8,10", 73, (8, tuple(range(8)))),
+        (min_vertex_cover_exact, "spider", 170, (8, (0, 2, 4, 6, 8, 10, 12, 14))),
+        (min_2_del_exact, "K8,10", 3984, (7, tuple(range(7)))),
+        (min_near_3, "K8,10", 504, (7, tuple(range(7)))),
+        (min_vertex_cover_exact, "K8,10", 37, (8, tuple(range(8)))),
     ])
     def test_node_counts_pinned(self, solve, name, used, answer):
-        # counts of the shrink that built a subgraph per step and of the search
-        # on vertex sets; the bitmask search must branch exactly as they did
-        g = {"clause": lambda: build_clause_gadget_planar(1).graph,
-             "spider": lambda: spider_graph(4),
-             "K8,10": lambda: complete_bipartite(8, 10)}[name]()
+        # the answers every earlier search gave, and the exact node counts of
+        # include/exclude branching with the lexicographic skip at the
+        # incumbent's size, so any change in how the search branches shows
+        g = PINNED_GRAPHS[name]()
         bud = Budget()
         assert solve(g, budget=bud, cap=g.n) == answer
         assert bud.used == used
+
+    @pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
+    def test_no_vertex_set_expanded_twice(self, name, monkeypatch):
+        # every node of each solver's search is a different vertex set, and
+        # each is charged once
+        engine = exact._hitting_set
+        expanded = []
+
+        def recording(obstruction, bud, stage):
+            def wrapped(chosen):
+                expanded.append(chosen)
+                return obstruction(chosen)
+            return engine(wrapped, bud, stage)
+
+        monkeypatch.setattr(exact, "_hitting_set", recording)
+        g = PINNED_GRAPHS[name]()
+        for solve in (min_2_del_exact, min_near_3, min_vertex_cover_exact):
+            expanded.clear()
+            bud = Budget()
+            solve(g, budget=bud, cap=g.n)
+            assert len(set(expanded)) == len(expanded) == bud.used, solve.__name__
 
     def test_min_near3_dominates(self):
         for n in range(1, 7):
