@@ -12,9 +12,15 @@ cap that callers may raise.
 
 The search holds vertex sets as Python ints, bit v standing for vertex v,
 and reads the adjacency of the simple ``Graph`` from ``g.adj_bits()``.  The
-minimal obstruction is found and shrunk on these bitmasks by a private
-peel, :func:`_peel_bits`, that deletes vertices with at most one neighbour
-left and starts only from the neighbours of the vertices just taken away;
+minimal obstruction is found on these bitmasks: a triangle, the smallest
+graph that is not 2-choosable, when what is left has one (the
+lexicographically first, by :func:`_first_triangle`; graphs whose 2-core
+has none are never scanned), else a core component outside the family,
+shrunk vertex by vertex until it is an odd cycle or a bipartite core of
+cyclomatic number 2, from which no vertex can go
+(:func:`_is_minimal_core`).  A private peel, :func:`_peel_bits`, deletes
+vertices with at most one neighbour left and starts only from the
+neighbours of the vertices just taken away;
 the components it leaves are found by a bitmask breadth-first search,
 which in the same walk lists each component's vertices and their degrees,
 and are classified from these by
@@ -208,20 +214,97 @@ def _two_core(g):
     return _peel_bits(g.adj_bits(), everyone, everyone)
 
 
-def _minimal_obstruction(g, core, removed):
+def _first_triangle(bits, alive):
+    """The lexicographically first triangle of ``G[alive]``, as a sorted tuple, or None.
+
+    The smallest u with a neighbour v above it that has a common neighbour
+    above v; of those, the smallest v, and then the smallest such common
+    neighbour w.
+    """
+    above = alive
+    while above:
+        low = above & -above
+        above ^= low
+        # ``above`` is now what is left of ``alive`` above u
+        higher = bits[low.bit_length() - 1] & above
+        while higher:
+            mid = higher & -higher
+            higher ^= mid
+            common = bits[mid.bit_length() - 1] & higher
+            if common:
+                return (low.bit_length() - 1, mid.bit_length() - 1,
+                        (common & -common).bit_length() - 1)
+    return None
+
+
+def _is_minimal_core(bits, comp):
+    """Whether no vertex can go from the connected, offending core ``comp``.
+
+    True when ``comp`` is a cycle, or is bipartite with cyclomatic number
+    m - n + 1 = 2.  Its degrees are at least 2, and they sum to 2n for a
+    cycle and to 2n + 2 at cyclomatic number 2, so only then is it
+    2-coloured.
+
+    Why no vertex v can go from either.  An offending cycle is odd, and
+    without v it is a path.  In the second case, when v lies on a cycle
+    that cycle is lost, so the cyclomatic numbers of the pieces of
+    ``comp`` minus v sum to at most 1.  When it does not, every edge at v
+    is a bridge, and there are at least two; in the piece that each leads
+    to, every vertex but the bridge's end keeps degree 2 or more, so the
+    piece has as many edges as vertices and holds a cycle, and the two
+    independent cycles of ``comp`` lie in different pieces.  Either way
+    each piece has at most one cycle, an even one since ``comp`` is
+    bipartite, so its core is empty or an even cycle and it is
+    2-choosable.
+    """
+    excess = 0      # the degree sum less 2n, so far
+    todo = comp
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        excess += (bits[low.bit_length() - 1] & comp).bit_count() - 2
+        if excess > 2:
+            return False
+    if not excess:
+        return True
+    # breadth-first layers; a connected graph is bipartite when no edge
+    # joins two vertices of one layer
+    layer = seen = comp & -comp
+    while layer:
+        reached = 0
+        todo = layer
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            nbrs = bits[low.bit_length() - 1] & comp
+            if nbrs & layer:
+                return False
+            reached |= nbrs
+        layer = reached & ~seen
+        seen |= layer
+    return True
+
+
+def _minimal_obstruction(g, core, removed, triangles=True):
     """Vertex-minimal non-2-choosable induced subgraph of g minus ``removed``.
 
     ``core`` is the bitmask :func:`_two_core` of g and ``removed`` a vertex
     bitmask.  The 2-core of g minus ``removed`` is that of ``core`` minus
     ``removed``, so the peel starts from the neighbours of the removed
-    vertices alone.  Its first component outside the 2-choosable family,
-    by smallest vertex, is shrunk: each vertex, in ascending order, goes
-    when the rest is still not 2-choosable, and then only the rest's
-    offending core component is kept.  That component is a core too, so
-    each step re-peels from the deleted vertex's neighbours alone.  The
-    shrink stops once what is left is a cycle, an odd one, from which no
-    vertex can go.  Returns the sorted vertex tuple, or None when g minus
-    ``removed`` is 2-choosable.
+    vertices alone.  A triangle is the smallest graph that is not
+    2-choosable, so when what is left has one, the lexicographically first
+    (:func:`_first_triangle`) is the answer; ``triangles`` is False when g
+    is known to have none, and then no scan is made.  Otherwise the
+    first component outside the 2-choosable family, by smallest vertex, is
+    shrunk: each vertex, in ascending order, goes when the rest is still
+    not 2-choosable, and then only the rest's offending core component is
+    kept.  That component is a core too, so each step re-peels from the
+    deleted vertex's neighbours alone.  The shrink stops once what is left
+    is a core from which no vertex can go, an odd cycle or a bipartite
+    core of cyclomatic number 2 (:func:`_is_minimal_core` proves that
+    every vertex deletion from one is 2-choosable), so the stop returns
+    the tuple the full shrink would.  Returns the sorted vertex tuple, or
+    None when g minus ``removed`` is 2-choosable.
     """
     bits = g.adj_bits()
     rest = core & ~removed
@@ -231,11 +314,16 @@ def _minimal_obstruction(g, core, removed):
         low = gone & -gone
         gone ^= low
         todo |= bits[low.bit_length() - 1]
-    current = _offending_component(g, bits, _peel_bits(bits, rest, todo & rest))
+    rest = _peel_bits(bits, rest, todo & rest)
+    if triangles:
+        found = _first_triangle(bits, rest)
+        if found is not None:
+            return found
+    current = _offending_component(g, bits, rest)
     if not current:
         return None
     # each vertex of the first component, ascending, while it is still left
-    tried = 0 if _is_cycle(bits, current) else current
+    tried = 0 if _is_minimal_core(bits, current) else current
     while tried:
         low = tried & -tried
         tried ^= low
@@ -246,32 +334,26 @@ def _minimal_obstruction(g, core, removed):
         shrunk = _offending_component(g, bits, _peel_bits(bits, rest, nbrs))
         if shrunk:
             current = shrunk
-            if _is_cycle(bits, current):
+            if _is_minimal_core(bits, current):
                 break
     return _members(current)
 
 
-def _is_cycle(bits, comp):
-    """Whether the connected core ``comp`` is a cycle: every vertex has two neighbours in it."""
-    todo = comp
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        if (bits[low.bit_length() - 1] & comp).bit_count() != 2:
-            return False
-    return True
-
-
 def _obstruction_cache(g):
-    """Minimal-obstruction callback; reuses any earlier find disjoint from ``chosen``."""
+    """Minimal-obstruction callback; reuses any earlier find disjoint from ``chosen``.
+
+    Every triangle of g minus a vertex set is a triangle of g's 2-core, so
+    when that core has none, no node scans for one.
+    """
     core = _two_core(g)
+    triangles = _first_triangle(g.adj_bits(), core) is not None
     found = []      # (bitmask, sorted tuple) of every obstruction found so far
 
     def obstruction(chosen):
         for mask, obs in found:
             if not chosen & mask:
                 return obs
-        obs = _minimal_obstruction(g, core, chosen)
+        obs = _minimal_obstruction(g, core, chosen, triangles)
         if obs is not None:
             found.append((sum(1 << v for v in obs), obs))
         return obs

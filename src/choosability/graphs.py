@@ -16,7 +16,7 @@ the deletion heuristic, ``approx.approx_2_del``, holds across its rounds.
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import chain, islice, repeat, starmap, tee
+from itertools import accumulate, chain, compress, count, islice, repeat, starmap, tee
 from operator import eq, getitem, itemgetter, lt
 
 from .errors import InternalCheckError
@@ -163,11 +163,13 @@ def _adjacency(n, us, vs):
     for v, a in enumerate(adj):
         a.sort()
         adj[v] = tuple(a)           # each list is freed as its tuple is made
-    # a repeat shows as one id twice in a row; so does an id that ends one
-    # list and starts the next, so only then are the lists counted exactly
+    # a repeat shows as one id twice in a row inside a list; an id that ends
+    # one list and starts the next is no fault, so each equal pair's second
+    # position must be where a list starts
     ids, following = tee(chain.from_iterable(adj))
     next(following, None)
-    if any(map(eq, ids, following)) and sum(map(len, map(set, adj))) != 2 * len(us):
+    seconds = list(compress(count(1), map(eq, ids, following)))
+    if seconds and not set(accumulate(map(len, adj))).issuperset(seconds):
         _raise_first_fault(n, zip(us, vs))
     return tuple(adj)
 

@@ -570,14 +570,21 @@ def is_2_choosable_on_subgraph(g, vertices):
 
 
 def minimal_obstruction_reference(g, removed):
-    """``exact._minimal_obstruction`` as it was, building a subgraph at every step.
+    """``exact._minimal_obstruction`` on subgraphs: a triangle, else a shrink.
 
-    Kept as a reference for the shrink on vertex sets of ``g``, which must
-    return the same tuple.
+    The lexicographically first triangle of g minus ``removed``, read off
+    its sorted edge list; when it has none, the shrink as it was, building
+    a subgraph at every step.  Kept as a reference for the bitmask scan and
+    shrink on vertex sets of ``g``, which must return the same tuple.
     """
     from choosability.graphs import delete_vertices, induced_subgraph
 
     rest, kept = delete_vertices(g, removed)
+    edges = set(rest.edges)
+    triangle = next(((u, v, w) for u, v in rest.edges for w in range(v + 1, rest.n)
+                     if (u, w) in edges and (v, w) in edges), None)
+    if triangle is not None:
+        return tuple(kept[v] for v in triangle)
     ok, core = is_2_choosable_reference(rest)
     if ok:
         return None

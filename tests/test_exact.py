@@ -6,7 +6,8 @@ import pytest
 
 from choosability import exact
 from choosability.errors import Budget, BudgetExceededError
-from choosability.exact import (Decomposition, _minimal_obstruction, _offending_component,
+from choosability.exact import (Decomposition, _is_minimal_core, _members,
+                                _minimal_obstruction, _offending_component,
                                 _peel_bits, _two_core, _uncovered_edge, decomposition_is_valid,
                                 min_2_del_bruteforce, min_2_del_exact, min_near_3,
                                 min_vertex_cover_exact, near_3_decide)
@@ -39,9 +40,64 @@ def structured_graphs():
             + [theta_graph(1, 3, 5), theta_graph(2, 3, 3), theta_graph(2, 2, 5)])
 
 
+def shape_cases():
+    """Shapes for the shrink, each with removed vertex sets.
+
+    Spiders, dumbbells, thetas, K_{2,n}, K_{a,b} and six disjoint
+    triangles, each with no vertex removed, each single vertex removed and
+    20 seeded random sets.
+    """
+    rng = random.Random(1979)
+    triangles = Graph(18, [(3 * i + a, 3 * i + b) for i in range(6)
+                           for a, b in ((0, 1), (1, 2), (0, 2))])
+    shapes = ([spider_graph(k) for k in range(3, 9)]
+              + [dumbbell_graph(3, 3, 1), dumbbell_graph(3, 4, 2), dumbbell_graph(4, 6, 3),
+                 dumbbell_graph(5, 5, 1)]
+              + [theta_graph(*paths) for paths in ((1, 2, 2), (2, 2, 6), (1, 3, 3),
+                                                   (2, 4, 4), (3, 3, 5))]
+              + [complete_bipartite(2, n) for n in range(1, 9)]
+              + [complete_bipartite(a, b) for a in range(1, 7) for b in range(a, 7)]
+              + [triangles])
+    cases = []
+    for g in shapes:
+        sets = [frozenset()] + [frozenset([v]) for v in range(g.n)]
+        sets += [frozenset(v for v in range(g.n) if rng.random() < 0.25) for _ in range(20)]
+        cases.append((g, sets))
+    return cases
+
+
+def graphs_upto_7():
+    """Every graph on at most seven vertices up to isomorphism, some more than once.
+
+    The classes on at most six vertices, and each six-vertex class with a
+    seventh vertex joined to each subset of it.
+    """
+    graphs = [g for n in range(7) for g in graph_classes(n)]
+    for g in graph_classes(6):
+        for mask in range(1 << 6):
+            graphs.append(Graph(7, g.edges + tuple((v, 6) for v in range(6) if mask >> v & 1)))
+    return graphs
+
+
+def triangle_rich_graphs():
+    """Graphs where the search branches on triangles first.
+
+    The wheels W_4-W_8 (a hub joined to every vertex of C_k), K_4-K_7, the
+    octahedron K_{2,2,2} and 30 seeded G(n, 0.5) with n = 4-10.
+    """
+    wheels = [Graph(k + 1, cycle_graph(k).edges + tuple((v, k) for v in range(k)))
+              for k in range(4, 9)]
+    octahedron = Graph(6, [(u, v) for u, v in combinations(range(6), 2) if u // 2 != v // 2])
+    rng = random.Random(33)
+    return (wheels + [complete_graph(n) for n in range(4, 8)] + [octahedron]
+            + [gen_gnp(rng.randrange(4, 11), 0.5, seed=3300 + trial) for trial in range(30)])
+
+
+# every graph but G(14, 0.3) is bipartite, so only it has triangles to branch on
 PINNED_GRAPHS = {"clause": lambda: build_clause_gadget_planar(1).graph,
                  "spider": lambda: spider_graph(4),
-                 "K8,10": lambda: complete_bipartite(8, 10)}
+                 "K8,10": lambda: complete_bipartite(8, 10),
+                 "G(14,0.3)": lambda: gen_gnp(14, 0.3, seed=4)}
 
 
 def set_systems():
@@ -176,6 +232,10 @@ class TestMinNear3:
         for g in structured_graphs():
             assert min_near_3(g) == brute_min_near_3(g)
 
+    def test_matches_bruteforce_with_many_triangles(self):
+        for g in triangle_rich_graphs():
+            assert min_near_3(g) == brute_min_near_3(g), g.edges
+
     def test_result_revalidates(self):
         rng = random.Random(3)
         for trial in range(40):
@@ -226,6 +286,10 @@ class TestMin2Del:
             g = gen_gnp(rng.randrange(4, 10), rng.choice([0.3, 0.5]), seed=900 + trial)
             assert min_2_del_exact(g) == min_2_del_bruteforce(g)
 
+    def test_matches_bruteforce_with_many_triangles(self):
+        for g in triangle_rich_graphs():
+            assert min_2_del_exact(g) == min_2_del_bruteforce(g), g.edges
+
     def test_minimal_obstruction(self):
         for n in range(1, 7):
             for g in graph_classes(n):
@@ -239,29 +303,16 @@ class TestMin2Del:
                     assert is_2_choosable(induced_subgraph(g, rest)[0])[0]
 
     def test_minimal_obstruction_matches_subgraph_reference(self):
-        # the same tuple as the shrink that built a subgraph per step, so the
-        # search branches the same way; the shrink takes a bitmask, the
-        # reference a vertex set
+        # the same tuple as the reference that reads a triangle off the edge
+        # list and else shrinks, building a subgraph per step, so the search
+        # branches the same way; the shrink takes a bitmask, the reference a
+        # vertex set
         cases = [(g, [frozenset(r) for size in range(g.n + 1)
                       for r in combinations(range(g.n), size)])
                  for n in range(1, 7) for g in graph_classes(n)]
         cases += [(g, [frozenset(range(g.n)) - frozenset(s) for s in sets])
                   for g, sets in vertex_set_corpus()]
-        rng = random.Random(1979)
-        triangles = Graph(18, [(3 * i + a, 3 * i + b) for i in range(6)
-                               for a, b in ((0, 1), (1, 2), (0, 2))])
-        shapes = ([spider_graph(k) for k in range(3, 9)]
-                  + [dumbbell_graph(3, 3, 1), dumbbell_graph(3, 4, 2), dumbbell_graph(4, 6, 3),
-                     dumbbell_graph(5, 5, 1)]
-                  + [theta_graph(*paths) for paths in ((1, 2, 2), (2, 2, 6), (1, 3, 3),
-                                                       (2, 4, 4), (3, 3, 5))]
-                  + [complete_bipartite(2, n) for n in range(1, 9)]
-                  + [complete_bipartite(a, b) for a in range(1, 7) for b in range(a, 7)]
-                  + [triangles])
-        for g in shapes:
-            sets = [frozenset()] + [frozenset([v]) for v in range(g.n)]
-            sets += [frozenset(v for v in range(g.n) if rng.random() < 0.25) for _ in range(20)]
-            cases.append((g, sets))
+        cases += shape_cases()
         for g, removed_sets in cases:
             core = _two_core(g)
             for removed in removed_sets:
@@ -295,6 +346,43 @@ class TestMin2Del:
         self.test_minimal_obstruction_matches_subgraph_reference()
         assert cores
 
+    def test_shrink_stop_is_sound(self, monkeypatch):
+        # every offending connected core the stop accepts loses its
+        # obstruction with any one vertex: each connected core on at most
+        # seven vertices, and every core the shrink asks about on the shapes
+        accepted = []
+        for g in graphs_upto_7():
+            bits, everyone = g.adj_bits(), (1 << g.n) - 1
+            if (g.n and _peel_bits(bits, everyone, everyone) == everyone
+                    and _offending_component(g, bits, everyone) == everyone
+                    and _is_minimal_core(bits, everyone)):
+                accepted.append((g, everyone))
+        rule = exact._is_minimal_core
+        stops = []
+
+        def recording(bits, comp):
+            found = rule(bits, comp)
+            if found:
+                stops.append(comp)
+            return found
+
+        monkeypatch.setattr(exact, "_is_minimal_core", recording)
+        for g, removed_sets in shape_cases():
+            core = _two_core(g)
+            for removed in removed_sets:
+                _minimal_obstruction(g, core, sum(1 << v for v in removed))
+            accepted += [(g, comp) for comp in stops]
+            stops.clear()
+        kinds = {"cycle": 0, "cyclomatic number 2": 0}
+        for g, comp in accepted:
+            members = _members(comp)
+            assert not is_2_choosable(g, members)[0], (g.edges, members)
+            for v in members:
+                assert is_2_choosable(g, [u for u in members if u != v])[0], (g.edges, v)
+            edges = sum(len(set(g.adj[v]) & set(members)) for v in members) // 2
+            kinds["cycle" if edges == len(members) else "cyclomatic number 2"] += 1
+        assert all(kinds.values()), kinds
+
     @pytest.mark.parametrize("solve,name,used,answer", [
         (min_2_del_exact, "clause", 401, (4, (0, 6, 13, 20))),
         (min_near_3, "clause", 401, (4, (0, 6, 13, 20))),
@@ -306,11 +394,15 @@ class TestMin2Del:
         (min_2_del_exact, "K8,10", 3984, (7, tuple(range(7)))),
         (min_near_3, "K8,10", 504, (7, tuple(range(7)))),
         (min_vertex_cover_exact, "K8,10", 37, (8, tuple(range(8)))),
+        (min_2_del_exact, "G(14,0.3)", 70, (4, (0, 2, 6, 7))),
+        (min_near_3, "G(14,0.3)", 30, (4, (0, 3, 6, 7))),
+        (min_vertex_cover_exact, "G(14,0.3)", 102, (9, (0, 1, 2, 4, 6, 8, 10, 11, 12))),
     ])
     def test_node_counts_pinned(self, solve, name, used, answer):
         # the answers every earlier search gave, and the exact node counts of
         # include/exclude branching with the lexicographic skip at the
-        # incumbent's size, so any change in how the search branches shows
+        # incumbent's size, and on G(14, 0.3) of taking the first triangle as
+        # the obstruction, so any change in how the search branches shows
         g = PINNED_GRAPHS[name]()
         bud = Budget()
         assert solve(g, budget=bud, cap=g.n) == answer

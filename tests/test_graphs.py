@@ -153,6 +153,13 @@ class TestAgainstSortedTupleGraph:
             g, ref = Graph(5, edges), SortedTupleGraph(5, edges)
             assert (g.adj, g.edges, g.m) == (ref.adj, ref.edges, ref.m)
 
+    def test_columns_tell_a_list_boundary_from_a_repeat(self):
+        # adj[0] = (2,) and adj[1] = (2,) put 2 twice in a row across a list
+        # boundary; (0, 2) given twice puts it twice inside adj[0]
+        g = Graph._from_columns(3, [0, 1], [2, 2])
+        assert (g.adj, g.edges, g.m) == (((2,), (2,), (0, 1)), ((0, 2), (1, 2)), 2)
+        assert _message(Graph._from_columns, 3, [0, 2], [2, 0]) == "duplicate edge (0, 2)"
+
     def test_columns_give_the_same_graph(self):
         rng = random.Random(11)
         for _ in range(50):
