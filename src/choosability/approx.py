@@ -8,13 +8,13 @@ adjacent degree-2 vertices by a single counted vertex of a new
 other vertex keeps its id (a cycle component contracts all but one of its
 vertices, yielding a two-vertex parallel pair).  A connected graph is
 2-choosable exactly when its contraction is K1, C_{2m+2} or theta_{2,2,2m}
-once each counted vertex is read as the chain it stands for;
-``recognition._classify_component``, the package's one shape test, reads
-that from the degrees and the provenance lengths.
+once each counted vertex is read as the chain it stands for; ``_in_family``
+reads that with ``recognition._classify_component``, the package's one
+shape test, from the degrees and the provenance lengths.
 
 ``is_2_choosable_via_preprocessing`` contracts once and tests every
-component.  ``approx_2_del`` contracts once too, then deletes a shortest
-cycle of each contracted component outside the family,
+component with ``_in_family``.  ``approx_2_del`` contracts once too, then
+deletes a shortest cycle of each contracted component outside the family,
 re-peeling, re-contracting and re-splitting only around each deleted
 cycle, while a ``graphs._CycleSearch`` it holds as a local keeps the
 shortest-cycle search's per-root certificates between rounds; each
@@ -170,10 +170,20 @@ def is_2_choosable_via_preprocessing(g):
     when every contracted component, read with its counts, is in the family.
     """
     work, ids = preprocess(g)
-    degree = [len(a) for a in work.adj]
-    counts = [len(p) for p in work.provenance]
-    return all(_classify_component(comp, work.adj, degree, counts)[0] != KIND_OUTSIDE
-               for comp in _components(work, ids))
+    return all(_in_family(work, comp) for comp in _components(work, ids))
+
+
+def _in_family(work, comp):
+    """Whether the contracted component ``comp`` of ``work`` is in the family.
+
+    A contracted K1, even cycle or theta has 1, 2 or 5 vertices.
+    """
+    if len(comp) > 5:
+        return False
+    adj, provenance = work.adj, work.provenance
+    degree = {v: len(adj[v]) for v in comp}
+    counts = {v: len(provenance[v]) for v in comp}
+    return _classify_component(comp, adj, degree, counts)[0] != KIND_OUTSIDE
 
 
 def approx_2_del(g):
@@ -211,12 +221,8 @@ def approx_2_del(g):
     provenance = work.provenance
     while pending:
         comp = pending.pop()
-        # a contracted K1, even cycle or theta has 1, 2 or 5 vertices
-        if len(comp) <= 5:
-            degree = {v: len(work.adj[v]) for v in comp}
-            counts = {v: len(provenance[v]) for v in comp}
-            if _classify_component(comp, work.adj, degree, counts)[0] != KIND_OUTSIDE:
-                continue
+        if _in_family(work, comp):
+            continue
         cycle = _shortest_cycle(work.adj, comp, search)
         if cycle is None:
             raise InternalCheckError("contracted graph is acyclic but non-empty")

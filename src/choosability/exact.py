@@ -14,16 +14,16 @@ The search holds vertex sets as Python ints, bit v standing for vertex v,
 and reads the adjacency of the simple ``Graph`` from ``g.adj_bits()``.  The
 minimal obstruction is found on these bitmasks: a triangle, the smallest
 graph that is not 2-choosable, when what is left has one (the
-lexicographically first, by :func:`_first_triangle`; graphs whose 2-core
-has none are never scanned), else a core component outside the family,
-shrunk vertex by vertex until it is an odd cycle or a bipartite core of
-cyclomatic number 2, from which no vertex can go
-(:func:`_is_minimal_core`).  A private peel, :func:`_peel_bits`, deletes
-vertices with at most one neighbour left and starts only from the
-neighbours of the vertices just taken away;
-the components it leaves are found by a bitmask breadth-first search,
-which in the same walk lists each component's vertices and their degrees,
-and are classified from these by
+lexicographically first, by :func:`~choosability.graphs._first_triangle`,
+the scan ``is_triangle_free`` runs too; graphs whose 2-core has none are
+never scanned), else a core component outside the family, shrunk vertex
+by vertex until it is an odd cycle or a bipartite core of cyclomatic
+number 2, from which no vertex can go (:func:`_is_minimal_core`).  A
+private peel, :func:`_peel_bits`, deletes vertices with at most one
+neighbour left and starts only from the neighbours of the vertices just
+taken away; the components it leaves are found by a bitmask breadth-first
+search, which in the same walk lists each component's vertices and their
+degrees, and are classified from these by
 :func:`~choosability.recognition._classify_component`, the one shape test,
 which also classifies the contracted components of :mod:`~choosability.approx`.
 ``decomposition_is_valid`` and ``min_2_del_bruteforce`` stay on
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import Budget
+from .graphs import _first_triangle
 from .recognition import KIND_OUTSIDE, _classify_component, is_2_choosable
 
 DEFAULT_NEAR3_CAP = 25
@@ -214,29 +215,6 @@ def _two_core(g):
     return _peel_bits(g.adj_bits(), everyone, everyone)
 
 
-def _first_triangle(bits, alive):
-    """The lexicographically first triangle of ``G[alive]``, as a sorted tuple, or None.
-
-    The smallest u with a neighbour v above it that has a common neighbour
-    above v; of those, the smallest v, and then the smallest such common
-    neighbour w.
-    """
-    above = alive
-    while above:
-        low = above & -above
-        above ^= low
-        # ``above`` is now what is left of ``alive`` above u
-        higher = bits[low.bit_length() - 1] & above
-        while higher:
-            mid = higher & -higher
-            higher ^= mid
-            common = bits[mid.bit_length() - 1] & higher
-            if common:
-                return (low.bit_length() - 1, mid.bit_length() - 1,
-                        (common & -common).bit_length() - 1)
-    return None
-
-
 def _is_minimal_core(bits, comp):
     """Whether no vertex can go from the connected, offending core ``comp``.
 
@@ -293,16 +271,16 @@ def _minimal_obstruction(g, core, removed, triangles=True):
     ``removed``, so the peel starts from the neighbours of the removed
     vertices alone.  A triangle is the smallest graph that is not
     2-choosable, so when what is left has one, the lexicographically first
-    (:func:`_first_triangle`) is the answer; ``triangles`` is False when g
-    is known to have none, and then no scan is made.  Otherwise the
-    first component outside the 2-choosable family, by smallest vertex, is
-    shrunk: each vertex, in ascending order, goes when the rest is still
-    not 2-choosable, and then only the rest's offending core component is
-    kept.  That component is a core too, so each step re-peels from the
-    deleted vertex's neighbours alone.  The shrink stops once what is left
-    is a core from which no vertex can go, an odd cycle or a bipartite
-    core of cyclomatic number 2 (:func:`_is_minimal_core` proves that
-    every vertex deletion from one is 2-choosable), so the stop returns
+    (:func:`~choosability.graphs._first_triangle`) is the answer;
+    ``triangles`` is False when g is known to have none, and then no scan is
+    made.  Otherwise the first component outside the 2-choosable family, by
+    smallest vertex, is shrunk: each vertex, in ascending order, goes when
+    the rest is still not 2-choosable, and then only the rest's offending
+    core component is kept.  That component is a core too, so each step
+    re-peels from the deleted vertex's neighbours alone.  The shrink stops
+    once what is left is a core from which no vertex can go, an odd cycle or
+    a bipartite core of cyclomatic number 2 (:func:`_is_minimal_core` proves
+    that every vertex deletion from one is 2-choosable), so the stop returns
     the tuple the full shrink would.  Returns the sorted vertex tuple, or
     None when g minus ``removed`` is 2-choosable.
     """

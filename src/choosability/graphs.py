@@ -10,8 +10,10 @@ neighbour; all three also work inside a vertex set of the graph, in its own
 ids.  ``shortest_cycle`` restricts the adjacency lists to that set once;
 its core ``_shortest_cycle`` runs one bounded BFS per root and one
 depth-first search at the root that wins, keeping each root's result in
-the ``_CycleSearch`` it is given: a fresh one per public call, or the one
+the ``_CycleSearch`` it is given: an empty one per public call, or the one
 the deletion heuristic, ``approx.approx_2_del``, holds across its rounds.
+``_first_triangle`` is the one triangle scan, of ``is_triangle_free`` and
+of the exact search.
 """
 
 from bisect import bisect_left, bisect_right
@@ -365,14 +367,32 @@ def _odd_cycle(parent, u, v):
 
 
 def is_triangle_free(g):
-    """Returns ``(True, None)`` or ``(False, (a, b, c))`` with a triangle."""
-    bits = g.adj_bits()
-    for u, v in g.edges:
-        common = bits[u] & bits[v]
-        if common:
-            w = (common & -common).bit_length() - 1
-            return False, tuple(sorted((u, v, w)))
-    return True, None
+    """``(True, None)``, or ``(False, t)`` with ``t`` the :func:`_first_triangle` of g."""
+    found = _first_triangle(g.adj_bits(), (1 << g.n) - 1)
+    return found is None, found
+
+
+def _first_triangle(bits, alive):
+    """The lexicographically first triangle of ``G[alive]``, as a sorted tuple, or None.
+
+    ``bits`` is ``Graph.adj_bits()`` and ``alive`` a vertex bitmask.  The
+    smallest u with a neighbour v above it that has a common neighbour above
+    v; of those, the smallest v, and then the smallest such common neighbour w.
+    """
+    above = alive
+    while above:
+        low = above & -above
+        above ^= low
+        # ``above`` is now what is left of ``alive`` above u
+        higher = bits[low.bit_length() - 1] & above
+        while higher:
+            mid = higher & -higher
+            higher ^= mid
+            common = bits[mid.bit_length() - 1] & higher
+            if common:
+                return (low.bit_length() - 1, mid.bit_length() - 1,
+                        (common & -common).bit_length() - 1)
+    return None
 
 
 def diameter(g):
@@ -421,7 +441,7 @@ class _CycleSearch:
     :func:`shortest_cycle` makes a fresh one, with no certificate, for each
     call; the deletion heuristic, ``approx.approx_2_del``, makes one as a
     local and passes it to every round.  The lists are indexed by vertex,
-    and a kept store grows them as new ids are appended:
+    and each call grows them to its adjacency's length:
 
     - ``stamp``, ``dist`` and ``branch`` hold the BFS labels; a vertex counts
       as labelled by a BFS only when its stamp is that BFS's mark, and
@@ -443,21 +463,16 @@ class _CycleSearch:
 
     __slots__ = ("stamp", "dist", "branch", "mark", "low", "tight", "pair", "readers")
 
-    def __init__(self, n=0):
-        """A store for one call on ``n`` vertices, or an empty one to keep and grow.
-
-        A store for one call is dropped before anything could be forgotten,
-        so its vertices share one throwaway readers list, which costs no
-        allocation per vertex.
-        """
-        self.stamp = [-1] * n
-        self.dist = [0] * n
-        self.branch = [0] * n
+    def __init__(self):
+        """An empty store; :func:`_shortest_cycle` grows it to its vertices."""
+        self.stamp = []
+        self.dist = []
+        self.branch = []
         self.mark = 0
-        self.low = [0] * n
-        self.tight = [False] * n
-        self.pair = [None] * n
-        self.readers = [[]] * n
+        self.low = []
+        self.tight = []
+        self.pair = []
+        self.readers = []
 
     def grow(self, n):
         """Extend every list to ``n`` vertices; a new vertex has no certificate."""
@@ -531,7 +546,7 @@ def shortest_cycle(g, vertices=None):
         adj = [()] * g.n
         for v in order:
             adj[v] = [u for u in g.adj[v] if u in inside]
-    return _shortest_cycle(adj, order, _CycleSearch(g.n))
+    return _shortest_cycle(adj, order, _CycleSearch())
 
 
 def _shortest_cycle(adj, order, search):

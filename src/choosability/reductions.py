@@ -7,7 +7,7 @@ recipes) can be re-checked mechanically rather than trusted.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, repeat
+from itertools import repeat
 from math import ceil
 
 from .errors import InternalCheckError
@@ -251,10 +251,6 @@ def _h_layout(phi):
     return rows, tid, fid, dom, d0
 
 
-#: the clause orders that older ``planar3sat`` sidecars record as ``meta.formula.rotation``
-_ROTATIONS = [list(r) for r in permutations((1, 2, 3))]
-
-
 def _rebuilt(art, kind):
     """``(phi, artifact)``: the ``kind`` reduction of ``art.meta.formula``, matched to ``art``.
 
@@ -263,15 +259,12 @@ def _rebuilt(art, kind):
     :func:`_h_edges`; no second graph or role table is built, and the
     artifact returned is None.  For ``planar3sat`` the reduction is built
     again (:func:`build_G_phi_p` with ``meta.p``, a positive integer) and
-    returned.  Older ``planar3sat`` sidecars record a ``rotation`` with the
-    formula: clause j's literals were attached in the order
-    ``rotation[j - 1]``, so they are taken in that order.  ValueError unless
-    the formula is valid and its reduction is ``art.graph``.  Nothing else
-    of the sidecar is read: the solution builders take roles and gadget
-    records from the rebuilt artifact or the formula.
+    returned.  ValueError unless the formula is valid and its reduction is
+    ``art.graph``.  Nothing else of the sidecar is read: the solution
+    builders take roles and gadget records from the rebuilt artifact or the
+    formula.
     """
-    formula = art.meta.get("formula")
-    phi = CnfFormula.from_dict(formula)
+    phi = CnfFormula.from_dict(art.meta.get("formula"))
     if kind == "sat3":
         # H_phi is dense: a formula for another vertex count is not swept
         same = (phi.num_clauses >= 1 and _h_layout(phi)[-1] + 1 == art.graph.n
@@ -281,14 +274,6 @@ def _rebuilt(art, kind):
         p = art.meta.get("p")
         if type(p) is not int or p < 1:
             raise ValueError("meta.p must be a positive integer, not %r" % (p,))
-        rotation = formula.get("rotation")
-        if rotation is not None:
-            if not (isinstance(rotation, list) and len(rotation) == phi.num_clauses
-                    and all(r in _ROTATIONS for r in rotation)):
-                raise ValueError("meta.formula.rotation must hold one permutation "
-                                 "of 1, 2, 3 per clause")
-            phi = CnfFormula(phi.num_vars, [[clause[i - 1] for i in r]
-                                            for clause, r in zip(phi.clauses, rotation)])
         rebuilt = build_G_phi_p(phi, p)
         same = rebuilt.graph == art.graph
     if not same:

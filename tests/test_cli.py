@@ -400,8 +400,10 @@ class TestReduceAndSolve:
                             for ext in (".graph", ".roles.json")])
         assert written[0] == written[1]
 
-    def test_old_sidecar_with_rotation_solves(self, tmp_path, capsys):
-        # clause (1, -2, 3) under the former rotation (3, 1, 2) was wired as (3, 1, -2)
+    def test_old_sidecar_with_rotation_is_not_the_reduction(self, tmp_path, capsys):
+        # clause (1, -2, 3) under a former clause rotation (3, 1, 2) was wired
+        # as (3, 1, -2); the rotation is no longer read, so the graph is not
+        # the reduction of the recorded formula
         cnf = tmp_path / "phi.cnf"
         cnf.write_text("p cnf 3 1\n3 1 -2 0\n")
         base = str(tmp_path / "gart")
@@ -412,9 +414,10 @@ class TestReduceAndSolve:
                                       "rotation": [[3, 1, 2]]}
         sidecar_path.write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
         capsys.readouterr()
-        code, report = run_json(capsys, ["solution-from-assignment", base, "--tau", "100"])
-        assert code == 0
-        assert report["verdicts"]["kind"] == "deletion-set"
+        code = main(["--json", "solution-from-assignment", base, "--tau", "100"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: the graph is not the reduction of meta.formula")
 
     @pytest.mark.parametrize("drop, solves", [
         ("meta.formula", False), ("kind", False),

@@ -5,6 +5,7 @@ import pytest
 
 from choosability import graphs
 from choosability.errors import BudgetExceededError
+from choosability.generators import gen_gnp
 from choosability.approx import CountedMultiGraph
 from choosability.graphs import (Graph, _components, _peel, connected_components,
                                  coloring_is_proper,
@@ -248,6 +249,29 @@ class TestTriangleFree:
         a, b, c = tri
         g = complete_graph(4)
         assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+
+    @staticmethod
+    def first_triangle(g, vertices):
+        """The first triple of ``vertices``, in combinations order, that is a triangle."""
+        return next((t for t in itertools.combinations(vertices, 3)
+                     if g.has_edge(t[0], t[1]) and g.has_edge(t[1], t[2])
+                     and g.has_edge(t[0], t[2])), None)
+
+    def test_lexicographically_first_on_gnp(self):
+        for n in range(16):
+            for s in range(60):
+                g = gen_gnp(n, 0.35, seed=s)
+                tri = self.first_triangle(g, range(n))
+                assert is_triangle_free(g) == (tri is None, tri)
+
+    def test_first_triangle_inside_a_vertex_mask(self):
+        rng = random.Random(5)
+        for s in range(200):
+            n = rng.randrange(3, 13)
+            g = gen_gnp(n, 0.5, seed=s)
+            alive = rng.getrandbits(n)
+            inside = [v for v in range(n) if alive >> v & 1]
+            assert graphs._first_triangle(g.adj_bits(), alive) == self.first_triangle(g, inside)
 
 
 class TestDiameter:
