@@ -4,7 +4,7 @@ import random
 import pytest
 
 from choosability import graphs
-from choosability.approx import (CountedMultiGraph, _cut, approx_2_del,
+from choosability.approx import (CountedMultiGraph, _cut, _in_family, approx_2_del,
                                  is_2_choosable_via_preprocessing, preprocess)
 from choosability.generators import gen_gnp
 from choosability.graphs import (Graph, _CycleSearch, _shortest_cycle, connected_components,
@@ -299,6 +299,34 @@ class TestCPrimeClassification:
                                    {v: 1 for v in range(3, 8)}) == (KIND_THETA, 1)
         assert _classify_component(range(3, 8), mg.adj, degree,
                                    {3: 2, 4: 1, 5: 1, 6: 1, 7: 1})[0] == KIND_OUTSIDE
+
+    def test_in_family_reads_a_component_on_working_ids(self):
+        # _in_family reads a contracted component where it sits in the
+        # working multigraph, and agrees with the classifier on its relabelled copy
+        rng = random.Random(3535)
+        seen = set()
+        for trial in range(300):
+            g = gen_gnp(rng.randrange(2, 30), rng.choice([0.05, 0.1, 0.2]), seed=7000 + trial)
+            work, ids = preprocess(g)
+            for comp in connected_components(work, ids):
+                answer = _in_family(work, comp)
+                assert answer == in_family(multigraph_restrict(work, comp))
+                seen.add(answer)
+        assert seen == {True, False}
+
+    def test_in_family_outside_above_five_vertices(self):
+        # a contracted K1, even cycle or theta has at most 5 vertices, so the
+        # early answer for larger components is the classifier's answer too
+        rng = random.Random(3636)
+        large = 0
+        for _ in range(400):
+            work, ids = preprocess(random_multigraph(rng, rng.randrange(6, 14)))
+            for comp in connected_components(work, ids):
+                if len(comp) > 5:
+                    large += 1
+                    assert not _in_family(work, comp)
+                    assert not in_family(multigraph_restrict(work, comp))
+        assert large > 100
 
     def test_unpreprocessed_edge_is_outside_until_preprocessed(self):
         # K2 is 2-choosable, but the family test reads preprocessed input:
