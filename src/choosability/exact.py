@@ -15,8 +15,8 @@ and reads the adjacency of the simple ``Graph`` from ``g.adj_bits()``.  The
 minimal obstruction is found on these bitmasks: a triangle, the smallest
 graph that is not 2-choosable, when what is left has one (the
 lexicographically first, by :func:`~choosability.graphs._first_triangle`,
-the scan ``is_triangle_free`` runs too; graphs whose 2-core has none are
-never scanned), else a core component outside the family, shrunk vertex
+the triangle ``is_triangle_free`` finds too; graphs whose 2-core has none
+are never scanned), else a core component outside the family, shrunk vertex
 by vertex until it is an odd cycle or a bipartite core of cyclomatic
 number 2, from which no vertex can go (:func:`_is_minimal_core`).  A
 private peel, :func:`_peel_bits`, deletes vertices with at most one

@@ -263,6 +263,8 @@ class TestTriangleFree:
                 g = gen_gnp(n, 0.35, seed=s)
                 tri = self.first_triangle(g, range(n))
                 assert is_triangle_free(g) == (tri is None, tri)
+                # the exact search's scan finds the same triangle of the whole graph
+                assert graphs._first_triangle(g.adj_bits(), (1 << n) - 1) == tri
 
     def test_first_triangle_inside_a_vertex_mask(self):
         rng = random.Random(5)
