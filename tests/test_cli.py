@@ -770,6 +770,89 @@ class TestProcessState:
             "--budget", "20000", "--cap", "120"]
         assert gc_paused_call(command) == (3, 0)
 
+    @pytest.mark.parametrize("argv,code", [
+        # negative verdicts
+        (["check2", "{c5}"], 1),
+        (["check2", "{c5}", "--oracle"], 1),
+        (["--json", "check2", "{c5}"], 1),
+        (["near3", "{k5}"], 1),
+        (["near3", "{k5}", "--min"], 1),
+        # input errors
+        (["stats", "{missing}"], 2),
+        (["--json", "stats", "{missing}"], 2),
+        (["core", "{missing}"], 2),
+        (["check2", "{missing}"], 2),
+        (["check2", "{missing}", "--oracle"], 2),
+        (["near3", "{missing}"], 2),
+        (["del2", "{missing}"], 2),
+        (["del2", "{missing}", "--exact"], 2),
+        (["reduce", "sat3", "{missing}"], 2),
+        (["reduce", "planar3sat", "{missing}", "--p", "1"], 2),
+        (["reduce", "vc", "{missing}"], 2),
+        (["solution-from-assignment", "{missing}", "--tau", "110"], 2),
+        (["verify", "gadgets", "--p", "0"], 2),
+        (["gen", "gnp", "--n", "5", "--prob", "2", "--seed", "1"], 2),
+        (["gen", "cycle", "--n", "2"], 2),
+        (["gen", "theta", "--paths", "0", "0", "0"], 2),
+        (["gen", "formula", "--vars", "3", "--clauses", "-1", "--seed", "1"], 2),
+        # budgets run out
+        (["check2", "{c6}", "--oracle", "--budget", "50"], 3),
+        (["--json", "check2", "{c6}", "--oracle", "--budget", "50"], 3),
+        (["near3", "{c5}", "--budget", "0"], 3),
+        (["near3", "{c5}", "--min", "--budget", "0"], 3),
+        (["del2", "{c5}", "--exact", "--budget", "0"], 3),
+        # usage errors
+        ([], 2),
+        (["bogus"], 2),
+        (["--json", "bogus"], 2),
+        (["--json", "check2"], 2),
+        (["stats"], 2),
+        (["core"], 2),
+        (["check2"], 2),
+        (["check2", "{c5}", "--budget", "-1"], 2),
+        (["near3"], 2),
+        (["del2"], 2),
+        (["reduce"], 2),
+        (["reduce", "sat3"], 2),
+        (["solution-from-assignment", "{c5}"], 2),
+        (["verify"], 2),
+        (["gen"], 2),
+        (["gen", "gnp", "--n", "x"], 2),
+        # help
+        (["-h"], 0),
+        (["--json", "-h"], 0),
+        (["stats", "-h"], 0),
+        (["core", "-h"], 0),
+        (["check2", "-h"], 0),
+        (["near3", "-h"], 0),
+        (["del2", "-h"], 0),
+        (["reduce", "-h"], 0),
+        (["reduce", "sat3", "-h"], 0),
+        (["solution-from-assignment", "-h"], 0),
+        (["verify", "gadgets", "-h"], 0),
+        (["gen", "-h"], 0),
+        (["gen", "gnp", "-h"], 0),
+    ])
+    def test_no_exit_leaves_cyclic_garbage(self, c5_file, c6_file, tmp_path, capsys, argv,
+                                           code):
+        # the successes are above; argparse's help formatters sit in reference
+        # cycles, so the usage-error and -h exits collect them before returning
+        k5 = tmp_path / "k5.graph"
+        k5.write_text(write_graph(Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])))
+        argv = [a.format(c5=c5_file, c6=c6_file, k5=k5, missing=tmp_path / "missing")
+                for a in argv]
+        assert gc_paused_call(argv) == (code, 0)
+
+    def test_first_call_leaves_no_cyclic_garbage(self, c5_file):
+        # building the parser makes help formatters in reference cycles too
+        script = ("import gc, sys; from choosability.cli import main; gc.disable(); "
+                  "main(['stats', sys.argv[1]]); n = gc.collect(); "
+                  "sys.exit(n and 'garbage: %d' % n)")
+        result = subprocess.run([sys.executable, "-c", script, c5_file], capture_output=True,
+                                env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                                    os.path.dirname(cli.__file__))))
+        assert result.returncode == 0, result.stderr
+
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -368,6 +369,39 @@ class TestOracle:
             is_k_choosable_exhaustive(cycle_graph(8), 2, budget=50, cap=8)
         assert err.value.stats == {"expanded": 51, "limit": 50, "stage": "oracle",
                                    "assignments": 37}
+
+    @pytest.mark.parametrize("g,k,cap,digest", [
+        (cycle_graph(5), 2, None,
+         "f5b63671febc28a43c17bbb94d544aa9ca24101aad7228ab1c021077b2b5e244"),
+        (cycle_graph(6), 2, None,
+         "ab630b0422f459e60adfc4f754999cb8136662fd1544eb36a543d73ec497f583"),
+        # the witness lies at the last vertex
+        (complete_bipartite(2, 4), 2, None,
+         "6c9365f2e9dfe021e135e61e9699208270d264c8746d2e66a8005f974f04a5ae"),
+        # the last vertex has no neighbour, so it blocks nothing
+        (disjoint_union(complete_bipartite(2, 3), Graph(1, [])), 2, None,
+         "f0671e73518ff9583bd045b98271faf9e32d31fd8aec561e5cd66e0eeb8ce974"),
+        (Graph(1, []), 2, None,
+         "abd30de75af79ff828781211d2d60d1f0a640686197c9ed50716285e86ba7e4e"),
+        (path_graph(3), 1, None,
+         "23b2835122f2995a205f07f90a846b9fd9271df5d4dd51a3c5f24a8da49adb57"),
+        (Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), 3, 4,
+         "6a081face48f06dd80afcaaf125104f17c7c06518fca392bbbc3416c706b0c84"),
+    ], ids=["c5", "c6", "k24", "k23-plus-k1", "k1", "p3-k1", "k4-minus-edge-k3"])
+    def test_every_budget_limit(self, g, k, cap, digest):
+        # the answer and nodes of a run without a limit, then the stats raised at
+        # every limit below that node count, many of them inside a last-vertex
+        # frame; the digests were taken from the oracle that tried the lists of
+        # that frame one by one, each with its own charge
+        bud = Budget()
+        answer = is_k_choosable_exhaustive(g, k, budget=bud, cap=cap)
+        raised = []
+        for limit in range(bud.used):
+            with pytest.raises(BudgetExceededError) as err:
+                is_k_choosable_exhaustive(g, k, budget=limit, cap=cap)
+            raised.append(err.value.stats)
+        seen = repr((answer, bud.used, raised)).encode()
+        assert hashlib.sha256(seen).hexdigest() == digest
 
 
 class TestAssignmentSerialization:
